@@ -4,10 +4,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
+use std::time::Duration;
+
 use bytes::Bytes;
 use nbkv_core::client::Ring;
 use nbkv_core::proto::{ApiFlavor, Request, Response, SetMode};
 use nbkv_core::server::slab::{SlabConfig, SlabPool};
+use nbkv_fabric::profiles::fdr_rdma;
+use nbkv_fabric::MrCache;
 use nbkv_simrt::Sim;
 use nbkv_storesim::LruMap;
 use nbkv_workload::Zipf;
@@ -38,7 +45,45 @@ fn bench_executor(c: &mut Criterion) {
             sim.run();
         })
     });
+    // The client's request path: every op runs under a long deadline that
+    // it beats, so each deadline is armed and then cancelled.
+    g.bench_function("timeout_churn_100k", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            let s = sim.clone();
+            sim.run_until(async move {
+                for _ in 0..100_000 {
+                    let inner = s.clone();
+                    let op = async move { inner.sleep(Duration::from_nanos(100)).await };
+                    let _ = nbkv_simrt::timeout(&s, Duration::from_millis(500), op).await;
+                }
+            });
+            black_box(sim.stats().timers_pending)
+        })
+    });
     g.finish();
+}
+
+fn bench_mr(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mr");
+    let sim = Sim::new();
+    let cache = MrCache::new(sim.clone(), fdr_rdma());
+    let buf = Bytes::from((0..8192u32).map(|i| (i * 31) as u8).collect::<Vec<_>>());
+    let (c2, b2) = (cache.clone(), buf.clone());
+    sim.run_until(async move { c2.ensure_registered(&b2).await });
+    // A hit is pure host work with no virtual-time charge, so the future
+    // completes on its first poll without a simulation driving it.
+    let mut cx = Context::from_waker(Waker::noop());
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    g.bench_function("ensure_registered_hit_8k", |b| {
+        b.iter(|| match pin!(cache.ensure_registered(&buf)).poll(&mut cx) {
+            Poll::Ready(key) => black_box(key),
+            Poll::Pending => unreachable!("a hit never sleeps"),
+        })
+    });
+    assert_eq!(cache.stats().misses, 1, "every benchmarked call was a hit");
+    g.finish();
+    sim.shutdown();
 }
 
 fn bench_slab(c: &mut Criterion) {
@@ -138,6 +183,6 @@ fn bench_workload_gen(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_executor, bench_slab, bench_lru, bench_proto, bench_workload_gen
+    targets = bench_executor, bench_mr, bench_slab, bench_lru, bench_proto, bench_workload_gen
 );
 criterion_main!(benches);

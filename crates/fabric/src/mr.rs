@@ -10,10 +10,10 @@
 //! [`MrCache`] charges the registration cost (in virtual time) the first
 //! time a buffer region is seen and is free on subsequent hits.
 //!
-//! Region identity is a *content fingerprint* (length + FNV-1a of the
-//! bytes) rather than the raw address: real registration caches key on
-//! address ranges, but addresses are allocator state and would make
-//! otherwise-identical simulations diverge. A reused buffer hits the
+//! Region identity is a *content fingerprint* (length + a word-at-a-time
+//! hash of the bytes) rather than the raw address: real registration
+//! caches key on address ranges, but addresses are allocator state and
+//! would make otherwise-identical simulations diverge. A reused buffer hits the
 //! cache either way; the fingerprint keeps runs bit-reproducible.
 
 use std::cell::RefCell;
@@ -25,15 +25,55 @@ use nbkv_simrt::Sim;
 
 use crate::profiles::FabricProfile;
 
+// Odd 64-bit multipliers (the xxHash64 primes).
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// Absorb one word into an accumulator. For a fixed accumulator the step is
+/// a bijection of the word, and for a fixed word a bijection of the
+/// accumulator, so a one-word difference survives every later step of the
+/// same lane.
+#[inline(always)]
+fn absorb(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(P1).rotate_left(29)
+}
+
+#[inline(always)]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Content hash of a buffer: four independent 64-bit lanes over 32-byte
+/// chunks, then the remaining words and bytes, then a final avalanche.
+/// A pure function of (length, bytes).
 fn fingerprint(buf: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET ^ (buf.len() as u64).wrapping_mul(PRIME);
-    for &b in buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    let len = buf.len() as u64;
+    let mut lanes = [P1 ^ len, P2, P3, P1.wrapping_add(P2)];
+    let mut chunks = buf.chunks_exact(32);
+    for chunk in &mut chunks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = absorb(*lane, word(&chunk[i * 8..i * 8 + 8]));
+        }
     }
-    h
+    let mut h = lanes
+        .iter()
+        .enumerate()
+        .fold(len.wrapping_mul(P3), |h, (i, &lane)| {
+            absorb(h, lane).rotate_left(8 * i as u32 + 1)
+        });
+    let mut words = chunks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = absorb(h, word(w));
+    }
+    for &b in words.remainder() {
+        h = absorb(h, b as u64);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Opaque handle to a registered region (an `lkey` in verbs terms).
@@ -249,6 +289,73 @@ mod tests {
             let k3 = cache.ensure_registered(&buf).await;
             assert_eq!(k3, k1);
             assert_eq!(cache.stats().hits, 2);
+        });
+    }
+
+    /// A buffer of `len` bytes with a non-repeating pattern, so a flipped
+    /// byte cannot be masked by a neighbouring identical one.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    #[test]
+    fn one_byte_difference_changes_the_region() {
+        for len in [0usize, 1, 31, 32, 33, 4097, 8192, 32768] {
+            let base = patterned(len);
+            assert_eq!(fingerprint(&base), fingerprint(&base.clone()), "len {len}");
+            // Head, a word-aligned middle byte (inside the 32-byte chunks
+            // when there are any) and the last byte (in the tail remainder
+            // when the length is not a multiple of 32).
+            let mut positions = vec![0, (len / 2) & !7, len.saturating_sub(1)];
+            positions.retain(|&p| p < len);
+            positions.dedup();
+            for pos in positions {
+                let mut other = base.clone();
+                other[pos] ^= 0x01;
+                assert_ne!(
+                    fingerprint(&base),
+                    fingerprint(&other),
+                    "len {len}: flipping byte {pos} must change the fingerprint"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_depends_on_length() {
+        // Zero-filled buffers differ only in length; the hash itself (not
+        // just the cache key's length half) must tell them apart.
+        let fps: Vec<u64> = [0usize, 1, 8, 31, 32, 33, 64]
+            .iter()
+            .map(|&len| fingerprint(&vec![0u8; len]))
+            .collect();
+        for (i, a) in fps.iter().enumerate() {
+            assert!(fps[i + 1..].iter().all(|b| b != a), "collision at {i}");
+        }
+    }
+
+    #[test]
+    fn near_identical_buffers_register_separately() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let cache = MrCache::new(sim2.clone(), fdr_rdma());
+            let len = 8192 + 17;
+            let base = Bytes::from(patterned(len));
+            cache.ensure_registered(&base).await;
+            for pos in [0, 4096, len - 1] {
+                let mut v = patterned(len);
+                v[pos] ^= 0x80;
+                cache.ensure_registered(&Bytes::from(v)).await;
+            }
+            assert_eq!(cache.stats().misses, 4, "every variant is its own region");
+            // A separate allocation with the base's bytes still hits.
+            let again = Bytes::from(patterned(len));
+            cache.ensure_registered(&again).await;
+            assert_eq!(cache.stats().hits, 1);
+            assert_eq!(cache.stats().misses, 4);
         });
     }
 

@@ -12,10 +12,16 @@
 //! Determinism: ready tasks run in wake order and timer events tie-break on
 //! a monotonically increasing sequence number, so two runs of the same
 //! program produce identical timelines.
+//!
+//! Cancellation: a [`crate::Sleep`] dropped before its deadline marks its
+//! heap entry cancelled. Cancelled entries are skipped when popped (the
+//! clock does not move to them and they are not counted as events), and the
+//! heap is compacted once they outnumber the live ones, so the heap holds
+//! roughly the live timers rather than every deadline ever armed.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -107,11 +113,19 @@ pub struct SimStats {
     pub timer_events: u64,
     /// Tasks currently alive (spawned and not yet complete).
     pub tasks_alive: u64,
+    /// Timers still due to fire: heap entries minus cancelled ones.
+    pub timers_pending: u64,
 }
 
 struct World {
     now: SimTime,
     timers: BinaryHeap<Reverse<TimerEntry>>,
+    /// Seqs of heap entries whose `Sleep` was dropped before the deadline.
+    /// Every member is still in `timers`.
+    cancelled: HashSet<u64>,
+    /// Seqs at or below this were discarded by `shutdown`; cancelling one
+    /// is a no-op.
+    cleared_through: u64,
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<TaskId>,
     generations: Vec<u64>,
@@ -124,6 +138,8 @@ impl World {
         World {
             now: SimTime::ZERO,
             timers: BinaryHeap::new(),
+            cancelled: HashSet::new(),
+            cleared_through: 0,
             tasks: Vec::new(),
             free: Vec::new(),
             generations: Vec::new(),
@@ -188,7 +204,11 @@ impl Sim {
 
     /// Executor statistics snapshot.
     pub fn stats(&self) -> SimStats {
-        self.world.borrow().stats
+        let w = self.world.borrow();
+        SimStats {
+            timers_pending: (w.timers.len() - w.cancelled.len()) as u64,
+            ..w.stats
+        }
     }
 
     /// Spawn a task; it starts running at the current virtual instant.
@@ -262,8 +282,9 @@ impl Sim {
         self.schedule_at(at, f);
     }
 
-    /// Register `waker` to be woken at virtual time `at`.
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) {
+    /// Register `waker` to be woken at virtual time `at`. Returns the
+    /// entry's seq, the handle for [`Sim::cancel_timer`].
+    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> u64 {
         let mut w = self.world.borrow_mut();
         let at = at.max(w.now);
         let seq = w.next_seq();
@@ -272,10 +293,35 @@ impl Sim {
             seq,
             event: Event::Wake(waker),
         }));
+        seq
+    }
+
+    /// Cancel the timer entry `seq`, registered for `deadline`. The caller
+    /// must only cancel an entry that has not fired: that holds while
+    /// `now < deadline`, so at or after the deadline this does nothing and
+    /// the entry (if still queued) fires as a harmless spurious wake.
+    pub(crate) fn cancel_timer(&self, seq: u64, deadline: SimTime) {
+        // Called from `Drop`, which must not panic: should the world ever
+        // be borrowed here, skip the cancel and leave a stale wake.
+        let Ok(mut w) = self.world.try_borrow_mut() else {
+            return;
+        };
+        if w.now >= deadline || seq <= w.cleared_through {
+            return;
+        }
+        w.cancelled.insert(seq);
+        if w.cancelled.len() * 2 > w.timers.len() {
+            let World {
+                timers, cancelled, ..
+            } = &mut *w;
+            timers.retain(|Reverse(e)| !cancelled.contains(&e.seq));
+            cancelled.clear();
+        }
     }
 
     /// Run the simulation until there is nothing left to do: no runnable
-    /// task and no pending timer. Returns the final virtual time.
+    /// task and no pending timer. Returns the final virtual time: that of
+    /// the last live event, never a cancelled timer's deadline.
     ///
     /// Tasks still blocked on never-signalled wakers (e.g. a channel whose
     /// senders are all alive but idle) are left pending — this is the
@@ -331,6 +377,8 @@ impl Sim {
         let dropped = {
             let mut w = self.world.borrow_mut();
             w.timers.clear();
+            w.cancelled.clear();
+            w.cleared_through = w.seq;
             w.free.clear();
             w.stats.tasks_alive = 0;
             // Futures may themselves own Sim handles; take them out before
@@ -355,19 +403,22 @@ impl Sim {
         }
     }
 
-    /// Fire the earliest timer event, advancing the clock. Returns false if
-    /// no timers remain.
+    /// Fire the earliest live timer event, advancing the clock. Returns
+    /// false if no live timers remain.
     fn advance_clock(&self) -> bool {
         let entry = {
             let mut w = self.world.borrow_mut();
-            match w.timers.pop() {
-                Some(Reverse(e)) => {
-                    debug_assert!(e.at >= w.now, "timer heap went backwards");
-                    w.now = e.at;
-                    w.stats.timer_events += 1;
-                    e
+            loop {
+                let Some(Reverse(e)) = w.timers.pop() else {
+                    return false;
+                };
+                if !w.cancelled.is_empty() && w.cancelled.remove(&e.seq) {
+                    continue;
                 }
-                None => return false,
+                debug_assert!(e.at >= w.now, "timer heap went backwards");
+                w.now = e.at;
+                w.stats.timer_events += 1;
+                break e;
             }
         };
         match entry.event {
@@ -609,6 +660,123 @@ mod tests {
         };
         assert!(weak.upgrade().is_none(), "shutdown must break the cycle");
         assert_eq!(observer.borrow().len(), 4); // t=0,10,20,30
+    }
+
+    /// Poll `sleep` once from inside a task so its timer is registered.
+    async fn arm(sleep: &mut crate::Sleep) {
+        std::future::poll_fn(|cx| {
+            assert!(Pin::new(&mut *sleep).poll(cx).is_pending());
+            Poll::Ready(())
+        })
+        .await
+    }
+
+    #[test]
+    fn early_finishing_timeouts_leave_no_timers() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            for _ in 0..10_000 {
+                let s = sim2.clone();
+                let fut = async move { s.sleep(Duration::from_micros(1)).await };
+                let out = crate::timeout(&sim2, Duration::from_millis(500), fut).await;
+                assert!(out.is_ok());
+            }
+            assert_eq!(sim2.now(), SimTime::from_micros(10_000));
+            assert!(sim2.stats().timers_pending <= 1, "{:?}", sim2.stats());
+            // Compaction keeps the heap itself small, not just the count.
+            assert!(sim2.world.borrow().timers.len() <= 4);
+        });
+        // Only the 10,000 inner sleeps fired; no 500 ms deadline did.
+        assert_eq!(sim.stats().timer_events, 10_000);
+        assert_eq!(sim.stats().timers_pending, 0);
+    }
+
+    #[test]
+    fn run_ends_at_last_live_event_not_a_dropped_deadline() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            let inner = s.clone();
+            let fut = async move { inner.sleep(Duration::from_micros(10)).await };
+            crate::timeout(&s, Duration::from_secs(1), fut)
+                .await
+                .unwrap();
+        });
+        assert_eq!(sim.run(), SimTime::from_micros(10));
+        assert_eq!(sim.stats().timer_events, 1);
+    }
+
+    #[test]
+    fn sleep_dropped_at_its_deadline_is_not_cancelled() {
+        // Same instant, entry still queued: the timeout's deadline entry
+        // (registered after the inner sleep) has not fired when the timeout
+        // completes and drops it. It must stay queued and fire harmlessly.
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let inner = s.clone();
+            let fut = async move { inner.sleep(Duration::from_micros(10)).await };
+            crate::timeout(&s, Duration::from_micros(10), fut)
+                .await
+                .unwrap();
+            assert_eq!(s.stats().timers_pending, 1, "tied deadline not cancelled");
+        });
+        assert_eq!(sim.run(), SimTime::from_micros(10));
+        assert_eq!(sim.stats().timers_pending, 0);
+
+        // Same instant, entry already fired: dropping the sleep afterwards
+        // must not mark a seq that is no longer in the heap.
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let mut first = s.sleep(Duration::from_micros(5));
+            arm(&mut first).await;
+            // `first`'s entry fires and wakes the task; this second sleep
+            // is then already due, so its own entry is still queued.
+            s.sleep(Duration::from_micros(5)).await;
+            assert_eq!(s.stats().timer_events, 1);
+            drop(first);
+            assert_eq!(s.stats().timers_pending, 1, "only the second's entry");
+        });
+        assert_eq!(sim.run(), SimTime::from_micros(5));
+        assert_eq!(sim.stats().timer_events, 2);
+        assert_eq!(sim.stats().timers_pending, 0);
+    }
+
+    #[test]
+    fn shutdown_with_cancelled_entries_outstanding() {
+        let sim = Sim::new();
+        let stray: Rc<RefCell<Option<crate::Sleep>>> = Rc::new(RefCell::new(None));
+        for i in 0..10u64 {
+            let s = sim.clone();
+            sim.spawn(async move { s.sleep(Duration::from_millis(100 + i)).await });
+        }
+        let s = sim.clone();
+        let keep = Rc::clone(&stray);
+        sim.run_until(async move {
+            // Three cancelled entries: fewer than half, so no compaction.
+            for _ in 0..3 {
+                let mut sl = s.sleep(Duration::from_millis(50));
+                arm(&mut sl).await;
+            }
+            let mut held = s.sleep(Duration::from_millis(70));
+            arm(&mut held).await;
+            *keep.borrow_mut() = Some(held);
+        });
+        assert_eq!(sim.stats().timers_pending, 11);
+        assert_eq!(sim.world.borrow().cancelled.len(), 3);
+        sim.shutdown();
+        assert_eq!(sim.stats().timers_pending, 0);
+        // A sleep that outlived its simulation's shutdown drops cleanly and
+        // does not cancel an unrelated entry queued after the shutdown.
+        for _ in 0..3 {
+            sim.schedule_in(Duration::from_millis(1), |_| {});
+        }
+        stray.borrow_mut().take();
+        assert_eq!(sim.stats().timers_pending, 3);
+        assert_eq!(sim.run(), SimTime::from_micros(1_000));
+        assert_eq!(sim.stats().timers_pending, 0);
     }
 
     #[test]

@@ -9,10 +9,14 @@ use crate::executor::Sim;
 use crate::time::SimTime;
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+///
+/// Dropping a `Sleep` before its deadline cancels its timer, so a
+/// `timeout` whose future finished first leaves nothing in the heap.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    registered: bool,
+    /// Seq of the heap entry, once the first pending poll registered it.
+    timer: Option<u64>,
 }
 
 impl Future for Sleep {
@@ -22,12 +26,19 @@ impl Future for Sleep {
         if self.sim.now() >= self.deadline {
             return Poll::Ready(());
         }
-        if !self.registered {
-            self.registered = true;
+        if self.timer.is_none() {
             let deadline = self.deadline;
-            self.sim.register_timer(deadline, cx.waker().clone());
+            self.timer = Some(self.sim.register_timer(deadline, cx.waker().clone()));
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(seq) = self.timer {
+            self.sim.cancel_timer(seq, self.deadline);
+        }
     }
 }
 
@@ -45,7 +56,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            registered: false,
+            timer: None,
         }
     }
 }
