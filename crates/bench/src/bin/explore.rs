@@ -9,148 +9,233 @@
 //!     --servers 1 --clients 1
 //! ```
 
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+
 use nbkv_core::designs::Design;
+use nbkv_core::DirectPolicy;
 use nbkv_storesim::{nvme_p3700, sata_ssd};
 use nbkv_workload::OpMix;
 
 use nbkv_bench::exp::LatencyExp;
 use nbkv_bench::table::{us, us_f, Table};
 
-fn parse_design(s: &str) -> Option<Design> {
-    let norm = s.to_lowercase();
-    Design::ALL
-        .into_iter()
-        .find(|d| d.label().to_lowercase() == norm)
+const FLAGS: [&str; 11] = [
+    "--design",
+    "--mem-mb",
+    "--data-mb",
+    "--value-kb",
+    "--ops",
+    "--read-pct",
+    "--device",
+    "--servers",
+    "--clients",
+    "--window",
+    "--direct",
+];
+
+/// Upper bound for every count and size flag (1 TiB in MiB), so that the
+/// byte conversions cannot overflow.
+const MAX: u64 = 1 << 20;
+
+type Flags<'a> = BTreeMap<&'a str, &'a str>;
+
+/// The numeric value of `flag`, or `default` when it is absent.
+fn num(flags: &Flags, flag: &str, default: u64, range: RangeInclusive<u64>) -> Result<u64, String> {
+    let Some(v) = flags.get(flag) else {
+        return Ok(default);
+    };
+    match v.parse() {
+        Ok(n) if range.contains(&n) => Ok(n),
+        _ => Err(format!("{flag}: `{v}` is not a number in {range:?}")),
+    }
 }
 
-struct Args(Vec<String>);
+/// The named option `flag` selects (case-insensitive), or `default`.
+fn pick<T: Copy>(
+    flags: &Flags,
+    flag: &str,
+    default: T,
+    options: &[(&str, T)],
+) -> Result<T, String> {
+    let Some(v) = flags.get(flag) else {
+        return Ok(default);
+    };
+    let names: Vec<&str> = options.iter().map(|&(name, _)| name).collect();
+    options
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(v))
+        .map(|&(_, t)| t)
+        .ok_or_else(|| format!("{flag}: `{v}` is not one of {}", names.join(", ")))
+}
 
-impl Args {
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+/// Parse `--flag value` pairs into the experiment to run; `Ok(None)` asks
+/// for the help text. An unknown flag, a missing value, or a value the
+/// flag does not accept is an error naming the flag.
+fn parse(args: &[String]) -> Result<Option<LatencyExp>, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
     }
-
-    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        self.get(flag)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    let mut flags = Flags::new();
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(format!("{}: missing value", pair[0]));
+        };
+        if !FLAGS.contains(&flag.as_str()) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+        flags.insert(flag, value);
     }
+    let designs = Design::ALL.map(|d| (d.label(), d));
+    let design = pick(&flags, "--design", Design::HRdmaOptNonBI, &designs)?;
+    let mem = num(&flags, "--mem-mb", 256, 1..=MAX)? << 20;
+    let data = num(&flags, "--data-mb", 384, 1..=MAX)? << 20;
+    let mut e = LatencyExp::single(design, mem, data);
+    e.value_len = (num(&flags, "--value-kb", 32, 1..=MAX)? << 10) as usize;
+    e.ops_per_client = num(&flags, "--ops", 4000, 1..=MAX)? as usize;
+    e.mix = OpMix {
+        read_pct: num(&flags, "--read-pct", 50, 0..=100)? as u8,
+    };
+    e.window = num(&flags, "--window", 64, 1..=MAX)? as usize;
+    let c = &mut e.cluster;
+    c.servers = num(&flags, "--servers", 1, 1..=MAX)? as usize;
+    c.clients = num(&flags, "--clients", 1, 1..=MAX)? as usize;
+    let devices = [("sata", sata_ssd()), ("nvme", nvme_p3700())];
+    c.device = pick(&flags, "--device", sata_ssd(), &devices)?;
+    let policies = [
+        ("off", DirectPolicy::Off),
+        ("always", DirectPolicy::Always),
+        ("adaptive", DirectPolicy::Adaptive),
+    ];
+    c.client.direct = pick(&flags, "--direct", DirectPolicy::Off, &policies)?;
+    Ok(Some(e))
 }
 
 fn main() {
-    let args = Args(std::env::args().skip(1).collect());
-    if args.0.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "flags: --design <label> --mem-mb N --data-mb N --value-kb N --ops N \
-             --read-pct N --device sata|nvme --servers N --clients N --window N \
-             --direct off|always|adaptive"
-        );
-        println!("designs: {}", Design::ALL.map(|d| d.label()).join(", "));
-        return;
-    }
-    let design = args
-        .get("--design")
-        .and_then(parse_design)
-        .unwrap_or(Design::HRdmaOptNonBI);
-    let mem = args.num("--mem-mb", 256u64) << 20;
-    let data = args.num("--data-mb", 384u64) << 20;
-    let value_len = (args.num("--value-kb", 32usize)) << 10;
-    let device = match args.get("--device") {
-        Some("nvme") => nvme_p3700(),
-        _ => sata_ssd(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = format!(
+        "flags: {} (each takes a value; --device sata|nvme, --direct off|always|adaptive)\n\
+         designs: {}",
+        FLAGS.join(" "),
+        Design::ALL.map(|d| d.label()).join(", ")
+    );
+    let exp = match parse(&args) {
+        Ok(Some(exp)) => exp,
+        Ok(None) => {
+            println!("{usage}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("explore: {e}\n{usage}");
+            std::process::exit(2);
+        }
     };
-
-    let exp = LatencyExp {
-        design,
-        mem_bytes: mem,
-        data_bytes: data,
-        value_len,
-        ops_per_client: args.num("--ops", 4000usize),
-        mix: OpMix {
-            read_pct: args.num("--read-pct", 50u8).min(100),
-        },
-        device,
-        servers: args.num("--servers", 1usize).max(1),
-        clients: args.num("--clients", 1usize).max(1),
-        window: args.num("--window", 64usize).max(1),
-        ssd_capacity: 16 * mem,
-        batch: 0,
-        direct: match args.get("--direct") {
-            Some("always") => nbkv_core::DirectPolicy::Always,
-            Some("adaptive") => nbkv_core::DirectPolicy::Adaptive,
-            _ => nbkv_core::DirectPolicy::Off,
-        },
-        onesided: None,
-        replication: nbkv_core::ReplicationConfig::disabled(),
-        crash: None,
-        resilience: None,
-    };
-
+    let c = &exp.cluster;
     eprintln!(
         "running: {} | mem {} MiB x{} servers | data {} MiB | kv {} KiB | {} ops x{} clients | {}",
-        design.label(),
-        mem >> 20,
-        exp.servers,
-        data >> 20,
-        value_len >> 10,
+        c.design.label(),
+        c.server_mem_bytes >> 20,
+        c.servers,
+        exp.data_bytes >> 20,
+        exp.value_len >> 10,
         exp.ops_per_client,
-        exp.clients,
-        device.name,
+        c.clients,
+        c.device.name,
     );
     let r = exp.run();
 
     let mut t = Table::new(
         "explore",
-        &format!("{} custom run", design.label()),
+        &format!("{} custom run", c.design.label()),
         &["metric", "value"],
     );
-    let gets = (r.hits + r.misses).max(1);
-    t.row(vec!["mean latency (us)".into(), us(r.mean_latency_ns)]);
-    t.row(vec!["p99 latency (us)".into(), us(r.p99_latency_ns)]);
-    t.row(vec![
-        "throughput (ops/s)".into(),
-        format!("{:.0}", r.throughput_ops_per_sec()),
-    ]);
-    t.row(vec!["overlap %".into(), format!("{:.1}", r.overlap_pct)]);
-    t.row(vec![
-        "miss rate %".into(),
-        format!("{:.2}", 100.0 * r.misses as f64 / gets as f64),
-    ]);
-    t.row(vec![
-        "ssd-hit rate %".into(),
-        format!("{:.2}", 100.0 * r.ssd_hits as f64 / gets as f64),
-    ]);
-    t.row(vec![
-        "backend queries".into(),
-        r.backend_fetches.to_string(),
-    ]);
-    t.row(vec![
-        "stage: slab alloc (us)".into(),
-        us_f(r.breakdown.slab_alloc_ns),
-    ]);
-    t.row(vec![
-        "stage: check+load (us)".into(),
-        us_f(r.breakdown.check_load_ns),
-    ]);
-    t.row(vec![
-        "stage: cache update (us)".into(),
-        us_f(r.breakdown.cache_update_ns),
-    ]);
-    t.row(vec![
-        "stage: server resp (us)".into(),
-        us_f(r.breakdown.response_ns),
-    ]);
-    t.row(vec![
-        "stage: client wait (us)".into(),
-        us_f(r.breakdown.client_wait_ns),
-    ]);
-    t.row(vec![
-        "stage: miss penalty (us)".into(),
-        us_f(r.breakdown.miss_penalty_ns),
-    ]);
+    let gets = (r.hits + r.misses).max(1) as f64;
+    let b = &r.breakdown;
+    let rows = [
+        ("mean latency (us)", us(r.mean_latency_ns)),
+        ("p99 latency (us)", us(r.p99_latency_ns)),
+        (
+            "throughput (ops/s)",
+            format!("{:.0}", r.throughput_ops_per_sec()),
+        ),
+        ("overlap %", format!("{:.1}", r.overlap_pct)),
+        (
+            "miss rate %",
+            format!("{:.2}", 100.0 * r.misses as f64 / gets),
+        ),
+        (
+            "ssd-hit rate %",
+            format!("{:.2}", 100.0 * r.ssd_hits as f64 / gets),
+        ),
+        ("backend queries", r.backend_fetches.to_string()),
+        ("stage: slab alloc (us)", us_f(b.slab_alloc_ns)),
+        ("stage: check+load (us)", us_f(b.check_load_ns)),
+        ("stage: cache update (us)", us_f(b.cache_update_ns)),
+        ("stage: server resp (us)", us_f(b.response_ns)),
+        ("stage: client wait (us)", us_f(b.client_wait_ns)),
+        ("stage: miss penalty (us)", us_f(b.miss_penalty_ns)),
+    ];
+    for (metric, value) in rows {
+        t.row(vec![metric.to_string(), value]);
+    }
     println!("{}", t.to_markdown());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(a: &[&str]) -> Result<Option<LatencyExp>, String> {
+        parse(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_flags_parse() {
+        let e = parse_strs(&[]).unwrap().unwrap();
+        assert_eq!(e.cluster.design, Design::HRdmaOptNonBI);
+        assert_eq!(
+            (e.cluster.server_mem_bytes, e.data_bytes),
+            (256 << 20, 384 << 20)
+        );
+        assert_eq!(
+            (e.value_len, e.ops_per_client, e.window),
+            (32 << 10, 4000, 64)
+        );
+        assert_eq!(e.cluster.device, sata_ssd());
+        assert_eq!(e.cluster.client.direct, DirectPolicy::Off);
+        let e = parse_strs(&[
+            "--design", "RDMA-Mem", "--device", "nvme", "--direct", "adaptive",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(e.cluster.design, Design::RdmaMem);
+        assert_eq!(e.cluster.device, nvme_p3700());
+        assert_eq!(e.cluster.client.direct, DirectPolicy::Adaptive);
+        let e = parse_strs(&["--read-pct", "90", "--servers", "2"])
+            .unwrap()
+            .unwrap();
+        assert_eq!((e.mix.read_pct, e.cluster.servers), (90, 2));
+        assert!(parse_strs(&["--ops", "5", "-h"]).unwrap().is_none());
+    }
+
+    #[test]
+    fn bad_input_names_the_flag() {
+        for (args, flag) in [
+            (&["--design", "nope"][..], "--design"),
+            (&["--device", "tape"], "--device"),
+            (&["--direct", "sometimes"], "--direct"),
+            (&["--mem-mb", "lots"], "--mem-mb"),
+            (&["--ops", "-3"], "--ops"),
+            (&["--read-pct", "101"], "--read-pct"),
+            (&["--servers", "0"], "--servers"),
+            (&["--window"], "--window"),
+            (&["--bogus", "1"], "--bogus"),
+        ] {
+            let err = parse_strs(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(
+                err.starts_with(flag) || err.contains(&format!("`{flag}`")),
+                "{err}"
+            );
+        }
+    }
 }

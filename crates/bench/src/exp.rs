@@ -4,10 +4,8 @@ use std::rc::Rc;
 
 use nbkv_core::cluster::{build_cluster, schedule_crash, Cluster, ClusterConfig, CrashEvent};
 use nbkv_core::designs::Design;
-use nbkv_core::{DirectPolicy, ReplicationConfig};
 use nbkv_obs::Registry;
 use nbkv_simrt::{join_all, Sim};
-use nbkv_storesim::DeviceProfile;
 use nbkv_workload::{preload, run_workload, AccessPattern, OpMix, RunReport, WorkloadSpec};
 
 /// Global experiment scale factor.
@@ -37,12 +35,11 @@ pub fn scaled_ops(full: usize) -> usize {
 
 /// One latency/throughput experiment: an isolated simulation with one
 /// cluster, preloaded, then measured.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LatencyExp {
-    /// Design under test.
-    pub design: Design,
-    /// RAM slab budget per server.
-    pub mem_bytes: u64,
+    /// The cluster under test (design, sizes, device, client policy,
+    /// one-sided window, replication, chaos).
+    pub cluster: ClusterConfig,
     /// Total preloaded data.
     pub data_bytes: u64,
     /// Value size.
@@ -51,81 +48,34 @@ pub struct LatencyExp {
     pub ops_per_client: usize,
     /// Read:write mix.
     pub mix: OpMix,
-    /// SSD profile for hybrid designs.
-    pub device: DeviceProfile,
-    /// Servers in the cluster.
-    pub servers: usize,
-    /// Concurrent measured clients.
-    pub clients: usize,
     /// Non-blocking window per client.
     pub window: usize,
-    /// Per-server SSD capacity.
-    pub ssd_capacity: u64,
     /// Batched issue group size (`0` = per-op issue). When > 1, clients
     /// are built with the default [`nbkv_core::BatchPolicy`] and the
     /// workload drives the batched access pattern.
     pub batch: usize,
-    /// One-sided direct-read policy for GETs (servers publish an index
-    /// window whenever this is not [`DirectPolicy::Off`]).
-    pub direct: DirectPolicy,
-    /// Geometry of the published window (`None` = server default). Lets
-    /// read-heavy figures size buckets to the key count so fingerprint
-    /// collisions do not dominate the direct-hit rate.
-    pub onesided: Option<nbkv_core::OneSidedConfig>,
-    /// Primary–replica replication (RF and read-side replica selection).
-    /// [`ReplicationConfig::disabled`] keeps every key single-copy.
-    pub replication: ReplicationConfig,
     /// Scripted crash (and optional warm restart) of one server. Times
     /// are measured from the *end of the preload* — the start of the
     /// measured phase — so the schedule is independent of preload length.
     pub crash: Option<CrashEvent>,
-    /// Client resilience override (`None` keeps the [`ClientConfig`]
-    /// default). Crash experiments set a short deadline so in-flight ops
-    /// on the crashed node fail over quickly.
-    pub resilience: Option<nbkv_core::ResiliencePolicy>,
 }
 
 impl LatencyExp {
     /// Single-server, single-client experiment in the paper's default
-    /// shape (32 KiB values, Zipf 0.99, SATA SSD).
+    /// shape (32 KiB values, Zipf 0.99, SATA SSD). The cluster's OS-cache
+    /// (8x) and SSD (16x) budgets derive from `mem_bytes` here; changing
+    /// `cluster.server_mem_bytes` later does not rescale them.
     pub fn single(design: Design, mem_bytes: u64, data_bytes: u64) -> Self {
         LatencyExp {
-            design,
-            mem_bytes,
+            cluster: ClusterConfig::new(design, mem_bytes),
             data_bytes,
             value_len: 32 << 10,
             ops_per_client: scaled_ops(4000),
             mix: OpMix::WRITE_HEAVY,
-            device: nbkv_storesim::sata_ssd(),
-            servers: 1,
-            clients: 1,
             window: 64,
-            ssd_capacity: 16 * mem_bytes,
             batch: 0,
-            direct: DirectPolicy::Off,
-            onesided: None,
-            replication: ReplicationConfig::disabled(),
             crash: None,
-            resilience: None,
         }
-    }
-
-    fn cluster_config(&self) -> ClusterConfig {
-        let mut cfg = ClusterConfig::new(self.design, self.mem_bytes);
-        cfg.servers = self.servers;
-        cfg.clients = self.clients;
-        cfg.device = self.device;
-        cfg.ssd_capacity = self.ssd_capacity;
-        if self.batch > 1 {
-            cfg.client.batch = Some(nbkv_core::BatchPolicy::default());
-        }
-        cfg.client.direct = self.direct;
-        cfg.onesided = self.onesided;
-        cfg.replication = self.replication;
-        if let Some(r) = self.resilience {
-            cfg.client.resilience = r;
-        }
-        cfg
     }
 
     /// Number of distinct keys.
@@ -143,7 +93,11 @@ impl LatencyExp {
     /// metrics registry before the cluster is torn down.
     pub fn run_obs(&self) -> (RunReport, Registry) {
         let sim = Sim::new();
-        let cluster: Cluster = build_cluster(&sim, &self.cluster_config());
+        let mut cfg = self.cluster.clone();
+        if self.batch > 1 {
+            cfg.client.batch = Some(nbkv_core::BatchPolicy::default());
+        }
+        let cluster: Cluster = build_cluster(&sim, &cfg);
         let keys = self.keys();
         let value_len = self.value_len;
         let spec_template = WorkloadSpec {
@@ -152,7 +106,7 @@ impl LatencyExp {
             pattern: AccessPattern::Zipf(0.99),
             mix: self.mix,
             ops: self.ops_per_client,
-            flavor: self.design.flavor(),
+            flavor: cfg.design.flavor(),
             window: self.window,
             seed: 42,
             miss_penalty: nbkv_workload::BackendDb::default_penalty(),
@@ -162,7 +116,7 @@ impl LatencyExp {
         let clients: Vec<_> = cluster.clients.iter().map(Rc::clone).collect();
         let servers: Vec<_> = cluster.servers.iter().map(Rc::clone).collect();
         let crash = self.crash;
-        let replicated = self.replication.is_replicated();
+        let replicated = cfg.replication.is_replicated();
         let sim2 = sim.clone();
         let report = sim.run_until(async move {
             // Preload through the first client (not measured).
@@ -313,7 +267,7 @@ mod tests {
     #[test]
     fn multi_client_reports_merge() {
         let mut exp = LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 8 << 20);
-        exp.clients = 3;
+        exp.cluster.clients = 3;
         exp.ops_per_client = 100;
         exp.value_len = 8 << 10;
         let report = exp.run();

@@ -28,15 +28,16 @@ const GROUP: usize = 64;
 /// dominates and batching has the most to amortize.
 fn exp(design: Design, batch: usize) -> LatencyExp {
     let mem = scaled_bytes(64 << 20);
-    LatencyExp {
+    let mut e = LatencyExp {
         value_len: 512,
         mix: OpMix::READ_ONLY,
         ops_per_client: scaled_ops(4000),
-        servers: 4,
         window: 256,
         batch,
         ..LatencyExp::single(design, mem, mem / 2)
-    }
+    };
+    e.cluster.servers = 4;
+    e
 }
 
 fn run_mode(m: &mut Manifest, design: Design, batch: usize) -> (RunReport, Registry) {
@@ -235,7 +236,9 @@ mod tests {
     fn batched_run_reduces_fabric_messages() {
         let small = |batch| {
             let mut e = exp(Design::HRdmaOptNonBI, batch);
-            e.mem_bytes = 8 << 20;
+            // The OS cache follows memory (8x) as in `ClusterConfig::new`; the SSD keeps its size.
+            e.cluster.server_mem_bytes = 8 << 20;
+            e.cluster.os_cache_bytes = 8 * e.cluster.server_mem_bytes;
             e.data_bytes = 4 << 20;
             e.ops_per_client = 600;
             e

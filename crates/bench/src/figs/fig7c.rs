@@ -20,26 +20,14 @@ pub fn run_design(design: Design) -> RunReport {
     let agg_mem = scaled_bytes(1 << 30);
     let agg_data = 2 * agg_mem;
     let agg_ssd = 4 * agg_mem;
-    LatencyExp {
-        design,
-        mem_bytes: agg_mem / SERVERS as u64,
-        data_bytes: agg_data,
-        value_len: 8 << 10,
-        ops_per_client: scaled_ops(2000).max(200) / 4,
-        mix: nbkv_workload::OpMix::WRITE_HEAVY,
-        device: nbkv_storesim::sata_ssd(),
-        servers: SERVERS,
-        clients: CLIENTS,
-        window: 32,
-        ssd_capacity: agg_ssd / SERVERS as u64,
-        batch: 0,
-        direct: nbkv_core::DirectPolicy::Off,
-        onesided: None,
-        replication: nbkv_core::ReplicationConfig::disabled(),
-        crash: None,
-        resilience: None,
-    }
-    .run()
+    let mut e = LatencyExp::single(design, agg_mem / SERVERS as u64, agg_data);
+    e.cluster.servers = SERVERS;
+    e.cluster.clients = CLIENTS;
+    e.cluster.ssd_capacity = agg_ssd / SERVERS as u64;
+    e.value_len = 8 << 10;
+    e.ops_per_client = scaled_ops(2000).max(200) / 4;
+    e.window = 32;
+    e.run()
 }
 
 /// Regenerate the throughput table.

@@ -20,7 +20,7 @@ const DESIGNS: [Design; 4] = [
 pub fn cell_report(design: Design, device: DeviceProfile, mix: OpMix) -> RunReport {
     let mem = scaled_bytes(1 << 30);
     let mut exp = LatencyExp::single(design, mem, mem + mem / 2);
-    exp.device = device;
+    exp.cluster.device = device;
     exp.mix = mix;
     exp.run()
 }

@@ -49,10 +49,10 @@ fn exp(mix: OpMix, direct: DirectPolicy) -> LatencyExp {
         mix,
         ops_per_client: scaled_ops(4000),
         window: 64,
-        direct,
         ..LatencyExp::single(Design::HRdmaOptNonBI, mem, data)
     };
-    e.onesided = Some(OneSidedConfig {
+    e.cluster.client.direct = direct;
+    e.cluster.onesided = Some(OneSidedConfig {
         buckets: (e.keys() * 4).next_power_of_two(),
         value_cap: 1536,
     });
@@ -118,10 +118,12 @@ mod tests {
     /// RAM-resident 4 MiB of 1 KiB values, 600 ops.
     fn small(mix: OpMix, direct: DirectPolicy) -> LatencyExp {
         let mut e = exp(mix, direct);
-        e.mem_bytes = 8 << 20;
+        // The OS cache follows memory (8x) as in `ClusterConfig::new`; the SSD keeps its size.
+        e.cluster.server_mem_bytes = 8 << 20;
+        e.cluster.os_cache_bytes = 8 * e.cluster.server_mem_bytes;
         e.data_bytes = 4 << 20;
         e.ops_per_client = 600;
-        e.onesided = Some(OneSidedConfig {
+        e.cluster.onesided = Some(OneSidedConfig {
             buckets: (e.keys() * 4).next_power_of_two(),
             value_cap: 1536,
         });

@@ -54,17 +54,17 @@ pub fn policy_label(rc: ReplicationConfig) -> String {
 /// set concentrates on one primary — the imbalance SpreadReplicas exists
 /// to fix. Window 64 keeps both servers' dispatch loops busy.
 fn exp(mix: OpMix, replication: ReplicationConfig) -> LatencyExp {
-    LatencyExp {
+    let mut e = LatencyExp {
         value_len: 1 << 10,
-        data_bytes: 64 << 10, // 64 keys of 1 KiB
         mix,
         ops_per_client: scaled_ops(4000),
         window: 64,
-        servers: SERVERS,
-        clients: CLIENTS,
-        replication,
-        ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 64 << 10)
-    }
+        ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 64 << 10) // 64 keys of 1 KiB
+    };
+    e.cluster.servers = SERVERS;
+    e.cluster.clients = CLIENTS;
+    e.cluster.replication = replication;
+    e
 }
 
 /// Resilience policy for the failover row: a short deadline so ops that
@@ -99,7 +99,9 @@ pub fn failover_crash(ops_per_client: usize) -> CrashEvent {
 /// `NBKV_SCALE`.
 pub fn small(mix: OpMix, rc: ReplicationConfig) -> LatencyExp {
     let mut e = exp(mix, rc);
-    e.mem_bytes = 8 << 20;
+    // The OS cache follows memory (8x) as in `ClusterConfig::new`; the SSD keeps its size.
+    e.cluster.server_mem_bytes = 8 << 20;
+    e.cluster.os_cache_bytes = 8 * e.cluster.server_mem_bytes;
     e.ops_per_client = 600;
     e
 }
@@ -147,7 +149,7 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
         let mut label = format!("{}/{}", mix.label(), policy_label(rc));
         if crash {
             e.crash = Some(failover_crash(e.ops_per_client));
-            e.resilience = Some(failover_resilience());
+            e.cluster.client.resilience = failover_resilience();
             label.push_str("/failover");
         }
         let (report, reg) = run_case(m, &label, &e);
@@ -254,7 +256,7 @@ mod tests {
     fn failover_row_promotes_and_recovers() {
         let mut e = small(OpMix::WRITE_HEAVY, ReplicationConfig::default());
         e.crash = Some(failover_crash(e.ops_per_client));
-        e.resilience = Some(failover_resilience());
+        e.cluster.client.resilience = failover_resilience();
         let (report, reg) = e.run_obs();
         assert_eq!(report.ops, 600 * CLIENTS);
         assert!(reg.counter("client.promotions") > 0, "no failover happened");

@@ -20,7 +20,7 @@ fn render_once() -> String {
     // waves must replay bit-for-bit too.
     let mut exp = LatencyExp::single(Design::HRdmaOptNonBI, 8 << 20, 4 << 20);
     exp.ops_per_client = 300;
-    exp.servers = 2;
+    exp.cluster.servers = 2;
     exp.value_len = 512;
     exp.batch = 32;
     let (r, cluster_reg) = exp.run_obs();
@@ -33,7 +33,7 @@ fn render_once() -> String {
     exp.ops_per_client = 300;
     exp.value_len = 1 << 10;
     exp.mix = nbkv_workload::OpMix { read_pct: 90 };
-    exp.direct = nbkv_core::DirectPolicy::Adaptive;
+    exp.cluster.client.direct = nbkv_core::DirectPolicy::Adaptive;
     let (r, cluster_reg) = exp.run_obs();
     let reg = m.record_report("onesided", &r);
     reg.merge(&cluster_reg);
@@ -46,7 +46,7 @@ fn render_once() -> String {
     exp.crash = Some(nbkv_bench::figs::replication::failover_crash(
         exp.ops_per_client,
     ));
-    exp.resilience = Some(nbkv_bench::figs::replication::failover_resilience());
+    exp.cluster.client.resilience = nbkv_bench::figs::replication::failover_resilience();
     let (r, cluster_reg) = exp.run_obs();
     let reg = m.record_report("replicated-crash", &r);
     reg.merge(&cluster_reg);

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use nbkv_fabric::{MrCache, QueuePair, Transport, TransportRx, TransportTx};
-use nbkv_simrt::Sim;
+use nbkv_simrt::{Sim, SimTime};
 
 use crate::client::batch::{BatchPolicy, Batcher};
 use crate::client::onesided::{DirectOutcome, DirectPolicy, DirectReadEngine};
@@ -986,7 +986,7 @@ impl Client {
                         cas: 0,
                         value: Some(value),
                     };
-                    complete_direct(&sim, &pending, &stats, resp);
+                    complete(&sim, &pending, &stats, resp);
                 }
                 _ => {
                     task_state.borrow_mut().direct_fallback = true;
@@ -1010,7 +1010,7 @@ impl Client {
                                 cas: 0,
                                 value: None,
                             };
-                            complete_direct(&sim, &pending, &stats, resp);
+                            complete(&sim, &pending, &stats, resp);
                         }
                     }
                 }
@@ -1309,31 +1309,36 @@ fn race_waits<'a>(
     })
 }
 
-/// Complete a direct-path request locally (hit or failed fallback send):
-/// the synthetic response lands on the pending op exactly as a wire
-/// response would via the progress task.
-fn complete_direct(sim: &Sim, pending: &Pending, stats: &Rc<RefCell<ClientStats>>, resp: Response) {
-    let state = pending.borrow_mut().remove(&resp.req_id());
-    match state {
-        Some(state) => {
-            let slot = {
-                let mut s = state.borrow_mut();
-                s.response = Some(resp);
-                s.done = true;
-                s.sent = true;
-                s.completed_at = Some(sim.now());
-                s.notify.notify_waiters();
-                s.slot.take()
-            };
-            if let Some(slot) = slot {
-                slot.member_done();
-            }
-            stats.borrow_mut().completed += 1;
-        }
-        None => {
-            stats.borrow_mut().orphans += 1;
-        }
+/// Land a response on its pending op: store it, mark the op done and
+/// wake its waiters, and release the op's share of the carrying frame's
+/// window slot. Wire responses (via the progress task) and direct-path
+/// completions (hit or failed fallback send) both end here. Returns the
+/// op's issue time and whether it was a direct-read fallback, or `None`
+/// for an orphan whose op was already cancelled.
+fn complete(
+    sim: &Sim,
+    pending: &Pending,
+    stats: &RefCell<ClientStats>,
+    resp: Response,
+) -> Option<(SimTime, bool)> {
+    let Some(state) = pending.borrow_mut().remove(&resp.req_id()) else {
+        stats.borrow_mut().orphans += 1;
+        return None;
+    };
+    let (slot, issued_at, fallback) = {
+        let mut s = state.borrow_mut();
+        s.response = Some(resp);
+        s.done = true;
+        s.sent = true;
+        s.completed_at = Some(sim.now());
+        s.notify.notify_waiters();
+        (s.slot.take(), s.issued_at, s.direct_fallback)
+    };
+    if let Some(slot) = slot {
+        slot.member_done();
     }
+    stats.borrow_mut().completed += 1;
+    Some((issued_at, fallback))
 }
 
 /// Per-connection completion engine.
@@ -1383,34 +1388,17 @@ impl ProgressTask {
             direct.observe_queue_depth(resp.stages().queue_depth);
         }
         let is_get = matches!(resp, Response::Get { .. });
-        let state = self.pending.borrow_mut().remove(&resp.req_id());
-        match state {
-            Some(state) => {
-                let (slot, issued_at, fallback) = {
-                    let mut s = state.borrow_mut();
-                    s.response = Some(resp);
-                    s.done = true;
-                    s.sent = true;
-                    s.completed_at = Some(self.sim.now());
-                    s.notify.notify_waiters();
-                    (s.slot.take(), s.issued_at, s.direct_fallback)
-                };
-                if let Some(slot) = slot {
-                    slot.member_done();
-                }
-                // Feed the adaptive policy's RPC-latency EWMA. Fallback
-                // completions are excluded: their latency includes the
-                // failed direct attempt and would bias the signal.
-                if is_get && !fallback {
-                    if let Some(direct) = &self.direct {
-                        let latency = self.sim.now().saturating_since(issued_at).as_nanos() as u64;
-                        direct.observe_rpc_latency(latency);
-                    }
-                }
-                self.stats.borrow_mut().completed += 1;
-            }
-            None => {
-                self.stats.borrow_mut().orphans += 1;
+        let Some((issued_at, fallback)) = complete(&self.sim, &self.pending, &self.stats, resp)
+        else {
+            return;
+        };
+        // Feed the adaptive policy's RPC-latency EWMA. Fallback
+        // completions are excluded: their latency includes the failed
+        // direct attempt and would bias the signal.
+        if is_get && !fallback {
+            if let Some(direct) = &self.direct {
+                let latency = self.sim.now().saturating_since(issued_at).as_nanos() as u64;
+                direct.observe_rpc_latency(latency);
             }
         }
     }

@@ -189,7 +189,11 @@ impl RunReport {
 
     /// Merge per-client reports from a concurrent run into an aggregate:
     /// ops sum, elapsed max (they ran concurrently), latencies weighted.
+    /// A single report merges to itself, bit for bit.
     pub fn merge(reports: &[RunReport]) -> RunReport {
+        if let [only] = reports {
+            return only.clone();
+        }
         assert!(!reports.is_empty());
         let total_ops: usize = reports.iter().map(|r| r.ops).sum();
         let elapsed = reports.iter().map(|r| r.elapsed_ns).max().unwrap_or(0);
@@ -816,5 +820,25 @@ mod tests {
         assert_eq!(m.hits, 200);
         assert_eq!(m.mean_latency_ns, 25); // weighted by ops
         assert!((m.throughput_ops_per_sec() - 400.0 * 1e9 / 2000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn merge_of_one_report_is_that_report() {
+        // A real run's report, with an overlap share that the weighted
+        // average would not reproduce exactly ((0.1 * 3) / 3 != 0.1).
+        let (sim, client) = small_cluster(Design::HRdmaOptNonBI, 8);
+        let mut r = sim.run_until({
+            let client = Rc::clone(&client);
+            async move {
+                preload(&client, 64, 4096).await;
+                let spec = WorkloadSpec::zipf(64, 4096, 3, ApiFlavor::NonBlockingI);
+                run_workload(&client.sim_handle(), &client, &spec).await
+            }
+        });
+        assert_eq!(r.ops, 3);
+        assert!(r.phases.ops > 0);
+        r.overlap_pct = 0.1;
+        let merged = RunReport::merge(std::slice::from_ref(&r));
+        assert_eq!(format!("{merged:?}"), format!("{r:?}"));
     }
 }

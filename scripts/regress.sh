@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Deterministic regression gate: re-run the pinned-scale regression bench
-# into a scratch directory and diff its figure JSON + run manifest against
-# the committed goldens in results/golden/.
+# Deterministic regression gate: re-run the pinned-scale regression case
+# sets (core designs, one-sided GETs, replication) into a scratch directory
+# and diff their figure JSON + run manifests against the committed goldens
+# in results/golden/.
 #
 # The simulation is single-threaded virtual time with seeded RNGs, so the
 # outputs are byte-identical run to run; ANY diff means the performance
@@ -19,14 +20,8 @@ GOLDEN=results/golden
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
-echo "==> running regression bench (fixed scale, seed 42) -> $OUT"
-NBKV_RESULTS_DIR="$OUT" cargo run -q --release -p nbkv-bench --bin regress
-
-echo "==> running one-sided regression bench (fixed scale, seed 42) -> $OUT"
-NBKV_RESULTS_DIR="$OUT" cargo run -q --release -p nbkv-bench --bin regress_onesided
-
-echo "==> running replication regression bench (fixed scale, seed 42) -> $OUT"
-NBKV_RESULTS_DIR="$OUT" cargo run -q --release -p nbkv-bench --bin regress_replication
+echo "==> running regression case sets (fixed scale, seed 42) -> $OUT"
+NBKV_RESULTS_DIR="$OUT" cargo run -q --release -p nbkv-bench -- regress
 
 if [[ "${1:-}" == "--bless" ]]; then
     rm -rf "$GOLDEN"
