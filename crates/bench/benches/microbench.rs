@@ -4,8 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::pin;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
@@ -14,7 +16,7 @@ use nbkv_core::client::Ring;
 use nbkv_core::proto::{ApiFlavor, Request, Response, SetMode};
 use nbkv_core::server::slab::{SlabConfig, SlabPool};
 use nbkv_fabric::profiles::fdr_rdma;
-use nbkv_fabric::MrCache;
+use nbkv_fabric::{LatencyModel, MrCache, QueuePair, RemoteWindow};
 use nbkv_simrt::Sim;
 use nbkv_storesim::LruMap;
 use nbkv_workload::Zipf;
@@ -59,6 +61,53 @@ fn bench_executor(c: &mut Criterion) {
                 }
             });
             black_box(sim.stats().timers_pending)
+        })
+    });
+    // The executor's own cost per wake: one task wakes itself and yields,
+    // so every cycle is one wake into the ready queue and one poll.
+    g.bench_function("wake_poll_1m", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            sim.run_until(async {
+                for _ in 0..1_000_000 {
+                    nbkv_simrt::yield_now().await;
+                }
+            });
+            black_box(sim.stats().polls)
+        })
+    });
+    g.finish();
+}
+
+fn bench_cq(c: &mut Criterion) {
+    const WAITERS: u64 = 64;
+    let mut g = c.benchmark_group("fabric");
+    // A client with 64 one-sided reads in flight on one send CQ, each task
+    // waiting for its own wr_id. Longer reads go to lower wr_ids, so the
+    // completions land in reverse order of posting.
+    g.bench_function("cq_next_for_64_waiters", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            let model = LatencyModel::from_bandwidth_gbps(Duration::from_micros(1), 1.0);
+            let (qp, _peer) = QueuePair::connect(&sim, model);
+            qp.bind_peer_window(RemoteWindow::new(64 << 10));
+            let qp = Rc::new(qp);
+            let done = Rc::new(Cell::new(0));
+            for wr_id in 0..WAITERS {
+                let (qp, done) = (Rc::clone(&qp), Rc::clone(&done));
+                sim.spawn(async move {
+                    let len = ((WAITERS - wr_id) * 64) as usize;
+                    qp.post_rdma_read(wr_id, 0, len).expect("connected");
+                    let wc = qp.send_cq().next_for(wr_id).await;
+                    assert_eq!(wc.wr_id, wr_id);
+                    done.set(done.get() + 1);
+                });
+            }
+            sim.run();
+            assert_eq!(done.get(), WAITERS, "every waiter got its completion");
+            let polls = sim.stats().polls;
+            sim.shutdown();
+            black_box(polls)
         })
     });
     g.finish();
@@ -183,6 +232,6 @@ fn bench_workload_gen(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_executor, bench_mr, bench_slab, bench_lru, bench_proto, bench_workload_gen
+    targets = bench_executor, bench_cq, bench_mr, bench_slab, bench_lru, bench_proto, bench_workload_gen
 );
 criterion_main!(benches);

@@ -314,3 +314,52 @@ fn off_policy_never_reads_one_sided() {
         );
     });
 }
+
+/// Poll budget of the direct-read path: a read-heavy closed loop keeping
+/// 64 ops in flight on one client. Every direct read waits on the shared
+/// send CQ for its own work request; a completion wakes only that waiter,
+/// so polls per op stay flat in the window. A completion that woke every
+/// pending reader would cost ~30 polls per op here; it costs ~7.
+#[test]
+fn direct_reads_keep_a_flat_poll_budget_at_window_64() {
+    const KEYS: usize = 256;
+    const WINDOW: usize = 64;
+    const OPS: usize = 4_000;
+    let sim = Sim::new();
+    let cfg = direct_cfg(Design::HRdmaOptNonBI, 16 << 20, DirectPolicy::Always);
+    let cluster = build_cluster(&sim, &cfg);
+    let client = Rc::clone(&cluster.clients[0]);
+    let sim2 = sim.clone();
+    let (polls, stats) = sim.run_until(async move {
+        for i in 0..KEYS {
+            let c = client
+                .set(key(i), Bytes::from(vec![i as u8; 1024]), 0, None)
+                .await
+                .unwrap();
+            assert_eq!(c.status, OpStatus::Stored);
+        }
+        let before = sim2.stats().polls;
+        let mut inflight = std::collections::VecDeque::with_capacity(WINDOW);
+        for op in 0..OPS {
+            if inflight.len() == WINDOW {
+                let h: nbkv_core::ReqHandle = inflight.pop_front().unwrap();
+                assert!(h.wait().await.is_success());
+            }
+            let k = key(op * 7919 % KEYS);
+            let h = if op % 10 == 9 {
+                let value = Bytes::from(vec![op as u8; 1024]);
+                client.iset(k, value, 0, None).await
+            } else {
+                client.iget(k).await
+            };
+            inflight.push_back(h.unwrap());
+        }
+        for h in inflight {
+            assert!(h.wait().await.is_success());
+        }
+        (sim2.stats().polls - before, client.stats())
+    });
+    let per_op = polls as f64 / OPS as f64;
+    assert!(stats.direct_hits > (OPS as u64) / 2, "{stats:?}");
+    assert!(per_op < 12.0, "{per_op:.2} polls per op: {stats:?}");
+}

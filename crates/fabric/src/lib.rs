@@ -48,5 +48,5 @@ pub use mr::{MrCache, MrKey, MrStats};
 pub use profiles::FabricProfile;
 pub use transport::{transport_pair, Transport, TransportRx, TransportTx};
 pub use verbs::{
-    CompletionQueue, QueuePair, RemoteWindow, WcOpcode, WindowOutOfBounds, WorkCompletion,
+    CompletionQueue, NextFor, QueuePair, RemoteWindow, WcOpcode, WindowOutOfBounds, WorkCompletion,
 };

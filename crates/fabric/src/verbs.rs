@@ -8,11 +8,14 @@
 //! consume it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
-use nbkv_simrt::{Notify, Sim, SimTime};
+use nbkv_simrt::{Sim, SimTime};
 
 use crate::conn::pair;
 use crate::fault::{FaultPlan, SALT_DROP};
@@ -74,28 +77,46 @@ pub struct WorkCompletion {
 }
 
 /// A completion queue; poll it to harvest completions.
+///
+/// A pending [`CompletionQueue::next_for`] registers its waker under its
+/// `wr_id`, and a completion wakes only the waiter registered for it, so a
+/// client with many reads in flight on one CQ polls each waiter about
+/// twice rather than once per completion.
 #[derive(Clone, Default)]
 pub struct CompletionQueue {
-    events: Rc<RefCell<VecDeque<WorkCompletion>>>,
-    notify: Notify,
+    inner: Rc<RefCell<CqInner>>,
+}
+
+#[derive(Default)]
+struct CqInner {
+    events: VecDeque<WorkCompletion>,
+    /// Wakers of pending `next_for` futures, keyed by their `wr_id`.
+    waiters: HashMap<u64, Waker>,
 }
 
 impl CompletionQueue {
     fn push(&self, wc: WorkCompletion) {
-        self.events.borrow_mut().push_back(wc);
-        self.notify.notify_waiters();
+        let waiter = {
+            let mut cq = self.inner.borrow_mut();
+            let waiter = cq.waiters.remove(&wc.wr_id);
+            cq.events.push_back(wc);
+            waiter
+        };
+        if let Some(waker) = waiter {
+            waker.wake();
+        }
     }
 
     /// Harvest up to `max` completions (like `ibv_poll_cq`).
     pub fn poll(&self, max: usize) -> Vec<WorkCompletion> {
-        let mut q = self.events.borrow_mut();
-        let n = max.min(q.len());
-        q.drain(..n).collect()
+        let mut cq = self.inner.borrow_mut();
+        let n = max.min(cq.events.len());
+        cq.events.drain(..n).collect()
     }
 
     /// Completions currently queued.
     pub fn len(&self) -> usize {
-        self.events.borrow().len()
+        self.inner.borrow().events.len()
     }
 
     /// True if no completions are queued.
@@ -105,16 +126,55 @@ impl CompletionQueue {
 
     /// Wait for (and remove) the completion carrying `wr_id`. Completions
     /// for other work requests are left in place for their own waiters,
-    /// so concurrent posters can share one CQ.
-    pub async fn next_for(&self, wr_id: u64) -> WorkCompletion {
-        loop {
-            {
-                let mut q = self.events.borrow_mut();
-                if let Some(pos) = q.iter().position(|wc| wc.wr_id == wr_id) {
-                    return q.remove(pos).expect("position is in bounds");
-                }
+    /// so concurrent posters can share one CQ. At most one `next_for` may
+    /// wait on a given `wr_id` at a time.
+    pub fn next_for(&self, wr_id: u64) -> NextFor<'_> {
+        NextFor {
+            cq: self,
+            wr_id,
+            registered: false,
+        }
+    }
+
+    /// Pending `next_for` waiters.
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.inner.borrow().waiters.len()
+    }
+}
+
+/// Future returned by [`CompletionQueue::next_for`]. Dropping it before
+/// its completion lands removes its waiter entry; the completion, when it
+/// lands, then stays queued for [`CompletionQueue::poll`].
+pub struct NextFor<'a> {
+    cq: &'a CompletionQueue,
+    wr_id: u64,
+    registered: bool,
+}
+
+impl Future for NextFor<'_> {
+    type Output = WorkCompletion;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<WorkCompletion> {
+        let this = self.get_mut();
+        let mut cq = this.cq.inner.borrow_mut();
+        if let Some(pos) = cq.events.iter().position(|wc| wc.wr_id == this.wr_id) {
+            if this.registered {
+                cq.waiters.remove(&this.wr_id);
+                this.registered = false;
             }
-            self.notify.notified().await;
+            return Poll::Ready(cq.events.remove(pos).expect("position is in bounds"));
+        }
+        cq.waiters.insert(this.wr_id, cx.waker().clone());
+        this.registered = true;
+        Poll::Pending
+    }
+}
+
+impl Drop for NextFor<'_> {
+    fn drop(&mut self) {
+        if self.registered {
+            self.cq.inner.borrow_mut().waiters.remove(&self.wr_id);
         }
     }
 }
@@ -670,6 +730,72 @@ mod one_sided_tests {
             assert_eq!(&wc1.data.as_ref().unwrap()[..4], b"abcd");
             assert_eq!(&wc2.data.as_ref().unwrap()[..4], b"efgh");
             assert!(qp_a.send_cq().is_empty());
+        });
+    }
+
+    fn completion(wr_id: u64, at: SimTime) -> WorkCompletion {
+        WorkCompletion {
+            wr_id,
+            opcode: WcOpcode::RdmaRead,
+            byte_len: 0,
+            data: None,
+            completed_at: at,
+        }
+    }
+
+    #[test]
+    fn next_for_wakes_only_its_own_waiter() {
+        const WAITERS: u64 = 64;
+        let sim = Sim::new();
+        let cq = CompletionQueue::default();
+        let got: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
+        for wr_id in 0..WAITERS {
+            let cq = cq.clone();
+            let got = Rc::clone(&got);
+            sim.spawn(async move {
+                let wc = cq.next_for(wr_id).await;
+                got.borrow_mut().push((wr_id, wc.wr_id));
+            });
+        }
+        // Completions land one per microsecond, highest wr_id first.
+        for wr_id in 0..WAITERS {
+            let cq = cq.clone();
+            sim.schedule_in(Duration::from_micros(WAITERS - wr_id), move |sim| {
+                cq.push(completion(wr_id, sim.now()));
+            });
+        }
+        sim.run();
+        let got = got.borrow();
+        assert_eq!(got.len(), WAITERS as usize);
+        assert!(got.iter().all(|(want, have)| want == have), "{got:?}");
+        // Reverse landing order: the last waiter registered finishes first.
+        assert_eq!(got[0].0, WAITERS - 1);
+        // Each waiter is polled to register and once more to finish. A
+        // broadcast wake would poll every remaining waiter per completion
+        // (~64²/2 polls in all).
+        assert!(sim.stats().polls <= 3 * WAITERS, "{:?}", sim.stats());
+        assert_eq!(cq.waiters(), 0);
+        assert!(cq.is_empty());
+    }
+
+    #[test]
+    fn timed_out_next_for_leaves_no_waiter_and_keeps_its_completion() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            qp_a.bind_peer_window(RemoteWindow::new(64));
+            qp_a.post_rdma_read(5, 0, 8).unwrap();
+            // The read takes a 4us round trip; give up after 1us.
+            let waited =
+                nbkv_simrt::timeout(&sim2, Duration::from_micros(1), qp_a.send_cq().next_for(5))
+                    .await;
+            assert!(waited.is_err());
+            assert_eq!(qp_a.send_cq().waiters(), 0, "dropped waiter deregistered");
+            sim2.sleep(Duration::from_micros(10)).await;
+            let wcs = qp_a.send_cq().poll(4);
+            assert_eq!(wcs.len(), 1, "late completion stays queued");
+            assert_eq!(wcs[0].wr_id, 5);
         });
     }
 

@@ -18,18 +18,23 @@
 //! clock does not move to them and they are not counted as events), and the
 //! heap is compacted once they outnumber the live ones, so the heap holds
 //! roughly the live timers rather than every deadline ever armed.
+//!
+//! Wakers: a task's [`Waker`] carries no pointer, only its Sim's id and its
+//! task id packed into one integer. Waking it looks the id up in a
+//! thread-local registry of the Sims alive on this thread and appends the
+//! task id to that Sim's ready queue, so a wake takes no lock, no atomic
+//! and no allocation. A waker whose Sim is gone, or that is woken on
+//! another thread, finds no entry and does nothing.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::{Rc, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::task::JoinHandle;
 use crate::time::SimTime;
@@ -69,35 +74,64 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Waker state shared with the (conceptually external) wake path.
-///
-/// `Waker` must be `Send + Sync`, so the ready queue lives behind a
-/// [`Mutex`] even though the simulation itself is single-threaded; the lock
-/// is never contended.
-struct Shared {
-    ready: Mutex<VecDeque<TaskId>>,
+/// Task ids in wake order, duplicates included: a task woken twice before
+/// it runs is polled twice.
+type ReadyQueue = RefCell<VecDeque<TaskId>>;
+
+/// Bits of a waker's data word that hold the task id; the Sim id sits in
+/// the bits above.
+const TASK_BITS: u32 = usize::BITS / 2;
+
+/// Source of Sim ids. Process-wide, so a waker carried to another thread
+/// never matches a Sim living there.
+static NEXT_SIM_ID: AtomicUsize = AtomicUsize::new(1);
+
+thread_local! {
+    /// Ready queues of the Sims created on this thread, by Sim id. Entries
+    /// of dropped Sims fail to upgrade and are pruned when a Sim is created.
+    static REGISTRY: RefCell<Vec<(usize, Weak<ReadyQueue>)>> = const { RefCell::new(Vec::new()) };
 }
 
-struct TaskWaker {
-    id: TaskId,
-    shared: Arc<Shared>,
+static TASK_WAKER_VTABLE: RawWakerVTable =
+    RawWakerVTable::new(clone_task_waker, wake_task, wake_task, drop_task_waker);
+
+fn clone_task_waker(data: *const ()) -> RawWaker {
+    RawWaker::new(data, &TASK_WAKER_VTABLE)
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
+fn wake_task(data: *const ()) {
+    let data = data.addr();
+    let (sim, task) = (data >> TASK_BITS, data & ((1 << TASK_BITS) - 1));
+    // `try_with`: a wake during thread teardown finds no registry and is
+    // dropped rather than panicking.
+    let _ = REGISTRY.try_with(|registry| {
+        let ready = registry
+            .borrow()
+            .iter()
+            .rev()
+            .find(|(id, _)| *id == sim)
+            .and_then(|(_, ready)| ready.upgrade());
+        if let Some(ready) = ready {
+            ready.borrow_mut().push_back(task);
+        }
+    });
+}
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.shared.ready.lock().push_back(self.id);
-    }
+fn drop_task_waker(_: *const ()) {}
+
+/// The waker of task `task` in the Sim with id `sim`.
+fn task_waker(sim: usize, task: TaskId) -> Waker {
+    let data = std::ptr::without_provenance::<()>(sim << TASK_BITS | task);
+    // SAFETY: the vtable functions never dereference `data`; they only
+    // read it as an integer. They touch nothing but a thread-local, so
+    // calling them from any thread, any number of times, is sound.
+    unsafe { Waker::from_raw(RawWaker::new(data, &TASK_WAKER_VTABLE)) }
 }
 
 struct TaskSlot {
     /// `None` while the task is being polled (taken out to avoid holding a
     /// `RefCell` borrow across user code).
     future: Option<LocalFuture>,
-    waker: Waker,
     /// Generation counter so a stale wake for a recycled slot is ignored.
     generation: u64,
 }
@@ -177,7 +211,9 @@ impl World {
 #[derive(Clone)]
 pub struct Sim {
     world: Rc<RefCell<World>>,
-    shared: Arc<Shared>,
+    ready: Rc<ReadyQueue>,
+    /// This Sim's key in the waker registry.
+    id: usize,
 }
 
 impl Default for Sim {
@@ -189,11 +225,18 @@ impl Default for Sim {
 impl Sim {
     /// Create a fresh simulation with the clock at zero.
     pub fn new() -> Self {
+        let id = NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed);
+        assert!(id < 1 << (usize::BITS - TASK_BITS), "Sim ids exhausted");
+        let ready = Rc::new(RefCell::new(VecDeque::new()));
+        REGISTRY.with(|registry| {
+            let mut registry = registry.borrow_mut();
+            registry.retain(|(_, ready)| ready.strong_count() > 0);
+            registry.push((id, Rc::downgrade(&ready)));
+        });
         Sim {
             world: Rc::new(RefCell::new(World::new())),
-            shared: Arc::new(Shared {
-                ready: Mutex::new(VecDeque::new()),
-            }),
+            ready,
+            id,
         }
     }
 
@@ -237,23 +280,19 @@ impl Sim {
                 None => {
                     w.tasks.push(None);
                     w.generations.push(0);
+                    assert!(w.tasks.len() <= 1 << TASK_BITS, "task ids exhausted");
                     w.tasks.len() - 1
                 }
             };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                shared: Arc::clone(&self.shared),
-            }));
             let generation = w.generations[id];
             w.tasks[id] = Some(TaskSlot {
                 future: Some(future),
-                waker,
                 generation,
             });
             w.stats.tasks_spawned += 1;
             w.stats.tasks_alive += 1;
         }
-        self.shared.ready.lock().push_back(id);
+        self.ready.borrow_mut().push_back(id);
     }
 
     /// Schedule `f` to run at virtual time `at` (clamped to now if in the
@@ -389,13 +428,13 @@ impl Sim {
                 .collect::<Vec<_>>()
         };
         drop(dropped);
-        self.shared.ready.lock().clear();
+        self.ready.borrow_mut().clear();
     }
 
     /// Poll every ready task until the ready queue is empty.
     fn drain_ready(&self) {
         loop {
-            let id = { self.shared.ready.lock().pop_front() };
+            let id = self.ready.borrow_mut().pop_front();
             match id {
                 Some(id) => self.poll_task(id),
                 None => break,
@@ -431,20 +470,21 @@ impl Sim {
     fn poll_task(&self, id: TaskId) {
         // Take the future out so no RefCell borrow is held across user code
         // (which may spawn, wake, or schedule re-entrantly).
-        let (mut future, waker, generation) = {
+        let (mut future, generation) = {
             let mut w = self.world.borrow_mut();
             let taken = match w.tasks.get_mut(id).and_then(Option::as_mut) {
                 // Stale wake (task finished) or re-entrant poll: skip.
                 None => return,
                 Some(slot) => match slot.future.take() {
                     None => return,
-                    Some(future) => (future, slot.waker.clone(), slot.generation),
+                    Some(future) => (future, slot.generation),
                 },
             };
             w.stats.polls += 1;
             taken
         };
 
+        let waker = task_waker(self.id, id);
         let mut cx = Context::from_waker(&waker);
         let poll = future.as_mut().poll(&mut cx);
 
@@ -777,6 +817,111 @@ mod tests {
         assert_eq!(sim.stats().timers_pending, 3);
         assert_eq!(sim.run(), SimTime::from_micros(1_000));
         assert_eq!(sim.stats().timers_pending, 0);
+    }
+
+    /// Spawn a task that, on every poll, logs `tag`, stashes its waker in
+    /// the returned cell and stays pending.
+    fn parked(sim: &Sim, tag: u32, log: &Rc<RefCell<Vec<u32>>>) -> Rc<RefCell<Option<Waker>>> {
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let (keep, log) = (Rc::clone(&stash), Rc::clone(log));
+        sim.spawn(std::future::poll_fn(move |cx| {
+            log.borrow_mut().push(tag);
+            *keep.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+        stash
+    }
+
+    fn stashed(stash: &Rc<RefCell<Option<Waker>>>) -> Waker {
+        stash.borrow().clone().expect("task was polled")
+    }
+
+    #[test]
+    fn waker_outliving_shutdown_or_its_sim_does_nothing() {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let sim = Sim::new();
+        let stash = parked(&sim, 1, &log);
+        sim.run();
+        let waker = stashed(&stash);
+        sim.shutdown();
+        waker.wake_by_ref();
+        // A task spawned after the shutdown runs; the stale wake polls
+        // nothing.
+        let fresh = parked(&sim, 2, &log);
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2]);
+        assert_eq!(sim.stats().polls, 2);
+        sim.shutdown();
+        drop((sim, fresh));
+
+        // The Sim is gone; a Sim created since gets a new id, so the old
+        // waker cannot reach its tasks either.
+        let next = Sim::new();
+        let _keep = parked(&next, 3, &log);
+        next.run();
+        waker.wake();
+        next.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(next.stats().polls, 1);
+        next.shutdown();
+    }
+
+    #[test]
+    fn two_sims_on_one_thread_never_wake_each_others_tasks() {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let (a, b) = (Sim::new(), Sim::new());
+        // Both tasks have task id 0 in their own Sim.
+        let (stash_a, stash_b) = (parked(&a, 10, &log), parked(&b, 20, &log));
+        a.run();
+        b.run();
+        let (wake_a, wake_b) = (stashed(&stash_a), stashed(&stash_b));
+        assert_eq!(*log.borrow(), vec![10, 20]);
+        wake_a.wake_by_ref();
+        b.run();
+        assert_eq!(*log.borrow(), vec![10, 20], "b ran nothing");
+        a.run();
+        assert_eq!(*log.borrow(), vec![10, 20, 10]);
+        wake_b.wake_by_ref();
+        a.run();
+        b.run();
+        assert_eq!(*log.borrow(), vec![10, 20, 10, 20]);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn wake_from_another_thread_is_ignored() {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let sim = Sim::new();
+        let stash = parked(&sim, 1, &log);
+        sim.run();
+        let waker = stashed(&stash);
+        std::thread::scope(|s| {
+            s.spawn(|| waker.wake_by_ref());
+            let moved = waker.clone();
+            s.spawn(move || moved.wake());
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1]);
+        assert_eq!(sim.stats().polls, 1);
+        sim.shutdown();
+    }
+
+    #[test]
+    fn task_woken_twice_is_polled_twice_in_fifo_order() {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let sim = Sim::new();
+        let (stash_a, stash_b) = (parked(&sim, 1, &log), parked(&sim, 2, &log));
+        sim.run();
+        let (wake_a, wake_b) = (stashed(&stash_a), stashed(&stash_b));
+        log.borrow_mut().clear();
+        wake_a.wake_by_ref();
+        wake_b.wake_by_ref();
+        wake_a.wake_by_ref();
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 1]);
+        assert_eq!(sim.stats().polls, 5);
+        sim.shutdown();
     }
 
     #[test]
