@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use nbkv_core::client::Ring;
 use nbkv_core::proto::{ApiFlavor, Request, Response, SetMode};
 use nbkv_core::server::slab::{SlabConfig, SlabPool};
@@ -147,6 +147,45 @@ fn bench_slab(c: &mut Criterion) {
             black_box(id)
         })
     });
+    // A flush's key capture over a full page of 8 KiB-class items: the
+    // whole parsed item against the key alone.
+    let mut pool = SlabPool::new(SlabConfig::with_mem(1 << 20));
+    let class = pool.class_for(8 << 10).expect("class");
+    let mut ids = Vec::new();
+    while let Some(id) = pool.try_alloc(class) {
+        let key = format!("bench-key-{:06}", ids.len());
+        pool.write_item(id, key.as_bytes(), &[7u8; 8000], 0, 0);
+        ids.push(id);
+    }
+    g.bench_function(BenchmarkId::new("capture_keys_1mib", "read_item"), |b| {
+        b.iter(|| {
+            for &id in &ids {
+                black_box(pool.read_item(id).map(|i| i.key));
+            }
+        })
+    });
+    g.bench_function(BenchmarkId::new("capture_keys_1mib", "read_key"), |b| {
+        b.iter(|| {
+            for &id in &ids {
+                black_box(pool.read_key(id));
+            }
+        })
+    });
+    g.finish();
+}
+
+fn bench_bytes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("bytes");
+    // A received 8 KiB frame: filled in a BytesMut, then frozen.
+    let src = vec![3u8; 8 << 10];
+    g.throughput(Throughput::Bytes(src.len() as u64));
+    g.bench_function("freeze_8k", |b| {
+        b.iter(|| {
+            let mut m = BytesMut::with_capacity(src.len());
+            m.extend_from_slice(&src);
+            black_box(m.freeze())
+        })
+    });
     g.finish();
 }
 
@@ -232,6 +271,7 @@ fn bench_workload_gen(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_executor, bench_cq, bench_mr, bench_slab, bench_lru, bench_proto, bench_workload_gen
+    targets = bench_executor, bench_cq, bench_mr, bench_slab, bench_bytes, bench_lru, bench_proto,
+        bench_workload_gen
 );
 criterion_main!(benches);

@@ -3,6 +3,10 @@
 //! Mirrors memcached's primary hash table: power-of-two bucket array,
 //! separate chaining, doubling growth. Entries live in a slab `Vec` with a
 //! free list so chain links are indices, not pointers.
+//!
+//! The table owns its keys: a new entry stores a copy of the caller's key,
+//! so a key that is a zero-copy slice of a received frame never pins that
+//! frame for the life of the entry.
 
 use bytes::Bytes;
 
@@ -59,7 +63,9 @@ impl<V> HashTable<V> {
         (hash as usize) & (self.buckets.len() - 1)
     }
 
-    /// Insert or replace; returns the previous value for the key.
+    /// Insert or replace; returns the previous value for the key. A new
+    /// entry stores its own copy of `key`; an overwrite keeps the stored
+    /// key and drops the caller's.
     pub fn insert(&mut self, key: Bytes, value: V) -> Option<V> {
         let hash = fnv1a(&key);
         let b = self.bucket_of(hash);
@@ -75,7 +81,7 @@ impl<V> HashTable<V> {
         // New entry at chain head.
         let entry = Entry {
             hash,
-            key,
+            key: Bytes::copy_from_slice(&key),
             value,
             next: self.buckets[b],
         };
@@ -270,6 +276,24 @@ mod tests {
         seen.sort_unstable();
         let expect: Vec<u32> = (0..50).filter(|&i| i != 7).collect();
         assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn new_entries_own_their_keys() {
+        let frame = Bytes::from(b"hdr:key-a|hdr:key-a|".to_vec());
+        let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        let stored_key = |t: &HashTable<u32>| t.iter().next().expect("one entry").0.as_ptr();
+        let mut t = HashTable::new();
+        t.insert(frame.slice(4..9), 1);
+        let first = stored_key(&t);
+        assert!(
+            !frame_range.contains(&(first as usize)),
+            "a new entry must copy its key out of the frame"
+        );
+        // An overwrite through a second slice keeps the first stored copy.
+        assert_eq!(t.insert(frame.slice(14..19), 2), Some(1));
+        assert_eq!(stored_key(&t), first);
+        assert_eq!(t.get(b"key-a"), Some(&2));
     }
 
     #[test]

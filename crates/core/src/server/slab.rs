@@ -5,6 +5,13 @@
 //! are stored whole (header + key + value) inside a chunk. This is the
 //! structure the paper's hybrid design flushes to SSD one page at a time,
 //! so pages carry a `flushing` state and whole-page data access.
+//!
+//! A page's bytes are a shared, copy-on-write buffer: a flush takes a
+//! handle to the page instead of a copy, and a write to a page whose
+//! handle is still held elsewhere copies the page first, so a holder never
+//! sees the page change under it.
+
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -70,18 +77,22 @@ pub fn write_item_bytes(
     ITEM_HEADER + key.len() + value.len()
 }
 
-/// Parse an item from raw chunk bytes (inverse of [`write_item_bytes`]).
-pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
+/// Key and value lengths from an item header, if the whole item fits in
+/// `src`.
+fn item_lens(src: &[u8]) -> Option<(usize, usize)> {
     if src.len() < ITEM_HEADER {
         return None;
     }
     let key_len = u32::from_be_bytes(src[0..4].try_into().ok()?) as usize;
     let val_len = u32::from_be_bytes(src[4..8].try_into().ok()?) as usize;
+    (src.len() >= ITEM_HEADER + key_len + val_len).then_some((key_len, val_len))
+}
+
+/// Parse an item from raw chunk bytes (inverse of [`write_item_bytes`]).
+pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
+    let (key_len, val_len) = item_lens(src)?;
     let flags = u32::from_be_bytes(src[8..12].try_into().ok()?);
     let expire_at_ns = u64::from_be_bytes(src[12..20].try_into().ok()?);
-    if src.len() < ITEM_HEADER + key_len + val_len {
-        return None;
-    }
     Some(ParsedItem {
         key: Bytes::copy_from_slice(&src[ITEM_HEADER..ITEM_HEADER + key_len]),
         value: Bytes::copy_from_slice(&src[ITEM_HEADER + key_len..ITEM_HEADER + key_len + val_len]),
@@ -101,7 +112,8 @@ struct ClassState {
 
 struct Page {
     class: usize,
-    data: Box<[u8]>,
+    /// Shared with any flush still holding the page (see [`SlabPool::page_data`]).
+    data: Rc<Vec<u8>>,
     live: u32,
     flushing: bool,
     /// Retired pages are in the free-page pool; their ids must not be used.
@@ -221,7 +233,7 @@ impl SlabPool {
         if self.pages.len() < self.max_pages {
             self.pages.push(Page {
                 class,
-                data: vec![0u8; self.cfg.page_size].into_boxed_slice(),
+                data: Rc::new(vec![0u8; self.cfg.page_size]),
                 live: 0,
                 flushing: false,
                 retired: false,
@@ -232,6 +244,8 @@ impl SlabPool {
     }
 
     /// Store an item into an allocated chunk. Returns the stored length.
+    /// If a [`page_data`](Self::page_data) handle to the page is still
+    /// held, the page is copied first and the holder keeps the old bytes.
     pub fn write_item(
         &mut self,
         id: u64,
@@ -246,7 +260,7 @@ impl SlabPool {
         let stored = Self::item_len(key.len(), value.len());
         assert!(stored <= chunk_size, "item does not fit chunk");
         let off = chunk as usize * chunk_size;
-        let data = &mut self.pages[page as usize].data;
+        let data = Rc::make_mut(&mut self.pages[page as usize].data);
         write_item_bytes(
             &mut data[off..off + stored],
             key,
@@ -256,8 +270,8 @@ impl SlabPool {
         )
     }
 
-    /// Parse the item stored at `id`.
-    pub fn read_item(&self, id: u64) -> Option<ParsedItem> {
+    /// Raw bytes of chunk `id`, or `None` if its page is retired.
+    fn chunk_bytes(&self, id: u64) -> Option<&[u8]> {
         let (page, chunk) = unpack_item_id(id);
         let p = self.pages.get(page as usize)?;
         if p.retired {
@@ -265,7 +279,22 @@ impl SlabPool {
         }
         let chunk_size = self.classes[p.class].chunk_size;
         let off = chunk as usize * chunk_size;
-        parse_item_bytes(&p.data[off..off + chunk_size])
+        Some(&p.data[off..off + chunk_size])
+    }
+
+    /// Parse the item stored at `id`.
+    pub fn read_item(&self, id: u64) -> Option<ParsedItem> {
+        parse_item_bytes(self.chunk_bytes(id)?)
+    }
+
+    /// The key of the item stored at `id`, copying only the key: equal to
+    /// `read_item(id).map(|i| i.key)` without copying the value.
+    pub fn read_key(&self, id: u64) -> Option<Bytes> {
+        let src = self.chunk_bytes(id)?;
+        let (key_len, _) = item_lens(src)?;
+        Some(Bytes::copy_from_slice(
+            &src[ITEM_HEADER..ITEM_HEADER + key_len],
+        ))
     }
 
     /// Stored length (header + key + value) of the item at `id`.
@@ -313,9 +342,11 @@ impl SlabPool {
         class
     }
 
-    /// Raw page bytes (for flushing to SSD).
-    pub fn page_data(&self, page: u32) -> &[u8] {
-        &self.pages[page as usize].data
+    /// A handle to the page's bytes (for flushing to SSD). The handle is
+    /// a snapshot: a later [`write_item`](Self::write_item) on the page
+    /// copies the page instead of changing the bytes the handle sees.
+    pub fn page_data(&self, page: u32) -> Rc<Vec<u8>> {
+        Rc::clone(&self.pages[page as usize].data)
     }
 
     /// Item ids of a page's chunks (all of them; callers filter to live
@@ -473,6 +504,52 @@ mod tests {
         let small = pool.class_for(128).unwrap();
         assert!(pool.try_alloc(small).is_some());
         assert_eq!(pool.class_pages(big).len(), 0);
+    }
+
+    #[test]
+    fn read_key_matches_read_item_key() {
+        let mut pool = pool_1mb();
+        let class = pool.class_for(8 << 10).unwrap();
+        let per_page = (1 << 20) / pool.chunk_size(class);
+        let mut ids = Vec::new();
+        // Leave the last chunk unwritten: its zeroed header reads as an
+        // empty item, the same way for both readers.
+        for i in 0..per_page - 1 {
+            let id = pool.try_alloc(class).unwrap();
+            let key = format!("key-{i:04}");
+            pool.write_item(id, key.as_bytes(), &vec![i as u8; 4000 + i], 0, 0);
+            ids.push(id);
+        }
+        let (page, _) = crate::util::unpack_item_id(ids[0]);
+        for id in pool.page_chunk_ids(page) {
+            assert_eq!(pool.read_key(id), pool.read_item(id).map(|i| i.key));
+        }
+        assert_eq!(
+            pool.read_key(ids[3]).unwrap(),
+            Bytes::from_static(b"key-0003")
+        );
+        pool.begin_flush(page);
+        pool.release_page(page);
+        assert!(ids.iter().all(|&id| pool.read_key(id).is_none()));
+    }
+
+    #[test]
+    fn page_data_is_a_copy_on_write_snapshot() {
+        let mut pool = pool_1mb();
+        let class = pool.class_for(100_000).unwrap();
+        let a = pool.try_alloc(class).unwrap();
+        let b = pool.try_alloc(class).unwrap();
+        pool.write_item(a, b"a", b"old", 0, 0);
+        let (page, _) = crate::util::unpack_item_id(a);
+        let snap = pool.page_data(page);
+        // No write since: the snapshot is the page's own buffer.
+        assert!(Rc::ptr_eq(&snap, &pool.page_data(page)));
+        let before = snap.to_vec();
+        pool.write_item(b, b"b", b"new", 0, 0);
+        assert!(!Rc::ptr_eq(&snap, &pool.page_data(page)));
+        assert_eq!(&snap[..], &before[..], "snapshot changed under its holder");
+        assert_eq!(&pool.read_item(b).unwrap().value[..], b"new");
+        assert_eq!(&pool.read_item(a).unwrap().value[..], b"old");
     }
 
     #[test]

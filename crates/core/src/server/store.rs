@@ -155,6 +155,18 @@ struct ExtentInfo {
 /// In-flight flush registry: extent base -> (length, buffered contents).
 type InflightFlushes = Rc<RefCell<std::collections::HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
 
+/// Set `key`'s replication sequence number. A new entry stores its own
+/// copy of the key, so the map never keeps a request frame alive through
+/// a zero-copy key slice (`HashMap::entry` would take the caller's key).
+fn record_seq(seqs: &mut std::collections::HashMap<Bytes, u64>, key: &[u8], seq: u64) {
+    match seqs.get_mut(key) {
+        Some(last) => *last = seq,
+        None => {
+            seqs.insert(Bytes::copy_from_slice(key), seq);
+        }
+    }
+}
+
 /// Where an item's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Location {
@@ -949,7 +961,7 @@ impl HybridStore {
                 self.stats.borrow_mut().repl_stale_drops += 1;
                 return OpOutcome::status_only(OpStatus::NotStored, stages);
             }
-            seqs.insert(key.clone(), seq);
+            record_seq(&mut seqs, &key, seq);
         }
         if delete {
             self.remove_entry(&key);
@@ -983,7 +995,7 @@ impl HybridStore {
         let mut seqs = self.repl_seqs.borrow_mut();
         let last = seqs.get(key).copied().unwrap_or(0);
         let seq = (last + 1).max(floor);
-        seqs.insert(key.clone(), seq);
+        record_seq(&mut seqs, key, seq);
         seq
     }
 
@@ -1066,7 +1078,7 @@ impl HybridStore {
             .pop_lru()
             .map(|(id, _)| id);
         if let Some(id) = victim_id {
-            if let Some(key) = self.pool.borrow().read_item(id).map(|i| i.key) {
+            if let Some(key) = self.pool.borrow().read_key(id) {
                 self.index.borrow_mut().remove(&key);
                 self.os_invalidate(&key);
             }
@@ -1096,9 +1108,8 @@ impl HybridStore {
     fn drop_page_items(&self, class: usize, page: u32) {
         let ids = self.pool.borrow().page_chunk_ids(page);
         for id in ids {
-            let key = match self.pool.borrow().read_item(id) {
-                Some(item) => item.key,
-                None => continue,
+            let Some(key) = self.pool.borrow().read_key(id) else {
+                continue;
             };
             let is_live = self
                 .index
@@ -1145,22 +1156,23 @@ impl HybridStore {
             let chunk_size = pool.chunk_size(class);
             let scheme = self.cfg.io_policy.scheme_for(chunk_size);
             // Buffer the page (the paper: "an entire slab is buffered and
-            // flushed to the SSD").
-            let page_buf = pool.page_data(page).to_vec();
+            // flushed to the SSD"). The buffer is a copy-on-write handle to
+            // the page itself: a write to the page while the handle is held
+            // copies the page, so the flushed bytes never change.
+            let page_buf = pool.page_data(page);
             let mut captured: Vec<(Bytes, u64, u64, u32)> = Vec::new();
+            let index = self.index.borrow();
             for id in pool.page_chunk_ids(page) {
-                let Some(item) = pool.read_item(id) else {
+                let Some(key) = pool.read_key(id) else {
                     continue;
                 };
                 let stored = pool.stored_len(id).unwrap_or(0) as u32;
-                let live = self
-                    .index
-                    .borrow()
-                    .get(&item.key)
-                    .is_some_and(|m| m.loc == Location::Ram(id));
-                if live {
-                    let version = self.index.borrow().get(&item.key).expect("live").version;
-                    captured.push((item.key, version, id, stored));
+                let live_version = index
+                    .get(&key)
+                    .filter(|m| m.loc == Location::Ram(id))
+                    .map(|m| m.version);
+                if let Some(version) = live_version {
+                    captured.push((key, version, id, stored));
                 }
             }
             (scheme, chunk_size, page_buf, captured)
@@ -1194,10 +1206,9 @@ impl HybridStore {
             // immediately and let the device write complete in the
             // background; reads of in-flight items are served from the
             // flush buffer.
-            let buf = Rc::new(page_buf);
             self.inflight_flushes
                 .borrow_mut()
-                .insert(base, (buf.len() as u32, Rc::clone(&buf)));
+                .insert(base, (page_buf.len() as u32, Rc::clone(&page_buf)));
             self.retarget_and_release(
                 &captured,
                 class,
@@ -1205,7 +1216,7 @@ impl HybridStore {
                 scheme,
                 base,
                 chunk_size,
-                buf.len() as u32,
+                page_buf.len() as u32,
             );
             self.stats.borrow_mut().async_flushes += 1;
 
@@ -1218,7 +1229,7 @@ impl HybridStore {
             let extents = Rc::clone(&self.ssd_extents);
             let onesided = self.onesided.borrow().clone();
             self.sim.spawn(async move {
-                match ssd.write(scheme, base, &buf).await {
+                match ssd.write(scheme, base, &page_buf).await {
                     Ok(()) => {
                         inflight.borrow_mut().remove(&base);
                         // If the extent died while in flight, it is now
@@ -1250,7 +1261,9 @@ impl HybridStore {
                         }
                         extents.borrow_mut().remove(&base);
                         dead_pending.borrow_mut().remove(&base);
-                        free_extents.borrow_mut().push((base, buf.len() as u32));
+                        free_extents
+                            .borrow_mut()
+                            .push((base, page_buf.len() as u32));
                         let mut st = stats.borrow_mut();
                         st.flush_errors += 1;
                         st.ssd_full_drops += dropped;
@@ -1812,6 +1825,50 @@ mod tests {
             assert_eq!(store.len(), 1);
             assert_eq!(store.slab_stats().live_items, 1, "old chunks must be freed");
         });
+    }
+
+    #[test]
+    fn long_lived_maps_keep_no_slice_of_a_frame() {
+        let sim = Sim::new();
+        let store = make_store(&sim, StoreConfig::memory_only(4 << 20), true);
+        store.set_repl_hook(Rc::new(|_| {}));
+        // Stand-ins for received request frames: keys are zero-copy slices.
+        let set_frame = Bytes::from(b"SET key-a vvvvvvvvvvvvvvvv".to_vec());
+        let repl_frame = Bytes::from(b"REPL key-a key-b vvvvvvvv".to_vec());
+        let frames = [set_frame.clone(), repl_frame.clone()];
+        let s = Rc::clone(&store);
+        sim.run_until(async move {
+            let out = s
+                .set(set_frame.slice(4..9), set_frame.slice(10..), 0, 0)
+                .await;
+            assert_eq!(out.status, OpStatus::Stored);
+            // An apply for a key already in the map and one for a new key.
+            let seq = s.repl_seqs.borrow()[&b"key-a"[..]] + 1;
+            for (key, seq) in [
+                (repl_frame.slice(5..10), seq),
+                (repl_frame.slice(11..16), 1),
+            ] {
+                let out = s
+                    .apply_replicated(key, repl_frame.slice(17..), false, 0, 0, seq)
+                    .await;
+                assert_eq!(out.status, OpStatus::Stored);
+            }
+        });
+        let in_a_frame = |key: &Bytes| {
+            let p = key.as_ptr() as usize;
+            frames
+                .iter()
+                .any(|f| (f.as_ptr() as usize..f.as_ptr() as usize + f.len()).contains(&p))
+        };
+        let seqs = store.repl_seqs.borrow();
+        assert_eq!(seqs.len(), 2);
+        assert!(!seqs.keys().any(in_a_frame), "repl_seqs pins a frame");
+        let index = store.index.borrow();
+        assert_eq!(index.len(), 2);
+        assert!(
+            !index.iter().any(|(k, _)| in_a_frame(k)),
+            "index pins a frame"
+        );
     }
 
     #[test]

@@ -24,4 +24,11 @@ cargo test --workspace -q
 echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 
+# The vendored stand-ins are workspace-excluded, so run their own tests
+# here; the shared target dir keeps build output out of third_party/.
+for manifest in third_party/*/Cargo.toml; do
+    echo "==> cargo test -q --manifest-path $manifest"
+    cargo test -q --manifest-path "$manifest" --target-dir target
+done
+
 echo "==> OK"
