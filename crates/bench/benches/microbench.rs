@@ -89,7 +89,7 @@ fn bench_cq(c: &mut Criterion) {
         b.iter(|| {
             let sim = Sim::new();
             let model = LatencyModel::from_bandwidth_gbps(Duration::from_micros(1), 1.0);
-            let (qp, _peer) = QueuePair::connect(&sim, model);
+            let qp = QueuePair::new(&sim, model);
             qp.bind_peer_window(RemoteWindow::new(64 << 10));
             let qp = Rc::new(qp);
             let done = Rc::new(Cell::new(0));
@@ -97,7 +97,7 @@ fn bench_cq(c: &mut Criterion) {
                 let (qp, done) = (Rc::clone(&qp), Rc::clone(&done));
                 sim.spawn(async move {
                     let len = ((WAITERS - wr_id) * 64) as usize;
-                    qp.post_rdma_read(wr_id, 0, len).expect("connected");
+                    qp.post_rdma_read(wr_id, 0, len);
                     let wc = qp.send_cq().next_for(wr_id).await;
                     assert_eq!(wc.wr_id, wr_id);
                     done.set(done.get() + 1);

@@ -11,6 +11,6 @@ pub mod runtime;
 pub use batch::BatchPolicy;
 pub use onesided::DirectPolicy;
 pub use request::{Completion, ReqHandle};
-pub use resilience::{BackoffSchedule, BreakerConfig, ResiliencePolicy};
+pub use resilience::{BackoffSchedule, ResiliencePolicy};
 pub use ring::Ring;
 pub use runtime::{Client, ClientConfig, ClientError, ClientStats};

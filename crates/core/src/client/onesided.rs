@@ -247,13 +247,8 @@ impl DirectReadEngine {
 
         // Read 1: the bucket descriptor.
         let wr = self.alloc_wr();
-        if self
-            .qp
-            .post_rdma_read(wr, bucket * lease.desc_slot as usize, DESC_SLOT)
-            .is_err()
-        {
-            return DirectOutcome::Lost;
-        }
+        self.qp
+            .post_rdma_read(wr, bucket * lease.desc_slot as usize, DESC_SLOT);
         let wc =
             nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
         let Ok(wc) = wc else {
@@ -278,13 +273,8 @@ impl DirectReadEngine {
 
         // Read 2: the arena slot (version copy + value bytes).
         let wr = self.alloc_wr();
-        if self
-            .qp
-            .post_rdma_read(wr, desc.offset as usize, ARENA_HEADER + len)
-            .is_err()
-        {
-            return DirectOutcome::Lost;
-        }
+        self.qp
+            .post_rdma_read(wr, desc.offset as usize, ARENA_HEADER + len);
         let wc =
             nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
         let Ok(wc) = wc else {
@@ -319,7 +309,7 @@ mod tests {
             value_cap: 256,
         });
         let profile = fdr_rdma();
-        let (qp, _peer) = QueuePair::connect(&sim, profile.link);
+        let qp = QueuePair::new(&sim, profile.link);
         let qp = Rc::new(qp);
         qp.bind_peer_window(idx.window());
         let engine = Rc::new(DirectReadEngine::new(

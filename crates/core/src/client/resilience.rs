@@ -7,9 +7,11 @@
 //! deterministic:
 //!
 //! - [`ResiliencePolicy`]: per-attempt deadline (on by default for the
-//!   blocking API), bounded retries with seeded exponential backoff and
-//!   decorrelated jitter, optional hedged gets, and a per-server circuit
-//!   breaker ([`BreakerConfig`]).
+//!   blocking API) and seeded exponential backoff with decorrelated
+//!   jitter between the `MAX_ATTEMPTS` (3) attempts of a blocking call.
+//! - A per-server circuit breaker that opens after
+//!   `BREAKER_FAILURE_THRESHOLD` (5) consecutive failures and rejects
+//!   attempts for `BREAKER_COOLDOWN` (50 ms) before allowing a probe.
 //! - [`BackoffSchedule`]: the deterministic backoff iterator itself —
 //!   every delay lies in `[base, cap]` and replays bit-for-bit per seed.
 //!
@@ -22,25 +24,16 @@ use std::time::Duration;
 
 use nbkv_simrt::SimTime;
 
-/// Per-server circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that open the breaker.
-    pub failure_threshold: u32,
-    /// How long an open breaker rejects attempts before allowing a probe.
-    pub cooldown: Duration,
-}
+/// Total attempts per blocking operation.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 5,
-            cooldown: Duration::from_millis(50),
-        }
-    }
-}
+/// Consecutive failures that open a server's circuit breaker.
+pub(crate) const BREAKER_FAILURE_THRESHOLD: u32 = 5;
 
-/// Deadlines, retries, and failover for the blocking client API.
+/// How long an open breaker rejects attempts before allowing a probe.
+pub(crate) const BREAKER_COOLDOWN: Duration = Duration::from_millis(50);
+
+/// Deadlines and retry backoff for the blocking client API.
 ///
 /// Attached to [`crate::ClientConfig`]; the non-blocking `iset`/`iget`/
 /// `bset`/`bget` paths are unaffected (their handles can be reaped with
@@ -50,62 +43,26 @@ pub struct ResiliencePolicy {
     /// Per-attempt deadline for blocking operations. `None` restores the
     /// pre-resilience "wait forever" behaviour.
     pub deadline: Option<Duration>,
-    /// Total attempts per blocking operation (>= 1).
-    pub max_attempts: u32,
     /// First retry delay (exponential growth from here).
     pub backoff_base: Duration,
     /// Upper bound on any single retry delay.
     pub backoff_cap: Duration,
     /// Seed for the deterministic backoff jitter.
     pub backoff_seed: u64,
-    /// If set, a blocking `get` still unanswered after this long posts a
-    /// duplicate to the next ring server and races the two responses.
-    pub hedge_after: Option<Duration>,
-    /// Circuit-breaker settings; `None` disables breaking (and with it,
-    /// breaker-driven failover).
-    pub breaker: Option<BreakerConfig>,
-    /// Treat an [`crate::OpStatus::Error`] response (e.g. an injected SSD
-    /// read error) as a retryable failure instead of a completed op.
-    pub retry_server_errors: bool,
 }
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
         ResiliencePolicy {
             deadline: Some(Duration::from_millis(500)),
-            max_attempts: 3,
             backoff_base: Duration::from_micros(100),
             backoff_cap: Duration::from_millis(10),
             backoff_seed: 0xBACC_0FF5,
-            hedge_after: None,
-            breaker: Some(BreakerConfig::default()),
-            retry_server_errors: false,
         }
     }
 }
 
 impl ResiliencePolicy {
-    /// The pre-resilience client: wait forever, never retry, never break.
-    pub fn never_give_up() -> Self {
-        ResiliencePolicy {
-            deadline: None,
-            max_attempts: 1,
-            breaker: None,
-            ..ResiliencePolicy::default()
-        }
-    }
-
-    /// One shot with a deadline and nothing else — useful in tests that
-    /// want failures to surface immediately.
-    pub fn single_attempt(deadline: Duration) -> Self {
-        ResiliencePolicy {
-            deadline: Some(deadline),
-            max_attempts: 1,
-            breaker: None,
-            ..ResiliencePolicy::default()
-        }
-    }
-
     /// A [`BackoffSchedule`] for one operation, salted by `op_salt` so
     /// concurrent operations do not retry in lockstep.
     pub fn backoff(&self, op_salt: u64) -> BackoffSchedule {
@@ -206,19 +163,19 @@ impl Breaker {
         self.open_until.set(None);
     }
 
-    pub(crate) fn on_failure(&self, now: SimTime, cfg: &BreakerConfig) {
+    pub(crate) fn on_failure(&self, now: SimTime) {
         if self.half_open.get() {
             // Failed probe: straight back to open.
             self.half_open.set(false);
-            self.open_until.set(Some(now + cfg.cooldown));
+            self.open_until.set(Some(now + BREAKER_COOLDOWN));
             self.trips.set(self.trips.get() + 1);
             return;
         }
         let fails = self.consecutive_failures.get() + 1;
         self.consecutive_failures.set(fails);
-        if fails >= cfg.failure_threshold {
+        if fails >= BREAKER_FAILURE_THRESHOLD {
             self.consecutive_failures.set(0);
-            self.open_until.set(Some(now + cfg.cooldown));
+            self.open_until.set(Some(now + BREAKER_COOLDOWN));
             self.trips.set(self.trips.get() + 1);
         }
     }
@@ -228,13 +185,13 @@ impl Breaker {
     }
 
     /// Open the breaker immediately (a crash notification): attempts are
-    /// rejected for `cooldown` without burning any failure threshold —
+    /// rejected for [`BREAKER_COOLDOWN`] without burning any failure threshold —
     /// the client retargets a crashed server's keys on the very next
     /// attempt instead of spending a full deadline discovering the crash.
-    pub(crate) fn force_open(&self, now: SimTime, cfg: &BreakerConfig) {
+    pub(crate) fn force_open(&self, now: SimTime) {
         self.consecutive_failures.set(0);
         self.half_open.set(false);
-        self.open_until.set(Some(now + cfg.cooldown));
+        self.open_until.set(Some(now + BREAKER_COOLDOWN));
         self.trips.set(self.trips.get() + 1);
     }
 
@@ -290,13 +247,9 @@ mod tests {
     /// race) — but a half-open probe success still does.
     #[test]
     fn late_success_does_not_untrip_a_forced_open_breaker() {
-        let cfg = BreakerConfig {
-            failure_threshold: 5,
-            cooldown: Duration::from_millis(50),
-        };
         let b = Breaker::default();
         let crash = SimTime::from_nanos(10_000_000);
-        b.force_open(crash, &cfg);
+        b.force_open(crash);
         // A pre-crash request's response lands just after the trip.
         b.on_success();
         assert!(
@@ -307,8 +260,8 @@ mod tests {
         b.reset();
         assert!(b.allows(SimTime::from_nanos(10_000_400)));
         // And so does a successful half-open probe after the cooldown.
-        b.force_open(crash, &cfg);
-        let after_cooldown = SimTime::from_nanos(70_000_000);
+        b.force_open(crash);
+        let after_cooldown = crash + BREAKER_COOLDOWN + Duration::from_millis(10);
         assert!(b.allows(after_cooldown), "probe allowed after cooldown");
         b.on_success();
         assert!(b.allows(after_cooldown), "probe success closes the breaker");
@@ -316,23 +269,23 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_probes() {
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_millis(1),
-        };
         let b = Breaker::default();
         let t0 = SimTime::from_nanos(0);
         assert!(b.allows(t0));
-        b.on_failure(t0, &cfg);
-        assert!(b.allows(t0), "one failure below threshold keeps it closed");
-        b.on_failure(t0, &cfg);
+        for _ in 1..BREAKER_FAILURE_THRESHOLD {
+            b.on_failure(t0);
+            assert!(b.allows(t0), "failures below threshold keep it closed");
+        }
+        b.on_failure(t0);
         assert!(!b.allows(t0), "threshold reached: open");
         assert_eq!(b.trips(), 1);
-        let later = SimTime::from_nanos(2_000_000);
+        let later = t0 + BREAKER_COOLDOWN;
+        let almost = t0 + (BREAKER_COOLDOWN - Duration::from_nanos(1));
+        assert!(!b.allows(almost), "open until the cooldown ends");
         assert!(b.allows(later), "cooldown expired: half-open probe allowed");
-        b.on_failure(later, &cfg);
+        b.on_failure(later);
         assert!(!b.allows(later), "failed probe reopens immediately");
-        let again = SimTime::from_nanos(5_000_000);
+        let again = later + BREAKER_COOLDOWN;
         assert!(b.allows(again));
         b.on_success();
         assert!(b.allows(again));

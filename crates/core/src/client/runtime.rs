@@ -24,9 +24,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::future::Future;
 use std::rc::Rc;
-use std::task::Poll;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -38,7 +36,7 @@ use crate::client::onesided::{DirectOutcome, DirectPolicy, DirectReadEngine};
 use crate::client::request::{
     wait_sent, Completion, Pending, ReqHandle, ReqState, SendWindow, WindowSlot,
 };
-use crate::client::resilience::{Breaker, ResiliencePolicy};
+use crate::client::resilience::{Breaker, ResiliencePolicy, MAX_ATTEMPTS};
 use crate::client::ring::Ring;
 use crate::costs::CpuCosts;
 use crate::proto::{
@@ -106,10 +104,6 @@ pub enum ClientError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// Every attempt completed but the server reported an I/O error (e.g.
-    /// an injected SSD fault) — only with
-    /// [`ResiliencePolicy::retry_server_errors`].
-    IoError,
     /// The server's response decoded but its payload was missing or
     /// malformed (e.g. a fault-corrupted `stats` JSON snapshot).
     BadResponse,
@@ -124,7 +118,6 @@ impl std::fmt::Display for ClientError {
             ClientError::RetriesExhausted { attempts } => {
                 write!(f, "retries exhausted after {attempts} attempts")
             }
-            ClientError::IoError => write!(f, "server-side I/O error"),
             ClientError::BadResponse => write!(f, "malformed response payload"),
         }
     }
@@ -146,7 +139,8 @@ pub struct ClientStats {
     pub timeouts: u64,
     /// Retry attempts made by blocking operations.
     pub retries: u64,
-    /// Hedge requests posted by blocking gets.
+    /// Always 0: the client posts no hedge requests. Kept because the
+    /// benchmark's `client.hedges` metric and the run manifests read it.
     pub hedges: u64,
     /// Attempts rejected because every candidate breaker was open.
     pub breaker_rejections: u64,
@@ -360,11 +354,9 @@ impl Client {
     /// or the cluster manager's heartbeat): open `server`'s breaker
     /// immediately so the very next attempt retargets the key's next live
     /// replica, instead of burning a full per-attempt deadline discovering
-    /// the crash. A no-op when the policy has no breaker.
+    /// the crash.
     pub fn notify_server_crashed(&self, server: usize) {
-        if let Some(bc) = self.cfg.resilience.breaker {
-            self.breakers[server].force_open(self.sim.now(), &bc);
-        }
+        self.breakers[server].force_open(self.sim.now());
     }
 
     /// Restart notification: close `server`'s breaker so traffic demotes
@@ -521,8 +513,7 @@ impl Client {
     }
 
     /// Blocking get (`memcached_get`), under the configured
-    /// [`ResiliencePolicy`] — including hedging when
-    /// [`ResiliencePolicy::hedge_after`] is set.
+    /// [`ResiliencePolicy`] (deadline + retries).
     pub async fn get(&self, key: Bytes) -> Result<Completion, ClientError> {
         self.mr.ensure_registered(&key).await;
         let rs = self.read_route_set(&key);
@@ -1032,21 +1023,19 @@ impl Client {
 
     // -- resilience engine --------------------------------------------------
 
-    /// Run a blocking operation under the [`ResiliencePolicy`]: per-attempt
-    /// deadline, bounded retries with deterministic backoff, breaker-driven
-    /// failover along the key's route order (replicas first), and (for
-    /// reads) optional hedging.
+    /// Run a blocking operation under the [`ResiliencePolicy`]: up to
+    /// `MAX_ATTEMPTS` attempts, each with the per-attempt deadline,
+    /// separated by deterministic backoff, with breaker-driven failover
+    /// along the key's route order (replicas first).
     async fn call_blocking(
         &self,
         rs: RouteSet,
         is_read: bool,
         make: &dyn Fn(u64) -> Request,
     ) -> Result<Completion, ClientError> {
-        let pol = self.cfg.resilience;
-        let max_attempts = pol.max_attempts.max(1);
-        let mut backoff = pol.backoff(self.next_id.get());
-        let (mut timeouts, mut unavailable, mut server_errors) = (0u32, 0u32, 0u32);
-        for attempt in 0..max_attempts {
+        let mut backoff = self.cfg.resilience.backoff(self.next_id.get());
+        let (mut timeouts, mut unavailable) = (0u32, 0u32);
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.stats.borrow_mut().retries += 1;
                 let delay = backoff.next_delay();
@@ -1068,103 +1057,24 @@ impl Client {
                     continue;
                 }
             };
-            match self
-                .await_attempt(&h, server, &rs, &pol, is_read, make)
-                .await
-            {
-                Some(c) => {
-                    if pol.retry_server_errors && c.status == OpStatus::Error {
-                        server_errors += 1;
-                        continue;
-                    }
-                    return Ok(c);
-                }
+            match self.await_attempt(&h, server).await {
+                Some(c) => return Ok(c),
                 None => timeouts += 1,
             }
         }
-        Err(match (timeouts, unavailable, server_errors) {
-            (_, 0, 0) => ClientError::TimedOut,
-            (0, _, 0) => ClientError::ServerUnavailable,
-            (0, 0, _) => ClientError::IoError,
+        Err(match (timeouts, unavailable) {
+            (_, 0) => ClientError::TimedOut,
+            (0, _) => ClientError::ServerUnavailable,
             _ => ClientError::RetriesExhausted {
-                attempts: max_attempts,
+                attempts: MAX_ATTEMPTS,
             },
         })
     }
 
     /// Wait out one attempt; `None` means the deadline elapsed (the request
     /// has been cancelled and its window slot reclaimed).
-    async fn await_attempt(
-        &self,
-        h: &ReqHandle,
-        server: usize,
-        rs: &RouteSet,
-        pol: &ResiliencePolicy,
-        hedge_ok: bool,
-        make: &dyn Fn(u64) -> Request,
-    ) -> Option<Completion> {
-        // Hedged path: wait `hedge_after` on the primary, then race a
-        // duplicate posted to the next server in the route order.
-        if hedge_ok {
-            if let Some(hedge_after) = pol.hedge_after {
-                if pol.deadline.is_none_or(|d| hedge_after < d) {
-                    if let Ok(c) = nbkv_simrt::timeout(&self.sim, hedge_after, h.wait()).await {
-                        self.note_success(server);
-                        return Some(c);
-                    }
-                    let remaining = pol.deadline.map(|d| d.saturating_sub(hedge_after));
-                    if let Some(hs) = self.route_hedge(rs, server) {
-                        if let Ok(h2) = self.post(hs, make(self.alloc_req_id()), false).await {
-                            self.stats.borrow_mut().hedges += 1;
-                            let raced = race_waits(h, &h2);
-                            let res = match remaining {
-                                Some(rem) => nbkv_simrt::timeout(&self.sim, rem, raced).await,
-                                None => Ok(raced.await),
-                            };
-                            return match res {
-                                Ok((c, from_primary)) => {
-                                    if from_primary {
-                                        h2.cancel();
-                                        self.note_success(server);
-                                    } else {
-                                        h.cancel();
-                                        self.note_success(hs);
-                                    }
-                                    Some(c)
-                                }
-                                Err(_) => {
-                                    h.cancel();
-                                    h2.cancel();
-                                    self.note_timeout(server);
-                                    self.note_failure(hs);
-                                    None
-                                }
-                            };
-                        }
-                    }
-                    // No hedge target: run out the rest of the deadline.
-                    return match remaining {
-                        Some(rem) => match nbkv_simrt::timeout(&self.sim, rem, h.wait()).await {
-                            Ok(c) => {
-                                self.note_success(server);
-                                Some(c)
-                            }
-                            Err(_) => {
-                                h.cancel();
-                                self.note_timeout(server);
-                                None
-                            }
-                        },
-                        None => {
-                            let c = h.wait().await;
-                            self.note_success(server);
-                            Some(c)
-                        }
-                    };
-                }
-            }
-        }
-        match pol.deadline {
+    async fn await_attempt(&self, h: &ReqHandle, server: usize) -> Option<Completion> {
+        match self.cfg.resilience.deadline {
             None => {
                 let c = h.wait().await;
                 self.note_success(server);
@@ -1222,9 +1132,6 @@ impl Client {
     /// traffic (falling back to the head of the order when every replica
     /// breaker is open — the send then fails fast or times out).
     fn pick_live(&self, rs: &RouteSet) -> usize {
-        if self.cfg.resilience.breaker.is_none() {
-            return rs.order[0];
-        }
         let now = self.sim.now();
         rs.order[..rs.replicas]
             .iter()
@@ -1251,9 +1158,6 @@ impl Client {
     /// extended to prefer the key's replicas before arbitrary ring
     /// neighbours). `None` when every breaker is open.
     fn route(&self, rs: &RouteSet) -> Option<usize> {
-        if self.cfg.resilience.breaker.is_none() {
-            return Some(rs.order[0]);
-        }
         let now = self.sim.now();
         rs.order
             .iter()
@@ -1261,52 +1165,18 @@ impl Client {
             .find(|&s| self.breakers[s].allows(now))
     }
 
-    /// A hedge target distinct from `used`, if any breaker allows one.
-    fn route_hedge(&self, rs: &RouteSet, used: usize) -> Option<usize> {
-        if self.txs.len() < 2 {
-            return None;
-        }
-        let now = self.sim.now();
-        rs.order
-            .iter()
-            .copied()
-            .filter(|&s| s != used)
-            .find(|&s| self.cfg.resilience.breaker.is_none() || self.breakers[s].allows(now))
-    }
-
     fn note_success(&self, server: usize) {
         self.breakers[server].on_success();
     }
 
     fn note_failure(&self, server: usize) {
-        if let Some(bc) = self.cfg.resilience.breaker {
-            self.breakers[server].on_failure(self.sim.now(), &bc);
-        }
+        self.breakers[server].on_failure(self.sim.now());
     }
 
     fn note_timeout(&self, server: usize) {
         self.stats.borrow_mut().timeouts += 1;
         self.note_failure(server);
     }
-}
-
-/// Race two in-flight requests; resolves with the first completion and
-/// whether it came from the first handle.
-fn race_waits<'a>(
-    a: &'a ReqHandle,
-    b: &'a ReqHandle,
-) -> impl Future<Output = (Completion, bool)> + 'a {
-    let mut fa = Box::pin(a.wait());
-    let mut fb = Box::pin(b.wait());
-    std::future::poll_fn(move |cx| {
-        if let Poll::Ready(c) = fa.as_mut().poll(cx) {
-            return Poll::Ready((c, true));
-        }
-        if let Poll::Ready(c) = fb.as_mut().poll(cx) {
-            return Poll::Ready((c, false));
-        }
-        Poll::Pending
-    })
 }
 
 /// Land a response on its pending op: store it, mark the op done and

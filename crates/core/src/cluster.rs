@@ -44,13 +44,6 @@ pub struct ChaosConfig {
     pub crashes: Vec<CrashEvent>,
 }
 
-impl ChaosConfig {
-    /// True if this config perturbs nothing.
-    pub fn is_quiet(&self) -> bool {
-        self.link_faults.is_none() && self.ssd_faults.is_none() && self.crashes.is_empty()
-    }
-}
-
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -263,12 +256,12 @@ pub fn build_cluster(sim: &Sim, cfg: &ClusterConfig) -> Cluster {
             server.accept(server_side);
             transports.push(client_side);
             // A one-sided queue pair bound to the server's index window,
-            // for clients configured to read past the server CPU. The
-            // server half is dropped: one-sided reads are served by the
-            // window itself, not a peer task.
+            // for clients configured to read past the server CPU. It needs
+            // no server half: one-sided reads are served by the window
+            // itself, not a peer task.
             let qp = match (cfg.client.direct != DirectPolicy::Off, server.onesided()) {
                 (true, Some(idx)) => {
-                    let (qp_c, _qp_s) = fabric.connect_qp();
+                    let qp_c = fabric.connect_qp();
                     qp_c.bind_peer_window(idx.window());
                     if let Some(template) = &cfg.chaos.link_faults {
                         let mut plan = template.clone();

@@ -52,8 +52,8 @@ pub mod server;
 pub mod util;
 
 pub use client::{
-    BackoffSchedule, BatchPolicy, BreakerConfig, Client, ClientConfig, ClientError, Completion,
-    DirectPolicy, ReqHandle, ResiliencePolicy, Ring,
+    BackoffSchedule, BatchPolicy, Client, ClientConfig, ClientError, Completion, DirectPolicy,
+    ReqHandle, ResiliencePolicy, Ring,
 };
 pub use cluster::{build_cluster, Cluster, ClusterConfig};
 pub use costs::CpuCosts;

@@ -118,6 +118,9 @@ struct Page {
     flushing: bool,
     /// Retired pages are in the free-page pool; their ids must not be used.
     retired: bool,
+    /// Bumped by every release, so a chunk id taken before a release can
+    /// be told apart from the same id on the page's next use.
+    generation: u32,
 }
 
 /// Pool counters.
@@ -237,6 +240,7 @@ impl SlabPool {
                 live: 0,
                 flushing: false,
                 retired: false,
+                generation: 0,
             });
             return Some((self.pages.len() - 1) as u32);
         }
@@ -322,6 +326,20 @@ impl SlabPool {
         }
     }
 
+    /// The generation of chunk `id`'s page (see [`chunk_intact`](Self::chunk_intact)).
+    pub(crate) fn generation(&self, id: u64) -> u32 {
+        self.pages[unpack_item_id(id).0 as usize].generation
+    }
+
+    /// Whether chunk `id`, allocated while its page was at `generation`,
+    /// may still be indexed: its page was not released since and is not
+    /// mid-flush. A flush moves only the items indexed when it began, so a
+    /// chunk indexed on a flushing page would vanish with the page.
+    pub(crate) fn chunk_intact(&self, id: u64, generation: u32) -> bool {
+        let p = &self.pages[unpack_item_id(id).0 as usize];
+        p.generation == generation && !p.flushing
+    }
+
     /// True if `page` is out of circulation (mid-flush or retired) and
     /// must not re-enter any eviction LRU.
     pub fn page_out_of_circulation(&self, page: u32) -> bool {
@@ -357,22 +375,13 @@ impl SlabPool {
         (0..n).map(|c| pack_item_id(page, c)).collect()
     }
 
-    /// The class a page currently belongs to.
-    pub fn page_class(&self, page: u32) -> usize {
-        self.pages[page as usize].class
-    }
-
-    /// Live-item count of a page.
-    pub fn page_live(&self, page: u32) -> u32 {
-        self.pages[page as usize].live
-    }
-
     /// Return a flushing (or emptied) page to the free pool.
     pub fn release_page(&mut self, page: u32) {
         let class = {
             let p = &mut self.pages[page as usize];
             assert!(!p.retired, "double release");
             p.retired = true;
+            p.generation = p.generation.wrapping_add(1);
             p.live = 0;
             p.class
         };

@@ -600,42 +600,50 @@ impl HybridStore {
 
         // Stage 1: slab allocation (may flush/evict). Time spent inside
         // hybrid eviction (flushing a page, or waiting out someone else's
-        // flush) is also attributed to the request's SSD share.
+        // flush) is also attributed to the request's SSD share. A chunk
+        // lost to a flush during its copy is allocated again, and the lost
+        // attempt counts as allocation time.
         let t0 = self.sim.now();
         let mut ssd_wait_ns = 0u64;
-        let id = loop {
-            let got = self.pool.borrow_mut().try_alloc(class);
-            if let Some(id) = got {
-                break id;
-            }
-            let t_room = self.sim.now();
-            let made = self.make_room(class).await;
-            if self.cfg.kind == StoreKind::Hybrid {
-                ssd_wait_ns += self.ns_since(t_room);
-            }
-            if !made {
-                if self.flushes_in_flight.get() > 0 {
-                    // Another handler is flushing; wait for memory.
-                    let t_wait = self.sim.now();
-                    self.mem_notify.notified().await;
-                    if self.cfg.kind == StoreKind::Hybrid {
-                        ssd_wait_ns += self.ns_since(t_wait);
-                    }
-                    continue;
+        let (id, t1) = loop {
+            let id = loop {
+                let got = self.pool.borrow_mut().try_alloc(class);
+                if let Some(id) = got {
+                    break id;
                 }
-                self.stats.borrow_mut().set_errors += 1;
-                return OpOutcome::status_only(OpStatus::Error, stages);
+                let t_room = self.sim.now();
+                let made = self.make_room(class).await;
+                if self.cfg.kind == StoreKind::Hybrid {
+                    ssd_wait_ns += self.ns_since(t_room);
+                }
+                if !made {
+                    if self.flushes_in_flight.get() > 0 {
+                        // Another handler is flushing; wait for memory.
+                        let t_wait = self.sim.now();
+                        self.mem_notify.notified().await;
+                        if self.cfg.kind == StoreKind::Hybrid {
+                            ssd_wait_ns += self.ns_since(t_wait);
+                        }
+                        continue;
+                    }
+                    self.stats.borrow_mut().set_errors += 1;
+                    return OpOutcome::status_only(OpStatus::Error, stages);
+                }
+            };
+
+            // Store the item bytes.
+            let t1 = self.sim.now();
+            let generation = self.pool.borrow().generation(id);
+            self.pool
+                .borrow_mut()
+                .write_item(id, &key, &value, flags, expire_at_ns);
+            self.charge(self.cfg.costs.memcpy(item_len)).await;
+            if !self.chunk_lost(id, generation) {
+                break (id, t1);
             }
         };
-        stages.slab_alloc_ns = self.ns_since(t0);
+        stages.slab_alloc_ns = t1.saturating_since(t0).as_nanos() as u64;
         stages.ssd_ns += ssd_wait_ns;
-
-        // Store the item bytes.
-        let t1 = self.sim.now();
-        self.pool
-            .borrow_mut()
-            .write_item(id, &key, &value, flags, expire_at_ns);
-        self.charge(self.cfg.costs.memcpy(item_len)).await;
         stages.check_load_ns += self.ns_since(t1);
 
         // Stage 3: index + LRU update.
@@ -1036,6 +1044,21 @@ impl HybridStore {
         }
     }
 
+    /// Whether chunk `id`, allocated at page `generation` and written
+    /// before an await, was lost to a flush of its page during the await
+    /// (see [`SlabPool::chunk_intact`]). A lost chunk on a page still
+    /// mid-flush is freed here; releasing the page already dropped it.
+    fn chunk_lost(&self, id: u64, generation: u32) -> bool {
+        let mut pool = self.pool.borrow_mut();
+        if pool.chunk_intact(id, generation) {
+            return false;
+        }
+        if pool.generation(id) == generation {
+            pool.free_chunk(id);
+        }
+        true
+    }
+
     /// Drop index bookkeeping for a superseded/removed meta.
     fn release_meta(&self, meta: &ItemMeta) {
         match meta.loc {
@@ -1182,20 +1205,7 @@ impl HybridStore {
         // Reserve an SSD extent; on a full SSD fall back to dropping.
         let base = self.reserve_ssd(page_buf.len() as u64);
         let Some(base) = base else {
-            for (key, version, id, _) in captured {
-                let still_live = self
-                    .index
-                    .borrow()
-                    .get(&key)
-                    .is_some_and(|m| m.version == version);
-                if still_live {
-                    self.index.borrow_mut().remove(&key);
-                    self.os_invalidate(&key);
-                }
-                self.item_lru.borrow_mut()[class].remove(&id);
-                self.stats.borrow_mut().ssd_full_drops += 1;
-            }
-            self.pool.borrow_mut().release_page(page);
+            self.abandon_flush(class, page, &captured);
             return true;
         };
 
@@ -1246,19 +1256,7 @@ impl HybridStore {
                         // landed. Drop every item still pointing into the
                         // extent and return its space to the free list.
                         inflight.borrow_mut().remove(&base);
-                        let mut dropped = 0u64;
-                        {
-                            let mut idx = index.borrow_mut();
-                            for (key, version, _, _) in &captured {
-                                if idx.get(key).is_some_and(|m| m.version == *version) {
-                                    idx.remove(key);
-                                    if let Some(os) = onesided.as_ref() {
-                                        os.invalidate(key);
-                                    }
-                                    dropped += 1;
-                                }
-                            }
-                        }
+                        let dropped = drop_captured(&index, onesided.as_deref(), &captured);
                         extents.borrow_mut().remove(&base);
                         dead_pending.borrow_mut().remove(&base);
                         free_extents
@@ -1276,13 +1274,7 @@ impl HybridStore {
         if ssd.write(scheme, base, &page_buf).await.is_err() {
             // Treat a failed flush like a full SSD: drop the items.
             self.stats.borrow_mut().flush_errors += 1;
-            for (key, _, id, _) in captured {
-                self.index.borrow_mut().remove(&key);
-                self.os_invalidate(&key);
-                self.item_lru.borrow_mut()[class].remove(&id);
-                self.stats.borrow_mut().ssd_full_drops += 1;
-            }
-            self.pool.borrow_mut().release_page(page);
+            self.abandon_flush(class, page, &captured);
             return true;
         }
 
@@ -1296,6 +1288,20 @@ impl HybridStore {
             page_buf.len() as u32,
         );
         true
+    }
+
+    /// A flush whose page cannot reach the SSD (full, or the write
+    /// failed): drop the captured items that are still current and return
+    /// the page to the pool.
+    fn abandon_flush(&self, class: usize, page: u32, captured: &[(Bytes, u64, u64, u32)]) {
+        let dropped = drop_captured(&self.index, self.onesided.borrow().as_deref(), captured);
+        let mut item_lru = self.item_lru.borrow_mut();
+        for (_, _, id, _) in captured {
+            item_lru[class].remove(id);
+        }
+        drop(item_lru);
+        self.stats.borrow_mut().ssd_full_drops += dropped;
+        self.pool.borrow_mut().release_page(page);
     }
 
     /// Point the captured items at their SSD locations (skipping any that
@@ -1566,6 +1572,7 @@ impl HybridStore {
             return;
         }
         let item_len = SlabPool::item_len(item.key.len(), item.value.len());
+        let generation = self.pool.borrow().generation(id);
         self.pool.borrow_mut().write_item(
             id,
             &item.key,
@@ -1574,6 +1581,9 @@ impl HybridStore {
             meta.expire_at_ns,
         );
         self.charge(self.cfg.costs.memcpy(item_len)).await;
+        if self.chunk_lost(id, generation) {
+            return;
+        }
         let mut index = self.index.borrow_mut();
         if let Some(m) = index.get_mut(key) {
             if m.version == meta.version {
@@ -1603,10 +1613,34 @@ impl HybridStore {
     }
 }
 
+/// Remove from `index` each captured item still at its captured version,
+/// invalidating its one-sided descriptor. An item rewritten since the
+/// capture keeps its newer value. Returns how many were removed.
+fn drop_captured(
+    index: &RefCell<HashTable<ItemMeta>>,
+    onesided: Option<&OneSidedIndex>,
+    captured: &[(Bytes, u64, u64, u32)],
+) -> u64 {
+    let mut index = index.borrow_mut();
+    let mut dropped = 0;
+    for (key, version, _, _) in captured {
+        if index.get(key).is_some_and(|m| m.version == *version) {
+            index.remove(key);
+            if let Some(os) = onesided {
+                os.invalidate(key);
+            }
+            dropped += 1;
+        }
+    }
+    dropped
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbkv_storesim::{instant_device, sata_ssd, HostModel, SlabIoConfig, SsdDevice};
+    use nbkv_storesim::{
+        instant_device, sata_ssd, HostModel, SlabIoConfig, SsdDevice, SsdFaultPlan,
+    };
     use std::time::Duration;
 
     fn make_store(sim: &Sim, mut cfg: StoreConfig, instant: bool) -> Rc<HybridStore> {
@@ -2134,6 +2168,170 @@ mod tests {
                 "{st:?}"
             );
             assert_eq!(st.ssd_full_drops, 0);
+        });
+    }
+
+    // -- races between a write and a concurrent flush -----------------------
+
+    /// Chunks of 64 KiB items per slab page.
+    fn big_items_per_page(store: &HybridStore) -> usize {
+        let pool = store.pool.borrow();
+        let class = pool
+            .class_for(SlabPool::item_len(key(0).len(), 64 << 10))
+            .expect("64 KiB items fit a page");
+        pool.config().page_size / pool.chunk_size(class)
+    }
+
+    /// A set copies its item into a fresh chunk, then awaits the copy
+    /// charge before indexing it. A concurrent flush of the chunk's page
+    /// in that gap must not leave the index pointing into the released
+    /// page (which another set then reuses).
+    #[test]
+    fn set_survives_a_flush_of_its_chunk_page_during_the_copy() {
+        let sim = Sim::new();
+        let mut cfg = StoreConfig::hybrid(2 << 20, 1 << 30);
+        cfg.promote = PromotePolicy::Never;
+        cfg.costs = CpuCosts {
+            memcpy_ns_per_byte: 1.0,
+            ..CpuCosts::zero()
+        };
+        let dev = SsdDevice::new(&sim, instant_device());
+        let ssd = SlabIo::new(
+            &sim,
+            dev,
+            SlabIoConfig::default_for_tests(HostModel::zero()),
+        );
+        let store = HybridStore::new(&sim, cfg, Some(ssd));
+        let per_page = big_items_per_page(&store);
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            // Fill both pages, then free one chunk on the LRU page.
+            for i in 0..2 * per_page {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            store.delete(&key(0)).await;
+            // The first set takes the freed chunk and starts its copy; the
+            // second finds no room and flushes that chunk's page meanwhile.
+            let sets: Vec<_> = [1000, 1001]
+                .into_iter()
+                .map(|i| {
+                    let store = Rc::clone(&store);
+                    sim2.spawn(async move { store.set(key(i), val(i, 64 << 10), 0, 0).await })
+                })
+                .collect();
+            for h in sets {
+                assert_eq!(h.await.status, OpStatus::Stored);
+            }
+            for i in (1..2 * per_page).chain([1000, 1001]) {
+                let g = store.get(&key(i)).await;
+                assert_eq!(g.status, OpStatus::Hit, "key {i}");
+                assert!(g.value == Some(val(i, 64 << 10)), "key {i}: wrong value");
+            }
+        });
+    }
+
+    /// The promote path has the same gap: it copies an SSD item into a free
+    /// chunk and awaits the charge before indexing it. If a flush takes
+    /// the chunk's page meanwhile, the promote must give up and leave the
+    /// item on SSD.
+    #[test]
+    fn promote_gives_up_when_its_chunk_page_is_flushed_during_the_copy() {
+        let sim = Sim::new();
+        let mut cfg = StoreConfig::hybrid(2 << 20, 1 << 30);
+        cfg.costs = CpuCosts {
+            memcpy_ns_per_byte: 1.0,
+            ..CpuCosts::zero()
+        };
+        let dev = SsdDevice::new(&sim, instant_device());
+        let ssd = SlabIo::new(
+            &sim,
+            dev,
+            SlabIoConfig::default_for_tests(HostModel::zero()),
+        );
+        let store = HybridStore::new(&sim, cfg, Some(ssd));
+        let per_page = big_items_per_page(&store);
+        let n = 3 * per_page;
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            for i in 0..n {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            // Free one chunk on the LRU page for the promote to take.
+            let on_lru_page = |i: usize| {
+                let class = store.index.borrow().get(&key(i))?.class as usize;
+                let page = store.page_lru.borrow()[class].lru_key()?;
+                match store.index.borrow().get(&key(i))?.loc {
+                    Location::Ram(id) => (unpack_item_id(id).0 == page).then_some(()),
+                    Location::Ssd { .. } => None,
+                }
+            };
+            let victim = (0..n)
+                .find(|&i| on_lru_page(i).is_some())
+                .expect("a RAM item");
+            store.delete(&key(victim)).await;
+            // The get promotes key 0 from SSD into that chunk; the set
+            // finds no room and flushes the chunk's page during the copy.
+            let get = {
+                let store = Rc::clone(&store);
+                sim2.spawn(async move { store.get(&key(0)).await })
+            };
+            let set = {
+                let store = Rc::clone(&store);
+                sim2.spawn(async move { store.set(key(n), val(n, 64 << 10), 0, 0).await })
+            };
+            assert_eq!(get.await.stages.served_from, ServedFrom::Ssd);
+            assert_eq!(set.await.status, OpStatus::Stored);
+            // Churn the pages so a stale index entry would read another
+            // key's bytes, then check every key.
+            for i in n + 1..2 * n {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            for i in (0..2 * n).filter(|&i| i != victim) {
+                let g = store.get(&key(i)).await;
+                assert_eq!(g.status, OpStatus::Hit, "key {i}");
+                assert!(g.value == Some(val(i, 64 << 10)), "key {i}: wrong value");
+            }
+        });
+    }
+
+    /// A failed synchronous flush drops the items it captured, but not
+    /// one overwritten while the device write was in flight: the newer
+    /// value was acknowledged and lives elsewhere.
+    #[test]
+    fn failed_sync_flush_keeps_a_newer_write() {
+        let sim = Sim::new();
+        let mut cfg = StoreConfig::hybrid(2 << 20, 1 << 30);
+        cfg.io_policy = IoPolicy::Direct; // a device write of several ms
+        cfg.promote = PromotePolicy::Never;
+        let store = make_store(&sim, cfg, false);
+        let per_page = big_items_per_page(&store);
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            // One page of 64 KiB items; a 100 B item puts the second page
+            // in another class.
+            for i in 0..per_page {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            store.set(key(999), val(999, 100), 0, 0).await;
+            let dev = store.slab_io().expect("hybrid").device();
+            dev.set_fault_plan(Some(SsdFaultPlan::errors(1, 1.0)));
+            // This set flushes the full page; its device write fails.
+            let flushing = {
+                let store = Rc::clone(&store);
+                sim2.spawn(async move { store.set(key(per_page), val(0, 64 << 10), 0, 0).await })
+            };
+            sim2.sleep(Duration::from_micros(100)).await;
+            assert_eq!(store.flushes_in_flight(), 1);
+            let newer = Bytes::from(vec![7u8; 100]); // the 100 B class
+            let out = store.set(key(0), newer.clone(), 0, 0).await;
+            assert_eq!(out.status, OpStatus::Stored);
+            flushing.await;
+            assert_eq!(store.stats().flush_errors, 1);
+            let g = store.get(&key(0)).await;
+            assert_eq!(g.status, OpStatus::Hit);
+            assert_eq!(g.value.unwrap(), newer);
+            // The items the flush still owned are gone.
+            assert_eq!(store.get(&key(1)).await.status, OpStatus::Miss);
         });
     }
 }

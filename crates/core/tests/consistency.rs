@@ -131,7 +131,6 @@ fn run_replicated_history(seed: u64, restart_at: Option<Duration>, drops: bool) 
         backoff_base: Duration::from_micros(50),
         backoff_cap: Duration::from_micros(500),
         backoff_seed: seed,
-        ..ResiliencePolicy::default()
     };
     cfg.chaos = ChaosConfig {
         seed,

@@ -1,11 +1,7 @@
 //! Cluster-level fabric registry.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use nbkv_simrt::Sim;
 
-use crate::conn::{pair, Conn};
 use crate::profiles::FabricProfile;
 use crate::transport::{transport_pair, Transport};
 use crate::verbs::QueuePair;
@@ -20,7 +16,6 @@ use crate::verbs::QueuePair;
 pub struct Fabric {
     sim: Sim,
     profile: FabricProfile,
-    connections: Rc<Cell<u64>>,
 }
 
 impl Fabric {
@@ -29,26 +24,18 @@ impl Fabric {
         Fabric {
             sim: sim.clone(),
             profile,
-            connections: Rc::new(Cell::new(0)),
         }
     }
 
     /// Create a connected [`Transport`] pair (profile costs applied).
     pub fn connect(&self) -> (Transport, Transport) {
-        self.connections.set(self.connections.get() + 1);
         transport_pair(&self.sim, self.profile)
     }
 
-    /// Create a raw [`Conn`] pair (link model only, no host-side costs).
-    pub fn connect_raw(&self) -> (Conn, Conn) {
-        self.connections.set(self.connections.get() + 1);
-        pair(&self.sim, self.profile.link)
-    }
-
-    /// Create a connected verbs [`QueuePair`] pair.
-    pub fn connect_qp(&self) -> (QueuePair, QueuePair) {
-        self.connections.set(self.connections.get() + 1);
-        QueuePair::connect(&self.sim, self.profile.link)
+    /// Create a verbs [`QueuePair`] for one-sided operations over this
+    /// fabric's link model.
+    pub fn connect_qp(&self) -> QueuePair {
+        QueuePair::new(&self.sim, self.profile.link)
     }
 
     /// The profile every connection uses.
@@ -60,11 +47,6 @@ impl Fabric {
     pub fn sim(&self) -> &Sim {
         &self.sim
     }
-
-    /// Number of connections created so far.
-    pub fn connection_count(&self) -> u64 {
-        self.connections.get()
-    }
 }
 
 #[cfg(test)]
@@ -74,26 +56,15 @@ mod tests {
     use bytes::Bytes;
 
     #[test]
-    fn fabric_counts_connections() {
-        let sim = Sim::new();
-        let fabric = Fabric::new(&sim, fdr_rdma());
-        let _c1 = fabric.connect();
-        let _c2 = fabric.connect_raw();
-        let _c3 = fabric.connect_qp();
-        assert_eq!(fabric.connection_count(), 3);
-        assert_eq!(fabric.profile().name, "rdma-fdr");
-    }
-
-    #[test]
     fn connections_are_independent() {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
             let fabric = Fabric::new(&sim2, fdr_rdma());
-            let (a1, b1) = fabric.connect_raw();
-            let (a2, b2) = fabric.connect_raw();
-            a1.send(Bytes::from_static(b"one")).unwrap();
-            a2.send(Bytes::from_static(b"two")).unwrap();
+            let (a1, b1) = fabric.connect();
+            let (a2, b2) = fabric.connect();
+            a1.send(Bytes::from_static(b"one")).await.unwrap();
+            a2.send(Bytes::from_static(b"two")).await.unwrap();
             assert_eq!(&b1.recv().await.unwrap()[..], b"one");
             assert_eq!(&b2.recv().await.unwrap()[..], b"two");
         });

@@ -268,11 +268,6 @@ impl SendTicket {
         self.sent_at
     }
 
-    /// True once the buffer has been fully handed off.
-    pub fn is_sent(&self) -> bool {
-        self.sim.now() >= self.sent_at
-    }
-
     /// Wait (in virtual time) until the buffer has been handed off.
     pub fn wait_sent(&self) -> Sleep {
         self.sim.sleep_until(self.sent_at)
@@ -412,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn ticket_is_sent_tracks_time() {
+    fn wait_sent_resolves_at_sent_time() {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
@@ -421,9 +416,7 @@ mod tests {
             let t = link
                 .send(Bytes::from(vec![0u8; 5000 - FRAME_OVERHEAD]))
                 .unwrap();
-            assert!(!t.is_sent());
             t.wait_sent().await;
-            assert!(t.is_sent());
             assert_eq!(sim2.now().as_nanos(), 5_000);
         });
     }

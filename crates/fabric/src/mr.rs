@@ -149,18 +149,6 @@ impl MrCache {
         key
     }
 
-    /// Drop a region from the cache (models `ibv_dereg_mr`). Returns true
-    /// if the region was registered.
-    pub fn deregister(&self, buf: &Bytes) -> bool {
-        let region = (fingerprint(buf), buf.len());
-        let mut inner = self.inner.borrow_mut();
-        let removed = inner.regions.remove(&region).is_some();
-        if removed {
-            inner.stats.registered_bytes -= buf.len() as u64;
-        }
-        removed
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> MrStats {
         self.inner.borrow().stats
@@ -356,21 +344,6 @@ mod tests {
             cache.ensure_registered(&again).await;
             assert_eq!(cache.stats().hits, 1);
             assert_eq!(cache.stats().misses, 4);
-        });
-    }
-
-    #[test]
-    fn deregister_forces_recharge() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let cache = MrCache::new(sim2.clone(), fdr_rdma());
-            let buf = Bytes::from(vec![0u8; 64]);
-            cache.ensure_registered(&buf).await;
-            assert!(cache.deregister(&buf));
-            assert!(!cache.deregister(&buf));
-            cache.ensure_registered(&buf).await;
-            assert_eq!(cache.stats().misses, 2);
         });
     }
 }

@@ -1,11 +1,9 @@
 //! A verbs-flavoured veneer: queue pairs and completion queues.
 //!
-//! This mirrors the shape of the ibverbs API the paper's RDMA engine is
-//! built on: work requests are *posted* (never blocking), and completions
-//! surface later on completion queues. Send completions fire when the NIC
-//! has finished reading the buffer (`sent_at`); receive completions fire
-//! when a message arrives and a receive work request is available to
-//! consume it.
+//! This mirrors the shape of the ibverbs API the one-sided GET path is
+//! built on: an RDMA READ is *posted* (never blocking), and its completion
+//! surfaces later on the send completion queue, carrying the bytes read
+//! from the peer's exposed window.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -17,10 +15,8 @@ use std::task::{Context, Poll, Waker};
 use bytes::Bytes;
 use nbkv_simrt::{Sim, SimTime};
 
-use crate::conn::pair;
 use crate::fault::{FaultPlan, SALT_DROP};
 use crate::latency::LatencyModel;
-use crate::link::{Disconnected, Link};
 
 /// Out-of-bounds access against a [`RemoteWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +46,6 @@ impl std::error::Error for WindowOutOfBounds {}
 /// Completion opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WcOpcode {
-    /// A posted send finished (buffer reusable).
-    Send,
-    /// A message arrived and was matched to a posted receive.
-    Recv,
-    /// A one-sided RDMA write finished (remote memory updated, no remote
-    /// CPU involvement).
-    RdmaWrite,
     /// A one-sided RDMA read finished (data available in `data`).
     RdmaRead,
 }
@@ -70,7 +59,7 @@ pub struct WorkCompletion {
     pub opcode: WcOpcode,
     /// Payload length.
     pub byte_len: usize,
-    /// Received payload (for `Recv` completions).
+    /// The bytes read.
     pub data: Option<Bytes>,
     /// Virtual instant the completion was generated.
     pub completed_at: SimTime,
@@ -179,16 +168,9 @@ impl Drop for NextFor<'_> {
     }
 }
 
-struct RecvState {
-    /// Messages that arrived before a receive WR was posted.
-    unclaimed: VecDeque<Bytes>,
-    /// Posted receive WRs awaiting messages.
-    posted: VecDeque<u64>,
-}
-
 /// A remotely-accessible registered memory window (the target of one-sided
-/// operations). The owning side exposes it; the peer reads/writes it
-/// without involving the owner's CPU.
+/// operations). The owning side exposes it; the peer reads it without
+/// involving the owner's CPU.
 #[derive(Clone, Default)]
 pub struct RemoteWindow {
     mem: Rc<RefCell<Vec<u8>>>,
@@ -220,14 +202,6 @@ impl RemoteWindow {
         Bytes::copy_from_slice(&self.mem.borrow()[offset..offset + len])
     }
 
-    /// Local (owner-side) write into the window.
-    ///
-    /// Panics on out-of-bounds spans; see [`RemoteWindow::try_poke`] for
-    /// the checked variant.
-    pub fn poke(&self, offset: usize, data: &[u8]) {
-        self.mem.borrow_mut()[offset..offset + data.len()].copy_from_slice(data);
-    }
-
     fn check(&self, offset: usize, len: usize) -> Result<(), WindowOutOfBounds> {
         let window_len = self.len();
         match offset.checked_add(len) {
@@ -256,13 +230,13 @@ impl RemoteWindow {
     }
 }
 
-/// One side of a reliable-connected queue pair.
+/// The client side of a reliable-connected queue pair, as the one-sided
+/// GET path uses it: RDMA READs against the peer's exposed window, timed
+/// by the link model and completed on the send CQ.
 pub struct QueuePair {
     sim: Sim,
-    tx: Link,
+    model: LatencyModel,
     send_cq: CompletionQueue,
-    recv_cq: CompletionQueue,
-    recv: Rc<RefCell<RecvState>>,
     /// The peer's exposed memory window (for one-sided operations).
     peer_window: RefCell<Option<RemoteWindow>>,
     /// Fault schedule for one-sided operations. The transport's link-level
@@ -271,92 +245,18 @@ pub struct QueuePair {
     /// wire round trip but its completion never lands on the CQ.
     os_faults: RefCell<Option<FaultPlan>>,
     os_seq: Cell<u64>,
-    os_dropped: Cell<u64>,
 }
 
 impl QueuePair {
-    /// Create a connected QP pair over a link with `model`.
-    pub fn connect(sim: &Sim, model: LatencyModel) -> (QueuePair, QueuePair) {
-        let (a, b) = pair(sim, model);
-        (Self::wrap(sim, a), Self::wrap(sim, b))
-    }
-
-    fn wrap(sim: &Sim, conn: crate::conn::Conn) -> QueuePair {
-        let (tx, rx) = conn.split();
-        let recv = Rc::new(RefCell::new(RecvState {
-            unclaimed: VecDeque::new(),
-            posted: VecDeque::new(),
-        }));
-        let recv_cq = CompletionQueue::default();
-        let qp = QueuePair {
+    /// Create a queue pair over a link with `model`.
+    pub fn new(sim: &Sim, model: LatencyModel) -> QueuePair {
+        QueuePair {
             sim: sim.clone(),
-            tx,
+            model,
             send_cq: CompletionQueue::default(),
-            recv_cq: recv_cq.clone(),
-            recv: Rc::clone(&recv),
             peer_window: RefCell::new(None),
             os_faults: RefCell::new(None),
             os_seq: Cell::new(0),
-            os_dropped: Cell::new(0),
-        };
-        // Pump task: match arrivals against posted receive WRs.
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            while let Some(msg) = rx.recv().await {
-                let mut st = recv.borrow_mut();
-                match st.posted.pop_front() {
-                    Some(wr_id) => recv_cq.push(WorkCompletion {
-                        wr_id,
-                        opcode: WcOpcode::Recv,
-                        byte_len: msg.len(),
-                        data: Some(msg),
-                        completed_at: sim2.now(),
-                    }),
-                    None => st.unclaimed.push_back(msg),
-                }
-            }
-        });
-        qp
-    }
-
-    /// Post a send WR. If `signaled`, a `Send` completion lands on the send
-    /// CQ when the NIC finishes reading the buffer.
-    pub fn post_send(
-        &self,
-        wr_id: u64,
-        payload: Bytes,
-        signaled: bool,
-    ) -> Result<(), Disconnected> {
-        let len = payload.len();
-        let ticket = self.tx.send(payload)?;
-        if signaled {
-            let cq = self.send_cq.clone();
-            self.sim.schedule_at(ticket.sent_at(), move |sim| {
-                cq.push(WorkCompletion {
-                    wr_id,
-                    opcode: WcOpcode::Send,
-                    byte_len: len,
-                    data: None,
-                    completed_at: sim.now(),
-                });
-            });
-        }
-        Ok(())
-    }
-
-    /// Post a receive WR; it consumes the next (or an already-arrived)
-    /// message and produces a `Recv` completion.
-    pub fn post_recv(&self, wr_id: u64) {
-        let mut st = self.recv.borrow_mut();
-        match st.unclaimed.pop_front() {
-            Some(msg) => self.recv_cq.push(WorkCompletion {
-                wr_id,
-                opcode: WcOpcode::Recv,
-                byte_len: msg.len(),
-                data: Some(msg),
-                completed_at: self.sim.now(),
-            }),
-            None => st.posted.push_back(wr_id),
         }
     }
 
@@ -366,22 +266,11 @@ impl QueuePair {
         *self.peer_window.borrow_mut() = Some(window);
     }
 
-    /// True once a peer window has been bound.
-    pub fn has_peer_window(&self) -> bool {
-        self.peer_window.borrow().is_some()
-    }
-
     /// Attach a deterministic fault schedule to this QP's one-sided
     /// operations (drops and scripted down windows apply; a dropped
     /// operation never produces a completion).
     pub fn set_onesided_faults(&self, plan: Option<FaultPlan>) {
         *self.os_faults.borrow_mut() = plan;
-    }
-
-    /// One-sided operations whose completions were swallowed by the fault
-    /// plan.
-    pub fn onesided_dropped(&self) -> u64 {
-        self.os_dropped.get()
     }
 
     /// Whether the fault plan swallows the one-sided op posted now.
@@ -392,73 +281,22 @@ impl QueuePair {
         let Some(plan) = faults.as_ref() else {
             return false;
         };
-        let dropped = plan.is_down_at(self.sim.now()) || plan.roll(seq, SALT_DROP) < plan.drop_prob;
-        if dropped {
-            self.os_dropped.set(self.os_dropped.get() + 1);
-        }
-        dropped
-    }
-
-    /// One-sided RDMA WRITE: place `data` at `remote_offset` in the peer's
-    /// window without involving the peer's CPU. The completion fires one
-    /// full network traversal after the post (when the data is placed).
-    pub fn post_rdma_write(
-        &self,
-        wr_id: u64,
-        remote_offset: usize,
-        data: Bytes,
-    ) -> Result<(), Disconnected> {
-        let window = self
-            .peer_window
-            .borrow()
-            .clone()
-            .expect("bind_peer_window before one-sided ops");
-        if !self.tx.is_open() {
-            return Err(Disconnected);
-        }
-        let len = data.len();
-        // One-sided ops traverse the same wire: serialization + propagation.
-        let ticket = self.tx.send(Bytes::new())?; // header descriptor
-        if self.os_fault_drops() {
-            return Ok(()); // wire consumed, completion lost
-        }
-        let model = self.tx.model();
-        let placed_at = ticket.sent_at() + model.serialization(len) + model.propagation();
-        let cq = self.send_cq.clone();
-        self.sim.schedule_at(placed_at, move |sim| {
-            window.poke(remote_offset, &data);
-            cq.push(WorkCompletion {
-                wr_id,
-                opcode: WcOpcode::RdmaWrite,
-                byte_len: len,
-                data: None,
-                completed_at: sim.now(),
-            });
-        });
-        Ok(())
+        plan.is_down_at(self.sim.now()) || plan.roll(seq, SALT_DROP) < plan.drop_prob
     }
 
     /// One-sided RDMA READ: fetch `len` bytes from `remote_offset` in the
     /// peer's window. The completion carries the data after a full round
     /// trip (request propagation + data transfer back).
-    pub fn post_rdma_read(
-        &self,
-        wr_id: u64,
-        remote_offset: usize,
-        len: usize,
-    ) -> Result<(), Disconnected> {
+    pub fn post_rdma_read(&self, wr_id: u64, remote_offset: usize, len: usize) {
         let window = self
             .peer_window
             .borrow()
             .clone()
             .expect("bind_peer_window before one-sided ops");
-        if !self.tx.is_open() {
-            return Err(Disconnected);
-        }
         if self.os_fault_drops() {
-            return Ok(()); // read posted, completion lost
+            return; // read posted, completion lost
         }
-        let model = self.tx.model();
+        let model = self.model;
         // Request goes out (tiny), data comes back (len bytes).
         let done_at =
             self.sim.now() + model.propagation() + model.serialization(len) + model.propagation();
@@ -473,17 +311,11 @@ impl QueuePair {
                 completed_at: sim.now(),
             });
         });
-        Ok(())
     }
 
     /// The send completion queue.
     pub fn send_cq(&self) -> &CompletionQueue {
         &self.send_cq
-    }
-
-    /// The receive completion queue.
-    pub fn recv_cq(&self) -> &CompletionQueue {
-        &self.recv_cq
     }
 }
 
@@ -497,146 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn signaled_send_completes_at_sent_time() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
-            qp_a.post_send(7, Bytes::from(vec![0u8; 952]), true)
-                .unwrap();
-            assert!(qp_a.send_cq().is_empty());
-            sim2.sleep(Duration::from_micros(1)).await; // 1000B wire = 1us
-            let wcs = qp_a.send_cq().poll(16);
-            assert_eq!(wcs.len(), 1);
-            assert_eq!(wcs[0].wr_id, 7);
-            assert_eq!(wcs[0].opcode, WcOpcode::Send);
-        });
-    }
-
-    #[test]
-    fn unsignaled_send_produces_no_completion() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
-            qp_a.post_send(1, Bytes::from_static(b"x"), false).unwrap();
-            sim2.sleep(Duration::from_millis(1)).await;
-            assert!(qp_a.send_cq().is_empty());
-        });
-    }
-
-    #[test]
-    fn posted_recv_matches_arrival() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, qp_b) = QueuePair::connect(&sim2, model());
-            qp_b.post_recv(42);
-            qp_a.post_send(1, Bytes::from_static(b"hello"), false)
-                .unwrap();
-            sim2.sleep(Duration::from_micros(10)).await;
-            let wcs = qp_b.recv_cq().poll(16);
-            assert_eq!(wcs.len(), 1);
-            assert_eq!(wcs[0].wr_id, 42);
-            assert_eq!(&wcs[0].data.as_ref().unwrap()[..], b"hello");
-        });
-    }
-
-    #[test]
-    fn early_arrival_waits_for_recv_wr() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, qp_b) = QueuePair::connect(&sim2, model());
-            qp_a.post_send(1, Bytes::from_static(b"early"), false)
-                .unwrap();
-            sim2.sleep(Duration::from_micros(10)).await;
-            assert!(qp_b.recv_cq().is_empty());
-            qp_b.post_recv(9);
-            let wcs = qp_b.recv_cq().poll(16);
-            assert_eq!(wcs.len(), 1);
-            assert_eq!(wcs[0].wr_id, 9);
-        });
-    }
-
-    #[test]
-    fn completions_preserve_message_order() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, qp_b) = QueuePair::connect(&sim2, model());
-            for i in 0..5u64 {
-                qp_b.post_recv(i);
-            }
-            for i in 0..5u8 {
-                qp_a.post_send(i as u64, Bytes::from(vec![i; 4]), false)
-                    .unwrap();
-            }
-            sim2.sleep(Duration::from_millis(1)).await;
-            let wcs = qp_b.recv_cq().poll(16);
-            assert_eq!(wcs.len(), 5);
-            for (i, wc) in wcs.iter().enumerate() {
-                assert_eq!(wc.wr_id, i as u64);
-                assert_eq!(wc.data.as_ref().unwrap()[0], i as u8);
-            }
-        });
-    }
-
-    #[test]
-    fn cq_poll_respects_max() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, LatencyModel::zero());
-            for i in 0..10u64 {
-                qp_a.post_send(i, Bytes::from_static(b"z"), true).unwrap();
-            }
-            sim2.sleep(Duration::from_micros(1)).await;
-            assert_eq!(qp_a.send_cq().poll(3).len(), 3);
-            assert_eq!(qp_a.send_cq().len(), 7);
-        });
-    }
-}
-
-#[cfg(test)]
-mod one_sided_tests {
-    use super::*;
-    use std::time::Duration;
-
-    fn model() -> LatencyModel {
-        LatencyModel::from_bandwidth_gbps(Duration::from_micros(2), 1.0)
-    }
-
-    #[test]
-    fn rdma_write_places_data_without_peer_cpu() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
-            let window = RemoteWindow::new(4096);
-            qp_a.bind_peer_window(window.clone());
-            qp_a.post_rdma_write(1, 100, Bytes::from_static(b"one-sided"))
-                .unwrap();
-            assert!(qp_a.send_cq().is_empty(), "completion is asynchronous");
-            sim2.sleep(Duration::from_micros(50)).await;
-            let wcs = qp_a.send_cq().poll(4);
-            assert_eq!(wcs.len(), 1);
-            assert_eq!(wcs[0].opcode, WcOpcode::RdmaWrite);
-            // The data landed in the peer's memory; its CPU never ran.
-            assert_eq!(&window.peek(100, 9)[..], b"one-sided");
-        });
-    }
-
-    #[test]
     fn rdma_read_fetches_remote_bytes() {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            let qp_a = QueuePair::new(&sim2, model());
             let window = RemoteWindow::new(1024);
-            window.poke(0, b"server-resident-value");
+            window.try_poke(0, b"server-resident-value").unwrap();
             qp_a.bind_peer_window(window);
-            qp_a.post_rdma_read(2, 0, 21).unwrap();
+            qp_a.post_rdma_read(2, 0, 21);
             sim2.sleep(Duration::from_micros(100)).await;
             let wcs = qp_a.send_cq().poll(4);
             assert_eq!(wcs.len(), 1);
@@ -650,10 +351,10 @@ mod one_sided_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            let qp_a = QueuePair::new(&sim2, model());
             let window = RemoteWindow::new(64);
             qp_a.bind_peer_window(window);
-            qp_a.post_rdma_read(3, 0, 16).unwrap();
+            qp_a.post_rdma_read(3, 0, 16);
             // Two propagations (2us each) + 16B serialization.
             sim2.sleep(Duration::from_micros(3)).await;
             assert!(qp_a.send_cq().is_empty(), "not before a round trip");
@@ -668,8 +369,8 @@ mod one_sided_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
-            let _ = qp_a.post_rdma_write(1, 0, Bytes::from_static(b"x"));
+            let qp_a = QueuePair::new(&sim2, model());
+            qp_a.post_rdma_read(1, 0, 1);
         });
     }
 
@@ -707,22 +408,22 @@ mod one_sided_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            let qp_a = QueuePair::new(&sim2, model());
             let window = RemoteWindow::new(64);
-            window.poke(0, b"abcd");
-            window.poke(4, b"efgh");
+            window.try_poke(0, b"abcd").unwrap();
+            window.try_poke(4, b"efgh").unwrap();
             qp_a.bind_peer_window(window);
             let qp_a = Rc::new(qp_a);
             // Two concurrent readers on the same CQ: each must get its own
             // completion even though the other's may land first.
             let qp1 = Rc::clone(&qp_a);
             let t1 = sim2.spawn(async move {
-                qp1.post_rdma_read(1, 0, 4).unwrap();
+                qp1.post_rdma_read(1, 0, 4);
                 qp1.send_cq().next_for(1).await
             });
             let qp2 = Rc::clone(&qp_a);
             let t2 = sim2.spawn(async move {
-                qp2.post_rdma_read(2, 4, 60).unwrap(); // larger = slower
+                qp2.post_rdma_read(2, 4, 60); // larger = slower
                 qp2.send_cq().next_for(2).await
             });
             let wc2 = t2.await;
@@ -741,6 +442,16 @@ mod one_sided_tests {
             data: None,
             completed_at: at,
         }
+    }
+
+    #[test]
+    fn cq_poll_respects_max() {
+        let cq = CompletionQueue::default();
+        for wr_id in 0..10 {
+            cq.push(completion(wr_id, SimTime::ZERO));
+        }
+        assert_eq!(cq.poll(3).len(), 3);
+        assert_eq!(cq.len(), 7);
     }
 
     #[test]
@@ -783,9 +494,9 @@ mod one_sided_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            let qp_a = QueuePair::new(&sim2, model());
             qp_a.bind_peer_window(RemoteWindow::new(64));
-            qp_a.post_rdma_read(5, 0, 8).unwrap();
+            qp_a.post_rdma_read(5, 0, 8);
             // The read takes a 4us round trip; give up after 1us.
             let waited =
                 nbkv_simrt::timeout(&sim2, Duration::from_micros(1), qp_a.send_cq().next_for(5))
@@ -804,20 +515,18 @@ mod one_sided_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            let qp_a = QueuePair::new(&sim2, model());
             qp_a.bind_peer_window(RemoteWindow::new(64));
             qp_a.set_onesided_faults(Some(FaultPlan::drops(7, 1.0)));
-            qp_a.post_rdma_read(1, 0, 8).unwrap();
+            qp_a.post_rdma_read(1, 0, 8);
             sim2.sleep(Duration::from_millis(1)).await;
             assert!(qp_a.send_cq().is_empty(), "dropped read must not complete");
-            assert_eq!(qp_a.onesided_dropped(), 1);
 
             // Clearing the plan restores delivery.
             qp_a.set_onesided_faults(None);
-            qp_a.post_rdma_read(2, 0, 8).unwrap();
+            qp_a.post_rdma_read(2, 0, 8);
             sim2.sleep(Duration::from_millis(1)).await;
             assert_eq!(qp_a.send_cq().poll(4).len(), 1);
-            assert_eq!(qp_a.onesided_dropped(), 1);
         });
     }
 }

@@ -39,11 +39,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Set gauge `name` to `v`.
-    pub fn set_gauge(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
     /// Raise gauge `name` to `v` if larger (high-water marks).
     pub fn gauge_max(&mut self, name: &str, v: i64) {
         let e = self.gauges.entry(name.to_string()).or_insert(i64::MIN);
@@ -139,7 +134,7 @@ mod tests {
         let mut r = Registry::new();
         r.inc("ops", 3);
         r.inc("ops", 2);
-        r.set_gauge("window_hwm", 7);
+        r.gauge_max("window_hwm", 7);
         r.gauge_max("window_hwm", 5); // lower: no change
         r.gauge_max("window_hwm", 9);
         r.observe("lat", 100);
@@ -158,7 +153,7 @@ mod tests {
         let mut b = Registry::new();
         b.inc("x", 2);
         b.observe("h", 20);
-        b.set_gauge("g", 4);
+        b.gauge_max("g", 4);
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.hist("h").unwrap().count(), 2);

@@ -38,7 +38,7 @@
 //! - [`Sim`] — the executor handle: `spawn`, `sleep`, `schedule_at`, `run`.
 //! - [`SimTime`] — virtual instants (ns since simulation start).
 //! - [`channel`]/[`bounded`] — mpsc channels that wake tasks in virtual time.
-//! - [`Semaphore`], [`Notify`], [`oneshot`] — synchronization primitives.
+//! - [`Semaphore`], [`Notify`] — synchronization primitives.
 //! - [`join_all`], [`yield_now`] — combinators.
 //!
 //! Everything is `!Send` by design (the world is one thread); tasks share
@@ -60,8 +60,8 @@ pub use channel::{
 };
 pub use executor::{Sim, SimStats};
 pub use join::{join_all, yield_now, YieldNow};
-pub use sync::{oneshot, Acquire, Notified, Notify, OnceReceiver, OnceSender, Permit, Semaphore};
+pub use sync::{Acquire, Notified, Notify, Permit, Semaphore};
 pub use task::JoinHandle;
 pub use time::SimTime;
 pub use timer::Sleep;
-pub use timeutil::{timeout, Elapsed, Interval, Timeout};
+pub use timeutil::{timeout, Elapsed, Timeout};

@@ -1,5 +1,4 @@
-//! Synchronization primitives for simulation tasks: semaphore, notify,
-//! oneshot.
+//! Synchronization primitives for simulation tasks: semaphore and notify.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -54,17 +53,6 @@ impl Semaphore {
             sem: self.clone(),
             fired: Rc::new(std::cell::Cell::new(false)),
             queued: false,
-        }
-    }
-
-    /// Try to acquire a permit without waiting.
-    pub fn try_acquire(&self) -> Option<Permit> {
-        let mut s = self.state.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            Some(Permit { sem: self.clone() })
-        } else {
-            None
         }
     }
 
@@ -304,84 +292,6 @@ impl Drop for Notified {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Oneshot
-// ---------------------------------------------------------------------------
-
-struct OnceState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    sender_alive: bool,
-}
-
-/// Create a oneshot channel: a single value, sent once.
-pub fn oneshot<T>() -> (OnceSender<T>, OnceReceiver<T>) {
-    let state = Rc::new(RefCell::new(OnceState {
-        value: None,
-        waker: None,
-        sender_alive: true,
-    }));
-    (
-        OnceSender {
-            state: Rc::clone(&state),
-        },
-        OnceReceiver { state },
-    )
-}
-
-/// Sending half of a oneshot channel.
-pub struct OnceSender<T> {
-    state: Rc<RefCell<OnceState<T>>>,
-}
-
-impl<T> OnceSender<T> {
-    /// Send the value, consuming the sender. Returns `Err(value)` if the
-    /// receiver was dropped.
-    pub fn send(self, value: T) -> Result<(), T> {
-        let mut s = self.state.borrow_mut();
-        if Rc::strong_count(&self.state) == 1 {
-            return Err(value);
-        }
-        s.value = Some(value);
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-        Ok(())
-    }
-}
-
-impl<T> Drop for OnceSender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.sender_alive = false;
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-/// Receiving half of a oneshot channel; a future resolving to the value, or
-/// `None` if the sender was dropped without sending.
-pub struct OnceReceiver<T> {
-    state: Rc<RefCell<OnceState<T>>>,
-}
-
-impl<T> Future for OnceReceiver<T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Some(v));
-        }
-        if !s.sender_alive {
-            return Poll::Ready(None);
-        }
-        s.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,16 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_and_forget() {
+    fn forget_consumes_the_permit() {
         let sim = Sim::new();
         sim.run_until(async {
             let sem = Semaphore::new(1);
-            let p = sem.try_acquire().unwrap();
-            assert!(sem.try_acquire().is_none());
-            p.forget();
+            sem.acquire().await.forget();
             assert_eq!(sem.available(), 0);
             sem.add_permits(1);
-            assert!(sem.try_acquire().is_some());
+            assert_eq!(sem.available(), 1);
         });
     }
 
@@ -487,39 +395,5 @@ mod tests {
                 h.await;
             }
         });
-    }
-
-    #[test]
-    fn oneshot_delivers_value() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        let v = sim.run_until(async move {
-            let (tx, rx) = oneshot::<u32>();
-            let s = sim2.clone();
-            sim2.spawn(async move {
-                s.sleep(Duration::from_micros(3)).await;
-                tx.send(17).unwrap();
-            });
-            rx.await
-        });
-        assert_eq!(v, Some(17));
-    }
-
-    #[test]
-    fn oneshot_none_on_dropped_sender() {
-        let sim = Sim::new();
-        let v = sim.run_until(async {
-            let (tx, rx) = oneshot::<u32>();
-            drop(tx);
-            rx.await
-        });
-        assert_eq!(v, None);
-    }
-
-    #[test]
-    fn oneshot_send_fails_without_receiver() {
-        let (tx, rx) = oneshot::<u32>();
-        drop(rx);
-        assert_eq!(tx.send(5), Err(5));
     }
 }

@@ -52,12 +52,6 @@ impl<T> JoinHandle<T> {
         )
     }
 
-    /// True once the task has completed (whether or not the output was
-    /// taken).
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().finished
-    }
-
     /// Take the output if the task has completed; used by
     /// [`crate::Sim::run_until`].
     pub(crate) fn try_take(&mut self) -> Option<T> {
@@ -102,21 +96,6 @@ mod tests {
             h.await
         });
         assert_eq!(out, "done");
-    }
-
-    #[test]
-    fn is_finished_tracks_completion() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let s = sim2.clone();
-            let h = sim2.spawn(async move {
-                s.sleep(Duration::from_micros(5)).await;
-            });
-            assert!(!h.is_finished());
-            sim2.sleep(Duration::from_micros(10)).await;
-            assert!(h.is_finished());
-        });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Timeouts and periodic ticks over virtual time.
+//! Timeouts over virtual time.
 
 use std::fmt;
 use std::future::Future;
@@ -7,7 +7,6 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 use crate::executor::Sim;
-use crate::time::SimTime;
 use crate::timer::Sleep;
 
 /// Error returned by [`timeout`] when the deadline fires first.
@@ -51,37 +50,6 @@ impl<F: Future> Future for Timeout<F> {
             Poll::Ready(()) => Poll::Ready(Err(Elapsed)),
             Poll::Pending => Poll::Pending,
         }
-    }
-}
-
-/// A fixed-period virtual-time ticker.
-///
-/// Ticks are aligned to the creation instant: the n-th tick fires at
-/// `start + n * period`, regardless of how long processing between ticks
-/// takes (like `tokio::time::interval` with the default burst behaviour).
-pub struct Interval {
-    sim: Sim,
-    period: Duration,
-    next: SimTime,
-}
-
-impl Interval {
-    /// Create a ticker; the first tick fires one `period` from now.
-    pub fn new(sim: &Sim, period: Duration) -> Self {
-        assert!(!period.is_zero(), "interval period must be nonzero");
-        Interval {
-            sim: sim.clone(),
-            period,
-            next: sim.now() + period,
-        }
-    }
-
-    /// Wait for the next tick; returns the tick's scheduled instant.
-    pub async fn tick(&mut self) -> SimTime {
-        let at = self.next;
-        self.sim.sleep_until(at).await;
-        self.next = at + self.period;
-        at
     }
 }
 
@@ -133,29 +101,5 @@ mod tests {
             .await;
             assert_eq!(out, Ok(1), "completion checked before deadline");
         });
-    }
-
-    #[test]
-    fn interval_ticks_are_aligned() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let mut iv = Interval::new(&sim2, Duration::from_micros(10));
-            let mut ticks = Vec::new();
-            for _ in 0..4 {
-                let at = iv.tick().await;
-                ticks.push(at.as_nanos());
-                // Slow processing must not drift the schedule.
-                sim2.sleep(Duration::from_micros(3)).await;
-            }
-            assert_eq!(ticks, vec![10_000, 20_000, 30_000, 40_000]);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_period_rejected() {
-        let sim = Sim::new();
-        let _ = Interval::new(&sim, Duration::ZERO);
     }
 }

@@ -122,17 +122,6 @@ impl<K: Eq + Hash + Copy, V> LruMap<K, V> {
         self.map.iter().map(|(k, n)| (k, &n.value))
     }
 
-    /// Iterate keys from least- to most-recently-used.
-    pub fn keys_lru_first(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.tail;
-        while let Some(k) = cur {
-            out.push(k);
-            cur = self.map.get(&k).and_then(|n| n.prev);
-        }
-        out
-    }
-
     fn unlink(&mut self, key: &K) {
         let (prev, next) = match self.map.get(key) {
             Some(n) => (n.prev, n.next),
@@ -215,6 +204,11 @@ mod tests {
         assert_eq!(m.pop_lru(), Some((1, "a2")));
     }
 
+    /// Pop every key, least-recently-used first.
+    fn drain_lru_first(m: &mut LruMap<u32, ()>) -> Vec<u32> {
+        std::iter::from_fn(|| m.pop_lru().map(|(k, ())| k)).collect()
+    }
+
     #[test]
     fn remove_middle_keeps_links_consistent() {
         let mut m = LruMap::new();
@@ -222,8 +216,8 @@ mod tests {
             m.insert(i, ());
         }
         assert!(m.remove(&2).is_some());
-        assert_eq!(m.keys_lru_first(), vec![0, 1, 3, 4]);
         assert!(m.remove(&2).is_none());
+        assert_eq!(drain_lru_first(&mut m), vec![0, 1, 3, 4]);
     }
 
     #[test]
@@ -234,8 +228,8 @@ mod tests {
         }
         m.remove(&2); // head (most recent)
         m.remove(&0); // tail (least recent)
-        assert_eq!(m.keys_lru_first(), vec![1]);
         assert_eq!(m.lru_key(), Some(1));
+        assert_eq!(drain_lru_first(&mut m), vec![1]);
     }
 
     #[test]
@@ -252,7 +246,7 @@ mod tests {
         let mut m: LruMap<u32, ()> = LruMap::new();
         assert!(m.pop_lru().is_none());
         m.insert(7, ());
-        assert_eq!(m.keys_lru_first(), vec![7]);
+        assert_eq!(m.lru_key(), Some(7));
         assert_eq!(m.pop_lru(), Some((7, ())));
         assert!(m.is_empty());
         assert_eq!(m.lru_key(), None);

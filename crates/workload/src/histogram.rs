@@ -46,11 +46,6 @@ impl LatencyRecorder {
         let rank = (q * self.samples.len() as f64).ceil() as usize;
         self.samples[rank.saturating_sub(1).min(self.samples.len() - 1)]
     }
-
-    /// Maximum sample (0 if empty).
-    pub fn max_ns(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Average per-operation breakdown over the six stages of Section III-A,
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(r.quantile_ns(0.5), 50);
         assert_eq!(r.quantile_ns(1.0), 100);
         assert_eq!(r.quantile_ns(0.0), 10);
-        assert_eq!(r.max_ns(), 100);
     }
 
     #[test]
