@@ -354,6 +354,23 @@ mod tests {
     }
 
     #[test]
+    fn a_key_republished_after_clear_reads_back_directly() {
+        let (sim, idx, engine, _qp) = rig(DirectPolicy::Always);
+        idx.publish(b"k", b"before", 1);
+        idx.clear();
+        idx.publish(b"k", b"after", 2);
+        sim.run_until(async move {
+            match engine.read(b"k").await {
+                DirectOutcome::Hit { value, flags } => {
+                    assert_eq!(&value[..], b"after");
+                    assert_eq!(flags, 2);
+                }
+                other => panic!("expected hit, got {other:?}"),
+            }
+        });
+    }
+
+    #[test]
     fn dropped_completions_surface_as_lost_within_the_timeout() {
         let (sim, idx, engine, qp) = rig(DirectPolicy::Always);
         idx.publish(b"k", b"v", 0);

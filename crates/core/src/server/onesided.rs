@@ -7,12 +7,16 @@
 //! The server publishes one registered [`RemoteWindow`] laid out as
 //!
 //! ```text
-//! [ bucket descriptors: buckets x DESC_SLOT bytes ][ value arena: buckets x (8 + value_cap) ]
+//! [ bucket descriptors: buckets x DESC_SLOT bytes ][ value arena: room for buckets x (8 + value_cap) ]
 //! ```
 //!
 //! Each bucket holds a fixed-size **versioned slot descriptor** (seqlock
-//! version, key fingerprint, value offset/len, user flags, in-RAM bit)
-//! and an arena slot whose first 8 bytes repeat the descriptor version.
+//! version, key fingerprint, value offset/len, user flags, in-RAM bit).
+//! A bucket takes the next unused arena slot the first time it publishes
+//! and keeps it for the life of the index; the slot's first 8 bytes
+//! repeat the descriptor version. Slots are handed out in publish order,
+//! so the arena pages that are ever written (and hence resident) follow
+//! the number of published keys, not the number of buckets.
 //! A remote reader chains two RDMA reads — descriptor, then arena slot —
 //! and accepts the value only if the descriptor version is even (no
 //! writer mid-update), the fingerprint matches its key, the in-RAM bit
@@ -84,7 +88,8 @@ pub struct Descriptor {
     pub version: u64,
     /// Fingerprint of the published key (0 = empty/invalidated bucket).
     pub fingerprint: u64,
-    /// Absolute window offset of the value's arena slot.
+    /// Absolute window offset of the bucket's arena slot (0 = the bucket
+    /// has never published). Kept when the bucket is emptied.
     pub offset: u64,
     /// Published value length.
     pub len: u32,
@@ -146,6 +151,9 @@ pub struct OneSidedIndex {
     window: RemoteWindow,
     arena_offset: usize,
     arena_slot: usize,
+    /// Arena slots handed out so far (slot `i` sits at
+    /// `arena_offset + i * arena_slot`).
+    slots_used: Cell<usize>,
     published: Cell<u64>,
     invalidated: Cell<u64>,
     marked_ssd: Cell<u64>,
@@ -164,6 +172,7 @@ impl OneSidedIndex {
             window,
             arena_offset,
             arena_slot,
+            slots_used: Cell::new(0),
             published: Cell::new(0),
             invalidated: Cell::new(0),
             marked_ssd: Cell::new(0),
@@ -204,8 +213,13 @@ impl OneSidedIndex {
         bucket * DESC_SLOT
     }
 
-    fn arena_off(&self, bucket: usize) -> usize {
-        self.arena_offset + bucket * self.arena_slot
+    /// Hand out the next unused arena slot. Every bucket takes at most
+    /// one, so the count never exceeds `buckets`.
+    fn alloc_slot(&self) -> u64 {
+        let slot = self.slots_used.get();
+        assert!(slot < self.cfg.buckets, "more arena slots than buckets");
+        self.slots_used.set(slot + 1);
+        (self.arena_offset + slot * self.arena_slot) as u64
     }
 
     fn read_desc(&self, bucket: usize) -> Descriptor {
@@ -216,9 +230,11 @@ impl OneSidedIndex {
         Descriptor::decode(&raw).expect("slot-sized descriptor")
     }
 
-    /// Seqlock write cycle: mark the bucket odd, apply `mutate` (which
-    /// sees the next even version and may write the arena), then publish
-    /// the even version in both descriptor and arena header.
+    /// Seqlock write cycle: mark the bucket odd, write `value` (if any)
+    /// into the arena slot at `desc.offset`, then publish the even version
+    /// in both descriptor and arena header. A bucket that has never had a
+    /// slot (`offset` 0: the descriptor table comes first, so no slot sits
+    /// there) has no arena header to write.
     fn seqlock_write(&self, bucket: usize, mut desc: Descriptor, value: Option<&[u8]>) {
         let cur = desc.version;
         let odd = cur | 1;
@@ -230,7 +246,7 @@ impl OneSidedIndex {
             .try_poke(doff, &odd.to_be_bytes())
             .expect("descriptor within window");
         // 2) mutate arena (version copy goes stale-odd first, bytes after).
-        let aoff = self.arena_off(bucket);
+        let aoff = desc.offset as usize;
         if let Some(v) = value {
             self.window
                 .try_poke(aoff, &odd.to_be_bytes())
@@ -246,9 +262,11 @@ impl OneSidedIndex {
         self.window
             .try_poke(doff, &desc.encode())
             .expect("descriptor within window");
-        self.window
-            .try_poke(aoff, &even.to_be_bytes())
-            .expect("arena header within window");
+        if aoff != 0 {
+            self.window
+                .try_poke(aoff, &even.to_be_bytes())
+                .expect("arena header within window");
+        }
     }
 
     /// Publish (or refresh) `key`'s value in the arena. Values over the
@@ -263,10 +281,15 @@ impl OneSidedIndex {
             return;
         }
         let cur = self.read_desc(bucket);
+        let offset = if cur.offset != 0 {
+            cur.offset
+        } else {
+            self.alloc_slot()
+        };
         let desc = Descriptor {
             version: cur.version,
             fingerprint: fp,
-            offset: self.arena_off(bucket) as u64,
+            offset,
             len: value.len() as u32,
             flags,
             in_ram: true,
@@ -287,11 +310,7 @@ impl OneSidedIndex {
         if cur.fingerprint != fp {
             return; // bucket owned by another key (or already empty)
         }
-        let desc = Descriptor {
-            version: cur.version,
-            ..Descriptor::default()
-        };
-        self.seqlock_write(bucket, desc, None);
+        self.seqlock_write(bucket, emptied(cur), None);
         self.invalidated.set(self.invalidated.get() + 1);
     }
 
@@ -314,21 +333,28 @@ impl OneSidedIndex {
         self.marked_ssd.set(self.marked_ssd.get() + 1);
     }
 
-    /// Invalidate every bucket (server crash: RAM contents are gone, and
-    /// remote readers must stop trusting the window).
+    /// Invalidate every advertising bucket (server crash: RAM contents are
+    /// gone, and remote readers must stop trusting the window). Buckets
+    /// that are already empty are left alone.
     pub fn clear(&self) {
         for bucket in 0..self.cfg.buckets {
             let cur = self.read_desc(bucket);
-            if cur.version == 0 && cur.fingerprint == 0 {
+            if cur.fingerprint == 0 {
                 continue;
             }
-            let desc = Descriptor {
-                version: cur.version,
-                ..Descriptor::default()
-            };
-            self.seqlock_write(bucket, desc, None);
+            self.seqlock_write(bucket, emptied(cur), None);
             self.invalidated.set(self.invalidated.get() + 1);
         }
+    }
+}
+
+/// `cur` with no key advertised. The version and the arena slot stay:
+/// the bucket keeps its slot for the life of the index.
+fn emptied(cur: Descriptor) -> Descriptor {
+    Descriptor {
+        version: cur.version,
+        offset: cur.offset,
+        ..Descriptor::default()
     }
 }
 
@@ -347,7 +373,7 @@ mod tests {
         let fp = key_fingerprint(key);
         let bucket = idx.bucket_of(fp);
         let desc = idx.read_desc(bucket);
-        let aoff = idx.arena_off(bucket);
+        let aoff = desc.offset as usize;
         let hdr = u64::from_be_bytes(idx.window.peek(aoff, ARENA_HEADER)[..].try_into().unwrap());
         let val = idx
             .window
@@ -437,6 +463,85 @@ mod tests {
             assert_eq!(desc.fingerprint, 0);
             assert_eq!(desc.version % 2, 0);
         }
+    }
+
+    #[test]
+    fn clear_skips_buckets_already_empty() {
+        let idx = idx();
+        idx.publish(b"a", b"1", 0);
+        idx.publish(b"b", b"2", 0);
+        idx.invalidate(b"a");
+        assert_eq!(idx.stats().invalidated, 1);
+        let (before, _, _) = snapshot(&idx, b"a");
+        idx.clear();
+        assert_eq!(idx.stats().invalidated, 2, "only `b` was still advertised");
+        let (after, _, _) = snapshot(&idx, b"a");
+        assert_eq!(after, before, "an empty bucket is not rewritten");
+    }
+
+    /// The offset of arena slot `i`.
+    fn slot_off(idx: &OneSidedIndex, i: usize) -> u64 {
+        (idx.arena_offset + i * idx.arena_slot) as u64
+    }
+
+    #[test]
+    fn buckets_take_arena_slots_in_publish_order() {
+        let idx = OneSidedIndex::new(OneSidedConfig {
+            buckets: 65_536,
+            value_cap: 64,
+        });
+        let mut seen = std::collections::HashSet::new();
+        let keys: Vec<Vec<u8>> = (0u32..)
+            .map(|i| format!("key-{i}").into_bytes())
+            .filter(|k| seen.insert(idx.bucket_of(key_fingerprint(k))))
+            .take(200)
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            idx.publish(key, &[i as u8; 16], 0);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let (desc, hdr, val) = snapshot(&idx, key);
+            assert_eq!(desc.offset, slot_off(&idx, i), "key {i} got slot {i}");
+            assert_eq!(hdr, desc.version);
+            assert_eq!(val, [i as u8; 16]);
+        }
+        assert_eq!(idx.slots_used.get(), keys.len());
+    }
+
+    #[test]
+    fn a_bucket_keeps_its_slot_for_life() {
+        let idx = idx();
+        let bucket = idx.bucket_of(key_fingerprint(b"k1"));
+        let rival = (0u32..)
+            .map(|i| format!("rival-{i}").into_bytes())
+            .find(|k| idx.bucket_of(key_fingerprint(k)) == bucket)
+            .expect("some key shares k1's bucket");
+        let first = slot_off(&idx, 0);
+        let ops: [(&str, &dyn Fn()); 6] = [
+            ("publish", &|| idx.publish(b"k1", b"v1", 0)),
+            ("republish", &|| idx.publish(b"k1", b"v1", 0)),
+            ("overwrite", &|| idx.publish(b"k1", b"longer v2", 0)),
+            ("invalidate, republish", &|| {
+                idx.invalidate(b"k1");
+                idx.publish(b"k1", b"v3", 0);
+            }),
+            ("mark_ssd, republish", &|| {
+                idx.mark_ssd(b"k1");
+                idx.publish(b"k1", b"v4", 0);
+            }),
+            ("other key, same bucket", &|| idx.publish(&rival, b"v5", 0)),
+        ];
+        for (name, op) in ops {
+            op();
+            let desc = idx.read_desc(bucket);
+            assert_eq!(desc.offset, first, "{name} moved the slot");
+            assert!(desc.in_ram, "{name}");
+            assert_eq!(idx.slots_used.get(), 1, "{name} took another slot");
+        }
+        let (desc, hdr, val) = snapshot(&idx, &rival);
+        assert_eq!(desc.fingerprint, key_fingerprint(&rival));
+        assert_eq!(hdr, desc.version);
+        assert_eq!(val, b"v5");
     }
 
     #[test]

@@ -1,24 +1,34 @@
 //! A small order-tracking LRU map (used by the page cache and mmap
 //! residency tracking).
 //!
-//! Implemented as a `HashMap` plus an intrusive doubly-linked list over
-//! map keys; all operations are O(1) expected.
+//! Implemented as a `HashMap` from key to node index plus a doubly-linked
+//! list over a `Vec` of nodes, linked by `u32` index, so every operation
+//! does at most one map lookup and is O(1) expected. Removed nodes go on a
+//! free list and are reused by later inserts.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
+/// The null link (no previous / next node).
+const NIL: u32 = u32::MAX;
+
 struct Node<K, V> {
-    value: V,
-    prev: Option<K>,
-    next: Option<K>,
+    key: K,
+    /// `None` only while the node sits on the free list.
+    value: Option<V>,
+    prev: u32,
+    next: u32,
 }
 
 /// An LRU-ordered map: `touch`/`insert` move entries to the front;
 /// `pop_lru` removes from the back.
 pub struct LruMap<K: Eq + Hash + Copy, V> {
-    map: HashMap<K, Node<K, V>>,
-    head: Option<K>,
-    tail: Option<K>,
+    map: HashMap<K, u32>,
+    nodes: Vec<Node<K, V>>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
 }
 
 impl<K: Eq + Hash + Copy, V> Default for LruMap<K, V> {
@@ -32,8 +42,10 @@ impl<K: Eq + Hash + Copy, V> LruMap<K, V> {
     pub fn new() -> Self {
         LruMap {
             map: HashMap::new(),
-            head: None,
-            tail: None,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -55,114 +67,118 @@ impl<K: Eq + Hash + Copy, V> LruMap<K, V> {
     /// Insert or replace; the entry becomes most-recently-used. Returns the
     /// previous value if the key was present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let old = self.remove(&key);
-        self.map.insert(
-            key,
-            Node {
-                value,
-                prev: None,
-                next: self.head,
-            },
-        );
-        if let Some(h) = self.head {
-            if let Some(n) = self.map.get_mut(&h) {
-                n.prev = Some(key);
+        let i = match self.map.entry(key) {
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                self.unlink(i);
+                self.link_front(i);
+                return self.nodes[i as usize].value.replace(value);
             }
-        }
-        self.head = Some(key);
-        if self.tail.is_none() {
-            self.tail = Some(key);
-        }
-        old
+            Entry::Vacant(e) => {
+                let node = Node {
+                    key,
+                    value: Some(value),
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.nodes[i as usize] = node;
+                        i
+                    }
+                    None => {
+                        let i = u32::try_from(self.nodes.len())
+                            .ok()
+                            .filter(|&i| i != NIL)
+                            .expect("LruMap holds fewer than u32::MAX entries");
+                        self.nodes.push(node);
+                        i
+                    }
+                };
+                *e.insert(i)
+            }
+        };
+        self.link_front(i);
+        None
     }
 
     /// Read without affecting recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|n| &n.value)
+        let &i = self.map.get(key)?;
+        self.nodes[i as usize].value.as_ref()
     }
 
     /// Mutable read without affecting recency.
     pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.map.get_mut(key).map(|n| &mut n.value)
+        let &i = self.map.get(key)?;
+        self.nodes[i as usize].value.as_mut()
     }
 
     /// Read and mark most-recently-used.
     pub fn touch(&mut self, key: &K) -> Option<&V> {
-        if !self.map.contains_key(key) {
-            return None;
-        }
-        self.unlink(key);
-        self.link_front(*key);
-        self.map.get(key).map(|n| &n.value)
+        let &i = self.map.get(key)?;
+        self.unlink(i);
+        self.link_front(i);
+        self.nodes[i as usize].value.as_ref()
     }
 
     /// Remove an entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        if !self.map.contains_key(key) {
-            return None;
-        }
-        self.unlink(key);
-        self.map.remove(key).map(|n| n.value)
+        let i = self.map.remove(key)?;
+        Some(self.release(i))
     }
 
     /// Remove and return the least-recently-used entry.
     pub fn pop_lru(&mut self) -> Option<(K, V)> {
-        let key = self.tail?;
-        let value = self.remove(&key)?;
-        Some((key, value))
+        let key = self.lru_key()?;
+        self.map.remove(&key);
+        Some((key, self.release(self.tail)))
     }
 
     /// The least-recently-used key, if any (does not affect recency).
     pub fn lru_key(&self) -> Option<K> {
-        self.tail
+        (self.tail != NIL).then(|| self.nodes[self.tail as usize].key)
     }
 
     /// Iterate over entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter().map(|(k, n)| (k, &n.value))
+        self.nodes
+            .iter()
+            .filter_map(|n| n.value.as_ref().map(|v| (&n.key, v)))
     }
 
-    fn unlink(&mut self, key: &K) {
-        let (prev, next) = match self.map.get(key) {
-            Some(n) => (n.prev, n.next),
-            None => return,
-        };
+    /// Unlink node `i` (already gone from the map) and put it on the free
+    /// list, returning its value.
+    fn release(&mut self, i: u32) -> V {
+        self.unlink(i);
+        self.free.push(i);
+        self.nodes[i as usize]
+            .value
+            .take()
+            .expect("linked node holds a value")
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
         match prev {
-            Some(p) => {
-                if let Some(n) = self.map.get_mut(&p) {
-                    n.next = next;
-                }
-            }
-            None => self.head = next,
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
         match next {
-            Some(nx) => {
-                if let Some(n) = self.map.get_mut(&nx) {
-                    n.prev = prev;
-                }
-            }
-            None => self.tail = prev,
-        }
-        if let Some(n) = self.map.get_mut(key) {
-            n.prev = None;
-            n.next = None;
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
     }
 
-    fn link_front(&mut self, key: K) {
-        if let Some(h) = self.head {
-            if let Some(n) = self.map.get_mut(&h) {
-                n.prev = Some(key);
-            }
+    fn link_front(&mut self, i: u32) {
+        let node = &mut self.nodes[i as usize];
+        node.prev = NIL;
+        node.next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.nodes[h as usize].prev = i,
         }
-        if let Some(n) = self.map.get_mut(&key) {
-            n.prev = None;
-            n.next = self.head;
-        }
-        self.head = Some(key);
-        if self.tail.is_none() {
-            self.tail = Some(key);
-        }
+        self.head = i;
     }
 }
 
