@@ -27,6 +27,15 @@ pub fn sync_write_cost_ns(scheme: IoScheme, len: usize) -> u64 {
     cost
 }
 
+/// The eviction sizes the sweep measures, with their row labels.
+pub const SIZES: [(&str, usize); 5] = [
+    ("4 KiB", 4 << 10),
+    ("16 KiB", 16 << 10),
+    ("64 KiB", 64 << 10),
+    ("256 KiB", 256 << 10),
+    ("1 MiB", 1 << 20),
+];
+
 /// Regenerate the scheme-vs-size sweep.
 pub fn run(m: &mut Manifest) -> Vec<Table> {
     let mut t = Table::new(
@@ -34,13 +43,7 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
         "Synchronous eviction cost by I/O scheme (SATA SSD, us)",
         &["size", "direct (us)", "cached (us)", "mmap (us)", "best"],
     );
-    for (label, len) in [
-        ("4 KiB", 4 << 10),
-        ("16 KiB", 16 << 10),
-        ("64 KiB", 64 << 10),
-        ("256 KiB", 256 << 10),
-        ("1 MiB", 1 << 20),
-    ] {
+    for (label, len) in SIZES {
         let direct = sync_write_cost_ns(IoScheme::Direct, len);
         let cached = sync_write_cost_ns(IoScheme::Cached, len);
         let mmap = sync_write_cost_ns(IoScheme::Mmap, len);

@@ -11,7 +11,7 @@
 //! Three sets, one manifest each:
 //!
 //! - `regress`: every design's latency, the phase decomposition, a chaos
-//!   run, and doorbell batching;
+//!   run, doorbell batching, and the slab I/O schemes on their own;
 //! - `regress_onesided`: the RPC / direct / adaptive GET paths;
 //! - `regress_replication`: RF = 1 / RF = 2 writes, both read policies,
 //!   and the scripted failover. This set also *asserts* the replication
@@ -21,16 +21,21 @@
 //!   read-heavy mix; the mid-run primary crash promotes writes to the
 //!   survivor and the run still completes every op.
 
+use std::rc::Rc;
 use std::time::Duration;
 
 use nbkv_core::cluster::ChaosConfig;
 use nbkv_core::designs::Design;
 use nbkv_core::{DirectPolicy, OneSidedConfig, ReadPolicy, ReplicationConfig, ResiliencePolicy};
 use nbkv_fabric::FaultPlan;
+use nbkv_simrt::Sim;
+use nbkv_storesim::{
+    sata_ssd, DeviceStats, HostModel, IoScheme, SlabIo, SlabIoConfig, SlabIoStats, SsdDevice,
+};
 use nbkv_workload::OpMix;
 
 use crate::exp::LatencyExp;
-use crate::figs::{onesided, replication, Figure};
+use crate::figs::{fig4, onesided, replication, Figure};
 use crate::manifest::Manifest;
 use crate::table::Table;
 
@@ -52,6 +57,7 @@ fn regress_core(m: &mut Manifest) -> Vec<Table> {
         regress_phases(m),
         regress_resilience(m),
         regress_batch(m),
+        regress_io(m),
     ]
 }
 
@@ -212,6 +218,133 @@ fn regress_batch(m: &mut Manifest) -> Table {
     }
     t.note("pinned: 8 MiB memory, 4 MiB RAM-resident data, 512 B values, 600 read-only ops, seed 42; default BatchPolicy.");
     t
+}
+
+/// Buffered-stream shape: 48 writes of 1 MiB against a 4 MiB budget, so
+/// background writeback, dirty throttling and pressure eviction all fire.
+/// The writes go to descending 1 MiB slots, each shifted by 8 KiB: the
+/// writeback run (ascending offsets) then lags the LRU order, so pressure
+/// eviction meets dirty pages and flushes them inline, and the unaligned
+/// edges make partial pages read-modify-write.
+const STREAM_WRITES: u64 = 48;
+const STREAM_BUDGET: u64 = 4 << 20;
+const STREAM_SKEW: u64 = 8 << 10;
+/// The first-written slots, read back after the stream evicted them.
+const STREAM_COLD_READS: u64 = 4;
+
+/// The slab I/O schemes on their own — guards the host charges and the
+/// write-back machinery of the two buffered schemes, which the end-to-end
+/// cases above reach only through mmap and direct I/O. Fig 4's sweep
+/// (5 sizes x 3 schemes, one cold write each) plus a sustained stream
+/// through each buffered scheme.
+fn regress_io(m: &mut Manifest) -> Table {
+    let mut t = Table::new(
+        "regress_io",
+        "Regression: exact slab I/O costs (ns), Fig 4 sweep and a sustained buffered stream",
+        &[
+            "case",
+            "scheme",
+            "write (ns)",
+            "read (ns)",
+            "sync (ns)",
+            "stall (ns)",
+            "dev writes",
+            "dev bytes written",
+            "dev reads",
+        ],
+    );
+    for (label, len) in fig4::SIZES {
+        let reg = m.section(&format!("io/fig4/{label}"));
+        for scheme in IoScheme::ALL {
+            let ns = fig4::sync_write_cost_ns(scheme, len);
+            reg.set_counter(&format!("{}_ns", scheme.label()), ns);
+            t.row(vec![
+                format!("fig4/{label}"),
+                scheme.label().to_string(),
+                ns.to_string(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+            ]);
+        }
+    }
+    for scheme in [IoScheme::Cached, IoScheme::Mmap] {
+        let ([write_ns, read_ns, sync_ns], io, dev) = io_stream(scheme);
+        let reg = m.section(&format!("io/stream/{}", scheme.label()));
+        reg.set_counter("write_ns", write_ns);
+        reg.set_counter("read_ns", read_ns);
+        reg.set_counter("sync_ns", sync_ns);
+        reg.set_counter("slab_io.reads", io.reads);
+        reg.set_counter("slab_io.writes", io.writes);
+        reg.set_counter("slab_io.read_bytes", io.read_bytes);
+        reg.set_counter("slab_io.write_bytes", io.write_bytes);
+        reg.set_counter("slab_io.direct_ops", io.direct_ops);
+        reg.set_counter("slab_io.cached_ops", io.cached_ops);
+        reg.set_counter("slab_io.mmap_ops", io.mmap_ops);
+        reg.set_counter("slab_io.stall_ns", io.stall_ns);
+        reg.set_counter("ssd.reads", dev.reads);
+        reg.set_counter("ssd.writes", dev.writes);
+        reg.set_counter("ssd.bytes_read", dev.bytes_read);
+        reg.set_counter("ssd.bytes_written", dev.bytes_written);
+        reg.set_counter("ssd.gc_stalls", dev.gc_stalls);
+        t.row(vec![
+            "stream".into(),
+            scheme.label().to_string(),
+            write_ns.to_string(),
+            read_ns.to_string(),
+            sync_ns.to_string(),
+            io.stall_ns.to_string(),
+            dev.writes.to_string(),
+            dev.bytes_written.to_string(),
+            dev.reads.to_string(),
+        ]);
+    }
+    t.note("fig4 rows: one cold synchronous write per size and scheme (SATA SSD, default host), as in Fig 4.");
+    t.note("stream rows: 48 x 1 MiB writes (descending slots, 8 KiB skew) through a 4 MiB budget on a SATA SSD, then 4 KiB cold reads of the first 4 slots written, then sync_all.");
+    t
+}
+
+/// One sustained stream through a buffered `scheme`: the virtual ns of the
+/// writes, the cold read-back and the final sync, plus the facade and
+/// device counters at the end.
+fn io_stream(scheme: IoScheme) -> ([u64; 3], SlabIoStats, DeviceStats) {
+    let sim = Sim::new();
+    let sim2 = sim.clone();
+    let out = sim.run_until(async move {
+        let dev = SsdDevice::new(&sim2, sata_ssd());
+        let cfg = SlabIoConfig {
+            cache_bytes: STREAM_BUDGET,
+            mmap_resident_bytes: STREAM_BUDGET,
+            host: HostModel::default_host(),
+        };
+        let io = SlabIo::new(&sim2, Rc::clone(&dev), cfg);
+        let mib = 1u64 << 20;
+        let t0 = sim2.now();
+        for slot in (0..STREAM_WRITES).rev() {
+            let data = vec![slot as u8 + 1; mib as usize];
+            let off = slot * mib + STREAM_SKEW;
+            io.write(scheme, off, &data).await.expect("stream write");
+        }
+        let t1 = sim2.now();
+        for slot in STREAM_WRITES - STREAM_COLD_READS..STREAM_WRITES {
+            let off = slot * mib + STREAM_SKEW;
+            let got = io.read(scheme, off, 4 << 10).await.expect("cold read");
+            assert!(
+                got.iter().all(|&b| b == slot as u8 + 1),
+                "stream lost slot {slot}"
+            );
+        }
+        let t2 = sim2.now();
+        io.sync_all().await.expect("sync");
+        let t3 = sim2.now();
+        let spans = [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_nanos() as u64);
+        (spans, io.io_stats(), dev.stats())
+    });
+    sim.shutdown();
+    out
 }
 
 /// Pinned small experiment: non-blocking window 64 over one server,
