@@ -6,10 +6,10 @@
 //! - [`SsdDevice`]: a block device with calibrated access latency,
 //!   bandwidth, and command-queue parallelism ([`profile::sata_ssd`] /
 //!   [`profile::nvme_p3700`]); data is held sparsely in RAM.
-//! - [`PageCache`]: OS-buffered write-back I/O with background writeback
-//!   and kernel-style dirty throttling (the "cached I/O" scheme).
-//! - [`MmapRegion`]: memory-mapped I/O with per-page soft-fault costs and
-//!   a background flusher (the "mmap" scheme).
+//! - [`PageCache`]: a write-back page cache with background writeback and
+//!   kernel-style dirty throttling, behind both buffered schemes: "cached"
+//!   (OS-buffered) I/O pays a syscall per call, "mmap" I/O a soft fault
+//!   per page miss.
 //! - [`SlabIo`]: one facade over all three schemes keyed by [`IoScheme`],
 //!   used by the server's adaptive slab allocator (Figure 5 of the paper).
 //!
@@ -22,7 +22,6 @@
 pub mod device;
 pub mod fault;
 pub mod lru;
-pub mod mmapio;
 pub mod pagecache;
 pub mod profile;
 pub mod scheme;
@@ -30,7 +29,6 @@ pub mod scheme;
 pub use device::{DeviceError, DeviceStats, SsdDevice};
 pub use fault::{IoOp, SsdFaultPlan, SsdFaultStats};
 pub use lru::LruMap;
-pub use mmapio::{MmapConfig, MmapRegion, MmapStats};
-pub use pagecache::{PageCache, PageCacheConfig, PageCacheStats};
+pub use pagecache::{PageCache, PageCacheStats};
 pub use profile::{instant_device, nvme_p3700, sata_ssd, DeviceProfile, HostModel};
 pub use scheme::{IoScheme, SlabIo, SlabIoConfig, SlabIoStats};

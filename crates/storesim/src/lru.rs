@@ -1,5 +1,5 @@
-//! A small order-tracking LRU map (used by the page cache and mmap
-//! residency tracking).
+//! A small order-tracking LRU map (used by the page cache's residency and
+//! the server's item and page LRUs).
 //!
 //! Implemented as a `HashMap` from key to node index plus a doubly-linked
 //! list over a `Vec` of nodes, linked by `u32` index, so every operation

@@ -15,8 +15,7 @@ use bytes::Bytes;
 use nbkv_simrt::Sim;
 
 use crate::device::{DeviceError, SsdDevice};
-use crate::mmapio::{MmapConfig, MmapRegion};
-use crate::pagecache::{PageCache, PageCacheConfig};
+use crate::pagecache::PageCache;
 use crate::profile::HostModel;
 
 /// Which I/O path a slab flush / item read uses.
@@ -24,9 +23,11 @@ use crate::profile::HostModel;
 pub enum IoScheme {
     /// Synchronous direct I/O: full device cost inline (H-RDMA-Def).
     Direct,
-    /// OS-buffered write-back I/O.
+    /// OS-buffered write-back I/O: a syscall per call, then a memory-speed
+    /// copy into the page cache.
     Cached,
-    /// Memory-mapped I/O.
+    /// Memory-mapped I/O: no syscall, but a soft fault per page miss. Same
+    /// page cache and writeback as `Cached` (see [`PageCache`]).
     Mmap,
 }
 
@@ -93,26 +94,27 @@ pub struct SlabIo {
     sim: Sim,
     dev: Rc<SsdDevice>,
     cache: Rc<PageCache>,
-    mmap: Rc<MmapRegion>,
+    mmap: Rc<PageCache>,
     stats: Cell<SlabIoStats>,
 }
 
 impl SlabIo {
-    /// Build the facade; the page cache and mmap flusher tasks are spawned
-    /// on `sim`.
+    /// Build the facade; the writeback tasks of both page caches are
+    /// spawned on `sim`.
     pub fn new(sim: &Sim, dev: Rc<SsdDevice>, cfg: SlabIoConfig) -> Rc<Self> {
         let cache = PageCache::new(
             sim,
             Rc::clone(&dev),
-            PageCacheConfig::with_capacity(cfg.cache_bytes, cfg.host),
+            IoScheme::Cached,
+            cfg.cache_bytes,
+            cfg.host,
         );
-        let capacity = dev.profile().capacity;
-        let mmap = MmapRegion::new(
+        let mmap = PageCache::new(
             sim,
             Rc::clone(&dev),
-            0,
-            capacity,
-            MmapConfig::with_resident_limit(cfg.mmap_resident_bytes, cfg.host),
+            IoScheme::Mmap,
+            cfg.mmap_resident_bytes,
+            cfg.host,
         );
         Rc::new(SlabIo {
             sim: sim.clone(),
@@ -186,22 +188,12 @@ impl SlabIo {
     /// Flush all buffered state to the device.
     pub async fn sync_all(&self) -> Result<(), DeviceError> {
         self.cache.sync().await?;
-        self.mmap.msync().await
+        self.mmap.sync().await
     }
 
     /// The underlying device.
     pub fn device(&self) -> &Rc<SsdDevice> {
         &self.dev
-    }
-
-    /// The page cache (for stats).
-    pub fn cache(&self) -> &Rc<PageCache> {
-        &self.cache
-    }
-
-    /// The mmap region (for stats).
-    pub fn mmap(&self) -> &Rc<MmapRegion> {
-        &self.mmap
     }
 }
 
@@ -279,6 +271,28 @@ mod tests {
             assert_eq!(io.device().peek(0, 1)[0], 1);
             assert_eq!(io.device().peek(1 << 20, 1)[0], 2);
             assert_eq!(io.device().peek(2 << 20, 1)[0], 3);
+        });
+    }
+
+    #[test]
+    fn every_scheme_rejects_a_write_past_the_device_end() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let io = slab_io(&sim2, instant_device(), HostModel::zero());
+            let capacity = io.device().profile().capacity;
+            for scheme in IoScheme::ALL {
+                let err = io.write(scheme, capacity - 4, &[1u8; 8]).await;
+                assert_eq!(
+                    err,
+                    Err(DeviceError::OutOfCapacity {
+                        end: capacity + 4,
+                        capacity
+                    }),
+                    "{scheme:?}"
+                );
+            }
+            io.sync_all().await.unwrap();
         });
     }
 
