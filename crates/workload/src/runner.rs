@@ -300,8 +300,9 @@ pub async fn run_workload(sim: &Sim, client: &Rc<Client>, spec: &WorkloadSpec) -
             )
             .await
         }
-        _ if spec.batch > 1 => execute_batched(sim, client, &plan, &pool, spec.batch).await,
-        flavor => execute_nonblocking(sim, client, &plan, &pool, flavor, spec.window).await,
+        flavor => {
+            execute_nonblocking(sim, client, &plan, &pool, flavor, spec.window, spec.batch).await
+        }
     }
 }
 
@@ -327,7 +328,7 @@ pub async fn replay_trace(
             )
             .await
         }
-        flavor => execute_nonblocking(sim, client, &plan, &pool, flavor, params.window).await,
+        flavor => execute_nonblocking(sim, client, &plan, &pool, flavor, params.window, 0).await,
     }
 }
 
@@ -421,6 +422,21 @@ async fn execute_blocking(
     )
 }
 
+/// Non-blocking access pattern: issue a group of ops, ring the client's
+/// batching doorbell, then reap the group.
+///
+/// - Per-op (`batch` 0 or 1): the whole plan is one group, issued through
+///   `flavor`'s variants; when `window` ops are outstanding the oldest is
+///   reaped first. The doorbell is never rung.
+/// - Batched (`batch` > 1): groups of `batch` ops issued back to back
+///   through the I-variants — Listing 2's bursty issue-then-wait shape,
+///   shaped to feed the client's coalescing queues. The group reap waits
+///   for completions, which subsumes the B-variants' buffer-reuse
+///   guarantee at group granularity, so both flavours issue identically
+///   here, and nothing is reaped before the group ends.
+///
+/// Deletes have no non-blocking variant in the paper's API and run
+/// blocking in both modes.
 async fn execute_nonblocking(
     sim: &Sim,
     client: &Rc<Client>,
@@ -428,7 +444,14 @@ async fn execute_nonblocking(
     pool: &ValuePool,
     flavor: ApiFlavor,
     window: usize,
+    batch: usize,
 ) -> RunReport {
+    let batched = batch > 1;
+    let (group, flavor, window) = if batched {
+        (batch, ApiFlavor::NonBlockingI, usize::MAX)
+    } else {
+        (plan.len().max(1), flavor, window.max(1))
+    };
     let mut counters = Counters::default();
     let mut inflight: VecDeque<ReqHandle> = VecDeque::new();
     let mut issue_ns_per_op: Vec<u64> = Vec::with_capacity(plan.len());
@@ -440,102 +463,25 @@ async fn execute_nonblocking(
     let reap_deadline = client.policy().deadline;
 
     let start = sim.now();
-    for (op_idx, op) in plan.iter().enumerate() {
-        // Respect the application window: reap the oldest when full.
-        if inflight.len() >= window.max(1) {
-            let h = inflight.pop_front().expect("window full implies inflight");
-            wait_blocked += reap(sim, h, reap_deadline, &mut counters).await;
-        }
-        let t0 = sim.now();
-        let issued = match (op, flavor) {
-            (PlannedOp::Set { key }, ApiFlavor::NonBlockingI) => {
-                client.iset(key.clone(), pool.value(op_idx), 0, None).await
+    for (g, ops) in plan.chunks(group).enumerate() {
+        for (i, op) in ops.iter().enumerate() {
+            let op_idx = g * group + i;
+            // Respect the application window: reap the oldest when full.
+            if inflight.len() >= window {
+                let h = inflight.pop_front().expect("window full implies inflight");
+                wait_blocked += reap(sim, h, reap_deadline, &mut counters).await;
             }
-            (PlannedOp::Set { key }, _) => {
-                client.bset(key.clone(), pool.value(op_idx), 0, None).await
-            }
-            (PlannedOp::Get { key }, ApiFlavor::NonBlockingI) => client.iget(key.clone()).await,
-            (PlannedOp::Get { key }, _) => client.bget(key.clone()).await,
-            (PlannedOp::Delete { key }, _) => {
-                // Deletes have no non-blocking variant in the paper's API;
-                // issue them blocking.
-                match client.delete(key.clone()).await {
-                    Ok(c) => counters.record_timeline(&c),
-                    Err(e) => counters.count_error(&e),
-                }
-                let issue = ns(sim, t0);
-                issue_blocked += issue;
-                issue_ns_per_op.push(issue);
-                continue;
-            }
-        };
-        let issue = ns(sim, t0);
-        issue_blocked += issue;
-        issue_ns_per_op.push(issue);
-        match issued {
-            Ok(handle) => inflight.push_back(handle),
-            Err(e) => counters.count_error(&e),
-        }
-    }
-    // The end-of-job memcached_wait over everything still outstanding.
-    while let Some(h) = inflight.pop_front() {
-        wait_blocked += reap(sim, h, reap_deadline, &mut counters).await;
-    }
-    let elapsed = ns_between(start, sim.now());
-
-    // Per-op visible cost = own issue time + amortized completion wait.
-    let amortized_wait = wait_blocked / plan.len().max(1) as u64;
-    let mut rec = LatencyRecorder::new();
-    let mut agg = StageAggregator::new();
-    for issue in issue_ns_per_op {
-        let visible = issue + amortized_wait;
-        rec.record(visible);
-        agg.record_nonblocking(visible);
-    }
-    finish_report(
-        plan.len(),
-        elapsed,
-        rec,
-        agg,
-        counters,
-        0,
-        issue_blocked,
-        wait_blocked,
-    )
-}
-
-/// Batched access pattern: issue `group` ops back to back through the
-/// non-blocking I-variants, ring the client's batching doorbell, then reap
-/// the whole group — Listing 2's bursty issue-then-wait shape, shaped to
-/// feed the client's coalescing queues. The group reap waits for
-/// completions, which subsumes the B-variants' buffer-reuse guarantee at
-/// group granularity, so both non-blocking flavours issue identically
-/// here. Deletes have no non-blocking variant and run blocking.
-async fn execute_batched(
-    sim: &Sim,
-    client: &Rc<Client>,
-    plan: &[PlannedOp],
-    pool: &ValuePool,
-    group: usize,
-) -> RunReport {
-    let mut counters = Counters::default();
-    let mut issue_ns_per_op: Vec<u64> = Vec::with_capacity(plan.len());
-    let mut issue_blocked = 0u64;
-    let mut wait_blocked = 0u64;
-    let reap_deadline = client.policy().deadline;
-
-    let start = sim.now();
-    let mut op_idx = 0usize;
-    for chunk in plan.chunks(group.max(1)) {
-        let mut handles: Vec<ReqHandle> = Vec::with_capacity(chunk.len());
-        for op in chunk {
             let t0 = sim.now();
-            let issued = match op {
-                PlannedOp::Set { key } => {
+            let issued = match (op, flavor) {
+                (PlannedOp::Set { key }, ApiFlavor::NonBlockingI) => {
                     client.iset(key.clone(), pool.value(op_idx), 0, None).await
                 }
-                PlannedOp::Get { key } => client.iget(key.clone()).await,
-                PlannedOp::Delete { key } => {
+                (PlannedOp::Set { key }, _) => {
+                    client.bset(key.clone(), pool.value(op_idx), 0, None).await
+                }
+                (PlannedOp::Get { key }, ApiFlavor::NonBlockingI) => client.iget(key.clone()).await,
+                (PlannedOp::Get { key }, _) => client.bget(key.clone()).await,
+                (PlannedOp::Delete { key }, _) => {
                     match client.delete(key.clone()).await {
                         Ok(c) => counters.record_timeline(&c),
                         Err(e) => counters.count_error(&e),
@@ -543,26 +489,28 @@ async fn execute_batched(
                     let issue = ns(sim, t0);
                     issue_blocked += issue;
                     issue_ns_per_op.push(issue);
-                    op_idx += 1;
                     continue;
                 }
             };
             let issue = ns(sim, t0);
             issue_blocked += issue;
             issue_ns_per_op.push(issue);
-            op_idx += 1;
             match issued {
-                Ok(handle) => handles.push(handle),
+                Ok(handle) => inflight.push_back(handle),
                 Err(e) => counters.count_error(&e),
             }
         }
-        client.flush_batches();
-        for h in handles {
+        if batched {
+            client.flush_batches();
+        }
+        // The group's memcached_wait over everything still outstanding.
+        while let Some(h) = inflight.pop_front() {
             wait_blocked += reap(sim, h, reap_deadline, &mut counters).await;
         }
     }
     let elapsed = ns_between(start, sim.now());
 
+    // Per-op visible cost = own issue time + amortized completion wait.
     let amortized_wait = wait_blocked / plan.len().max(1) as u64;
     let mut rec = LatencyRecorder::new();
     let mut agg = StageAggregator::new();
