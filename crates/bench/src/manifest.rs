@@ -8,7 +8,7 @@
 //! byte-identical manifests; `scripts/regress.sh` relies on that to diff
 //! against committed goldens, ignoring only the `git_describe` line.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use nbkv_obs::{Registry, RunManifest};
@@ -34,6 +34,19 @@ pub fn results_dir() -> PathBuf {
 /// Where manifests are written: `<results_dir()>/manifest`.
 pub fn manifest_dir() -> PathBuf {
     results_dir().join("manifest")
+}
+
+/// Write `text` to `path`, creating its directory; panic with the path and
+/// the I/O error if that fails, so a bench run that leaves a figure or
+/// manifest unwritten cannot exit 0 (nor `regress.sh --bless` drop a golden).
+pub(crate) fn write_or_die(path: &Path, text: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        panic!("cannot write {}: {e}", path.display());
+    }
 }
 
 /// `git describe --always --dirty` of the producing tree, or `"unknown"`
@@ -91,12 +104,12 @@ impl Manifest {
         self.inner.render()
     }
 
-    /// Write `<manifest_dir()>/<bench>.json`.
+    /// Write `<manifest_dir()>/<bench>.json`; a failed write panics with
+    /// the path and the I/O error.
     pub fn emit(&self) {
-        match self.inner.write_to(&manifest_dir()) {
-            Ok(path) => eprintln!("[manifest] wrote {}", path.display()),
-            Err(e) => eprintln!("[manifest] write failed: {e}"),
-        }
+        let path = manifest_dir().join(format!("{}.json", self.inner.bench));
+        write_or_die(&path, &self.render());
+        eprintln!("[manifest] wrote {}", path.display());
     }
 }
 
@@ -134,6 +147,20 @@ pub fn record_report(reg: &mut Registry, r: &RunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_or_die_creates_dirs_and_fails_loudly() {
+        let dir = std::env::temp_dir().join("nbkv-bench-write-or-die");
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = dir.join("manifest").join("x.json");
+        write_or_die(&file, "{}");
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "{}");
+        // `x.json` is a regular file, so nothing can be written under it.
+        let panic = std::panic::catch_unwind(|| write_or_die(&file.join("y.json"), "{}"));
+        let msg = *panic.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("x.json/y.json: "), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn record_report_carries_figure_counters_and_phases() {

@@ -2,8 +2,10 @@
 
 use std::fmt::Write as _;
 
+use nbkv_obs::Json;
+
 /// A printable/serializable experiment result table.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id, e.g. "fig6b".
     pub id: String,
@@ -77,17 +79,30 @@ impl Table {
         out
     }
 
+    /// The JSON form every figure file and `regress_*` golden holds:
+    /// pretty-printed, without a trailing newline.
+    fn render_json(&self) -> String {
+        let strs = |v: &[String]| Json::Arr(v.iter().cloned().map(Json::Str).collect());
+        let rows = Json::Arr(self.rows.iter().map(|r| strs(r)).collect());
+        let json = Json::Obj(vec![
+            ("id".into(), Json::Str(self.id.clone())),
+            ("title".into(), Json::Str(self.title.clone())),
+            ("headers".into(), strs(&self.headers)),
+            ("rows".into(), rows),
+            ("notes".into(), strs(&self.notes)),
+        ]);
+        let mut text = json.render_pretty();
+        text.pop();
+        text
+    }
+
     /// Print to stdout and persist JSON under
-    /// [`results_dir`](crate::manifest::results_dir)`/<id>.json`.
+    /// [`results_dir`](crate::manifest::results_dir)`/<id>.json`; a failed
+    /// write panics with the path and the I/O error.
     pub fn emit(&self) {
         println!("{}", self.to_markdown());
-        let dir = crate::manifest::results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join(format!("{}.json", self.id));
-            if let Ok(json) = serde_json::to_string_pretty(self) {
-                let _ = std::fs::write(path, json);
-            }
-        }
+        let path = crate::manifest::results_dir().join(format!("{}.json", self.id));
+        crate::manifest::write_or_die(&path, &self.render_json());
     }
 }
 
@@ -137,5 +152,34 @@ mod tests {
         assert_eq!(us(12_345), "12.35");
         assert_eq!(us_f(1_000.0), "1.00");
         assert_eq!(ratio(100.0, 10.0), "10.0x");
+    }
+
+    /// Pins the figure JSON bytes for the cases no committed golden
+    /// covers: empty notes, escapes and non-ASCII cells.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut t = Table::new("pin", "quote \" and \\ — ✔", &["design", "mark"]);
+        t.row(vec!["say \"hi\"".into(), "C:\\dir".into()]);
+        t.row(vec!["—".into(), "✔".into()]);
+        let want = r#"{
+  "id": "pin",
+  "title": "quote \" and \\ — ✔",
+  "headers": [
+    "design",
+    "mark"
+  ],
+  "rows": [
+    [
+      "say \"hi\"",
+      "C:\\dir"
+    ],
+    [
+      "—",
+      "✔"
+    ]
+  ],
+  "notes": []
+}"#;
+        assert_eq!(t.render_json(), want);
     }
 }

@@ -690,7 +690,7 @@ impl Client {
         // A fault plan can truncate or corrupt the payload in flight;
         // surface that as an error instead of killing the whole sim.
         let payload = done.value.ok_or(ClientError::BadResponse)?;
-        serde_json::from_slice(&payload).map_err(|_| ClientError::BadResponse)
+        crate::server::StatsSnapshot::decode(&payload).ok_or(ClientError::BadResponse)
     }
 
     /// Batch get: issue non-blocking gets for every key, ring the batching

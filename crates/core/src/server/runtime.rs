@@ -19,14 +19,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use nbkv_fabric::{FabricProfile, Transport, TransportTx, FRAME_OVERHEAD};
 use nbkv_simrt::{Semaphore, Sim, SimTime};
 use nbkv_storesim::SlabIo;
 
 use crate::client::Ring;
 use crate::proto::{ApiFlavor, Request, Response, StageTimes};
-use crate::server::store::{HybridStore, OpOutcome, ReplUpdate, StoreConfig};
+use crate::server::slab::SlabStats;
+use crate::server::store::{HybridStore, OpOutcome, ReplUpdate, StoreConfig, StoreStats};
 
 /// Replication ops coalescing into one `Request::Batch` doorbell frame.
 const REPL_BATCH_OPS: usize = 16;
@@ -86,46 +87,82 @@ impl ServerConfig {
     }
 }
 
-/// Server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ServerStats {
-    /// Requests received (member ops of a batch frame each count once).
-    pub requests: u64,
-    /// Requests handled inline on the dispatcher.
-    pub inline_handled: u64,
-    /// Requests staged for the worker pool.
-    pub staged: u64,
-    /// Response frames sent (a coalesced batch response counts once).
-    pub responses: u64,
-    /// Undecodable messages dropped.
-    pub proto_errors: u64,
-    /// Requests that arrived while a slab-eviction flush was in flight —
-    /// the comm/memory overlap the non-blocking pipeline creates.
-    pub recv_during_flush: u64,
-    /// Batch frames received.
-    pub batches: u64,
-    /// Member ops carried inside those batch frames.
-    pub batch_ops: u64,
-    /// Replication ops enqueued toward peer replicas (each op counts once,
-    /// however many times its frame is retransmitted).
-    pub repl_sent: u64,
-    /// Replication ops acknowledged by their replica.
-    pub repl_acked: u64,
-    /// Replication ops retransmitted after the ack deadline (lost frames,
-    /// crashed replicas catching up after restart).
-    pub repl_retrans: u64,
+stats_words! {
+    /// Server counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerStats {
+        /// Requests received (member ops of a batch frame each count once).
+        pub requests: u64,
+        /// Requests handled inline on the dispatcher.
+        pub inline_handled: u64,
+        /// Requests staged for the worker pool.
+        pub staged: u64,
+        /// Response frames sent (a coalesced batch response counts once).
+        pub responses: u64,
+        /// Undecodable messages dropped.
+        pub proto_errors: u64,
+        /// Requests that arrived while a slab-eviction flush was in flight —
+        /// the comm/memory overlap the non-blocking pipeline creates.
+        pub recv_during_flush: u64,
+        /// Batch frames received.
+        pub batches: u64,
+        /// Member ops carried inside those batch frames.
+        pub batch_ops: u64,
+        /// Replication ops enqueued toward peer replicas (each op counts once,
+        /// however many times its frame is retransmitted).
+        pub repl_sent: u64,
+        /// Replication ops acknowledged by their replica.
+        pub repl_acked: u64,
+        /// Replication ops retransmitted after the ack deadline (lost frames,
+        /// crashed replicas catching up after restart).
+        pub repl_retrans: u64,
+    }
 }
 
 /// Full server observability snapshot, served over the wire by the
 /// `stats` operation (like memcached's `stats` command).
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+///
+/// On the wire it is [`StatsSnapshot::WIRE_LEN`] bytes of big-endian `u64`
+/// words: the [`ServerStats`] fields, then the [`StoreStats`] fields, then
+/// the [`SlabStats`] fields, each in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Request-pipeline counters.
     pub server: ServerStats,
     /// Storage-engine counters.
-    pub store: crate::server::store::StoreStats,
+    pub store: StoreStats,
     /// Slab-pool occupancy.
-    pub slab: crate::server::slab::SlabStats,
+    pub slab: SlabStats,
+}
+
+impl StatsSnapshot {
+    /// Encoded size: one 8-byte word per counter.
+    pub const WIRE_LEN: usize = 8 * (ServerStats::WORDS + StoreStats::WORDS + SlabStats::WORDS);
+
+    /// Encode as the `stats` response payload.
+    pub(crate) fn encode(&self) -> Bytes {
+        let mut b = BytesMut::with_capacity(Self::WIRE_LEN);
+        self.server.put_words(&mut b);
+        self.store.put_words(&mut b);
+        self.slab.put_words(&mut b);
+        b.freeze()
+    }
+
+    /// Decode a `stats` response payload; `None` unless it is exactly
+    /// [`Self::WIRE_LEN`] bytes long.
+    pub(crate) fn decode(payload: &[u8]) -> Option<StatsSnapshot> {
+        if payload.len() != Self::WIRE_LEN {
+            return None;
+        }
+        let mut words = payload
+            .chunks_exact(8)
+            .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte chunk")));
+        Some(StatsSnapshot {
+            server: ServerStats::take_words(&mut words),
+            store: StoreStats::take_words(&mut words),
+            slab: SlabStats::take_words(&mut words),
+        })
+    }
 }
 
 struct Staged {
@@ -872,8 +909,8 @@ impl Server {
                 }
             }
             Request::Stats { req_id, .. } => {
-                let json = serde_json::to_vec(&self.snapshot()).expect("stats serialize");
-                let len = json.len();
+                let payload = self.snapshot().encode();
+                let len = payload.len();
                 let out = crate::server::store::OpOutcome {
                     status: crate::proto::OpStatus::Hit,
                     value: None,
@@ -888,7 +925,7 @@ impl Server {
                     stages: self.finish_stages(out, profile, len, stamps),
                     flags: 0,
                     cas: 0,
-                    value: Some(Bytes::from(json)),
+                    value: Some(payload),
                 }
             }
         }
@@ -951,6 +988,22 @@ mod tests {
         server.accept(server_side);
         let client = Client::new(sim, vec![client_side], ClientConfig::default());
         (server, client)
+    }
+
+    /// A payload of the distinct words 1, 2, …, 37 decodes and re-encodes
+    /// to itself, so encode and decode agree on every field's position;
+    /// each struct's first and last field pin where its words start and
+    /// end.
+    #[test]
+    fn stats_snapshot_round_trips_distinct_words() {
+        let wire: Vec<u8> = (1..=37u64).flat_map(u64::to_be_bytes).collect();
+        assert_eq!(wire.len(), StatsSnapshot::WIRE_LEN);
+        let snap = StatsSnapshot::decode(&wire).expect("exact length");
+        assert_eq!(&snap.encode()[..], &wire[..]);
+        let s = (snap.server, snap.store, snap.slab);
+        assert_eq!((s.0.requests, s.0.repl_retrans), (1, 11));
+        assert_eq!((s.1.sets, s.1.repl_stale_drops), (12, 33));
+        assert_eq!((s.2.pages_in_use, s.2.live_items), (34, 37));
     }
 
     fn mem_cfg() -> ServerConfig {

@@ -123,17 +123,19 @@ struct Page {
     generation: u32,
 }
 
-/// Pool counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SlabStats {
-    /// Pages currently assigned to classes.
-    pub pages_in_use: usize,
-    /// Pages in the free pool.
-    pub pages_free: usize,
-    /// Total page budget.
-    pub pages_budget: usize,
-    /// Live items across all pages.
-    pub live_items: u64,
+stats_words! {
+    /// Pool counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SlabStats {
+        /// Pages currently assigned to classes.
+        pub pages_in_use: usize,
+        /// Pages in the free pool.
+        pub pages_free: usize,
+        /// Total page budget.
+        pub pages_budget: usize,
+        /// Live items across all pages.
+        pub live_items: u64,
+    }
 }
 
 /// The slab pool: page budget, classes, and chunk storage.

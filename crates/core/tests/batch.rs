@@ -8,6 +8,7 @@ use bytes::Bytes;
 use nbkv_core::cluster::{build_cluster, ClusterConfig};
 use nbkv_core::designs::Design;
 use nbkv_core::proto::{ApiFlavor, OpStatus, Request, Response, StageTimes};
+use nbkv_core::server::StatsSnapshot;
 use nbkv_core::{BatchPolicy, Client, ClientConfig, ClientError};
 use nbkv_fabric::Fabric;
 use nbkv_simrt::Sim;
@@ -173,10 +174,18 @@ fn window_hwm_never_exceeds_max_outstanding() {
 
 /// Regression: `server_stats` against a server that answers with a
 /// malformed payload returns `ClientError::BadResponse` instead of
-/// panicking (it used to `expect` the payload).
+/// panicking (it used to `expect` the payload). Any length but the exact
+/// snapshot size is malformed, including a lone 8-byte word and payloads
+/// one word short of or past a full snapshot.
 #[test]
 fn server_stats_malformed_payload_is_an_error() {
-    for garbage in [Some(Bytes::from_static(b"not json")), None] {
+    let words = |n: usize| Some(Bytes::from(vec![7u8; n]));
+    for garbage in [
+        Some(Bytes::from_static(b"not json")),
+        words(StatsSnapshot::WIRE_LEN - 8),
+        words(StatsSnapshot::WIRE_LEN + 8),
+        None,
+    ] {
         let sim = Sim::new();
         let fabric = Fabric::new(&sim, nbkv_fabric::profiles::fdr_rdma());
         let (client_side, server_side) = fabric.connect();

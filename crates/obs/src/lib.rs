@@ -23,9 +23,9 @@
 //! - [`RunManifest`] — the machine-readable record every bench run emits
 //!   under `results/manifest/<bench>.json`.
 //!
-//! This crate is dependency-free (std only) and does its own minimal JSON
-//! rendering ([`Json`]) so that no serde version skew can perturb the
-//! golden files.
+//! This crate is dependency-free (std only). Its [`Json`] writer renders
+//! every JSON file the workspace emits (manifests and figure tables), so
+//! the golden files' bytes depend on no external serializer.
 
 #![warn(missing_docs)]
 

@@ -8,9 +8,6 @@
 //! diffs them against committed goldens (ignoring only the `git_describe`
 //! line, which legitimately changes across commits).
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use crate::json::Json;
 use crate::metrics::Registry;
 
@@ -75,15 +72,6 @@ impl RunManifest {
     pub fn render(&self) -> String {
         self.to_json().render_pretty()
     }
-
-    /// Write `<dir>/<bench>.json`, creating `dir` if needed. Returns the
-    /// path written.
-    pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.bench));
-        std::fs::write(&path, self.render())?;
-        Ok(path)
-    }
 }
 
 #[cfg(test)]
@@ -124,15 +112,5 @@ mod tests {
             m.render()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn write_to_creates_dir_and_file() {
-        let dir = std::env::temp_dir().join("nbkv-obs-manifest-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = RunManifest::new("unit", "g", 0.25, 42);
-        let path = m.write_to(&dir).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), m.render());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

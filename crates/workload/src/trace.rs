@@ -5,8 +5,16 @@
 //! traces give *literally* identical ones, which is the stronger
 //! methodology when comparing designs (and lets externally-captured
 //! workloads — e.g. converted memcached logs — drive the simulator).
+//!
+//! # File format
+//!
+//! UTF-8 text, one `\n`-terminated line per record: a header
+//! `nbkv-trace <version> <note>`, then one line per op in issue order,
+//! `set <value_len> <key>`, `get <key>` or `delete <key>`. The note and
+//! the key run to the end of their line, so they may hold spaces but not
+//! a newline.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 use crate::keygen::{AccessPattern, KeyChooser, KeySpace};
 use crate::mix::{OpKind, OpMix};
@@ -14,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One traced operation. Keys are strings (traces are human-auditable
-/// JSON); value contents are synthesized at replay time from the pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// text); value contents are synthesized at replay time from the pool.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceOp {
     /// Store `value_len` bytes under `key`.
     Set {
@@ -45,8 +53,11 @@ impl TraceOp {
     }
 }
 
+/// First word of a trace file.
+const HEADER: &str = "nbkv-trace";
+
 /// A recorded operation sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Schema version for forward compatibility.
     pub version: u32,
@@ -89,25 +100,69 @@ impl Trace {
         }
     }
 
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serializes")
+    /// Render in the [file format](self); panics if the note or a key
+    /// holds a newline, which the format cannot carry.
+    pub fn to_text(&self) -> String {
+        assert!(!self.note.contains('\n'), "trace note holds a newline");
+        let mut out = format!("{HEADER} {} {}\n", self.version, self.note);
+        for op in &self.ops {
+            let key = op.key();
+            assert!(!key.contains('\n'), "trace key {key:?} holds a newline");
+            let _ = match op {
+                TraceOp::Set { value_len, .. } => writeln!(out, "set {value_len} {key}"),
+                TraceOp::Get { .. } => writeln!(out, "get {key}"),
+                TraceOp::Delete { .. } => writeln!(out, "delete {key}"),
+            };
+        }
+        out
     }
 
-    /// Parse from JSON.
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Parse the [file format](self). A malformed line is an
+    /// `InvalidData` error naming its 1-based line number.
+    pub fn from_text(text: &str) -> std::io::Result<Trace> {
+        let err = |line: usize, reason: &str| {
+            let msg = format!("trace line {line}: {reason}");
+            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        };
+        let mut lines = text.split_terminator('\n').zip(1..);
+        let (version, note) = lines
+            .next()
+            .and_then(|(header, _)| header.strip_prefix(HEADER)?.strip_prefix(' '))
+            .and_then(|rest| rest.split_once(' '))
+            .ok_or_else(|| err(1, "missing `nbkv-trace <version> <note>` header"))?;
+        let version = version.parse().map_err(|_| err(1, "non-numeric version"))?;
+        let ops = lines
+            .map(|(line, n)| match line.split_once(' ') {
+                Some(("get", key)) => Ok(TraceOp::Get { key: key.into() }),
+                Some(("delete", key)) => Ok(TraceOp::Delete { key: key.into() }),
+                Some(("set", rest)) => {
+                    let (len, key) = rest
+                        .split_once(' ')
+                        .ok_or_else(|| err(n, "set needs `<value_len> <key>`"))?;
+                    let value_len = len.parse().map_err(|_| err(n, "non-numeric value_len"))?;
+                    Ok(TraceOp::Set {
+                        key: key.into(),
+                        value_len,
+                    })
+                }
+                _ => Err(err(n, "unknown op")),
+            })
+            .collect::<std::io::Result<_>>()?;
+        Ok(Trace {
+            version,
+            note: note.into(),
+            ops,
+        })
     }
 
     /// Write to a file.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_text())
     }
 
     /// Read from a file.
     pub fn load(path: &std::path::Path) -> std::io::Result<Trace> {
-        let json = std::fs::read_to_string(path)?;
-        Trace::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        Trace::from_text(&std::fs::read_to_string(path)?)
     }
 
     /// Number of operations.
@@ -156,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn text_round_trip() {
         let t = Trace {
             version: 1,
             note: "test".into(),
@@ -169,7 +224,7 @@ mod tests {
                 TraceOp::Delete { key: "a".into() },
             ],
         };
-        let parsed = Trace::from_json(&t.to_json()).unwrap();
+        let parsed = Trace::from_text(&t.to_text()).unwrap();
         assert_eq!(parsed, t);
     }
 
@@ -178,7 +233,7 @@ mod tests {
         let t = Trace::generate(10, 64, AccessPattern::Uniform, OpMix::READ_ONLY, 30, 1);
         let dir = std::env::temp_dir().join("nbkv-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
+        let path = dir.join("t.trace");
         t.save(&path).unwrap();
         assert_eq!(Trace::load(&path).unwrap(), t);
         let _ = std::fs::remove_file(&path);
@@ -198,8 +253,38 @@ mod tests {
     }
 
     #[test]
-    fn bad_json_is_an_error() {
-        assert!(Trace::from_json("not json").is_err());
-        assert!(Trace::from_json("{\"version\":1}").is_err());
+    fn malformed_trace_is_an_error() {
+        for (text, line) in [
+            ("", 1),                               // empty file
+            ("get a\n", 1),                        // missing header
+            ("nbkv-trace x note\n", 1),            // non-numeric version
+            ("nbkv-trace 1 n\nget a\nput a\n", 3), // unknown op
+            ("nbkv-trace 1 n\nset a\n", 2),        // missing value_len
+            ("nbkv-trace 1 n\nset ten a\n", 2),    // non-numeric value_len
+        ] {
+            let err = Trace::from_text(text).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().starts_with(&format!("trace line {line}: ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn newline_in_key_or_note_trips_an_assert() {
+        let bad_note = Trace {
+            version: 1,
+            note: "two\nlines".into(),
+            ops: vec![],
+        };
+        let bad_key = Trace {
+            version: 1,
+            note: String::new(),
+            ops: vec![TraceOp::Get { key: "a\nb".into() }],
+        };
+        for t in [bad_note, bad_key] {
+            assert!(std::panic::catch_unwind(|| t.to_text()).is_err());
+        }
     }
 }

@@ -81,7 +81,7 @@ proptest! {
             let all_sets = t.ops.iter().all(|o| matches!(o, TraceOp::Set { .. }));
             prop_assert!(all_sets);
         }
-        let parsed = Trace::from_json(&t.to_json()).expect("round trip");
+        let parsed = Trace::from_text(&t.to_text()).expect("round trip");
         prop_assert_eq!(parsed, t);
     }
 }

@@ -66,12 +66,12 @@ fn same_trace_compares_designs_fairly() {
 }
 
 #[test]
-fn trace_round_trips_through_json_and_replays() {
+fn trace_round_trips_through_text_and_replays() {
     let trace = Trace::generate(50, 4096, AccessPattern::Uniform, OpMix::WRITE_HEAVY, 100, 3);
-    let parsed = Trace::from_json(&trace.to_json()).unwrap();
+    let parsed = Trace::from_text(&trace.to_text()).unwrap();
     let from_orig = replay_on(Design::RdmaMem, &trace, 4096);
-    let from_json = replay_on(Design::RdmaMem, &parsed, 4096);
-    assert_eq!(from_orig.elapsed_ns, from_json.elapsed_ns);
+    let from_text = replay_on(Design::RdmaMem, &parsed, 4096);
+    assert_eq!(from_orig.elapsed_ns, from_text.elapsed_ns);
 }
 
 #[test]

@@ -9,6 +9,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every [dependencies] / [dev-dependencies] entry of a workspace manifest
+# must be named by a .rs file of its own package, as `dep::`, `dep!`,
+# `use dep` or `dep as` (the root's `pub use nbkv_simrt as simrt`).
+echo "==> unused dependency check"
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    if [ "$dir" = . ]; then srcs=(src tests examples); else srcs=("$dir"); fi
+    deps=$(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest")
+    for dep in $deps; do
+        id=${dep//-/_}
+        if ! grep -rqE --include='*.rs' "\b$id(::|!)|\buse $id\b|\b$id as\b" "${srcs[@]}"; then
+            echo "$manifest declares $dep, but no .rs file in its package names it"
+            unused=1
+        fi
+    done
+done
+[ "$unused" = 0 ]
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
