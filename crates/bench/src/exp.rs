@@ -153,89 +153,31 @@ impl LatencyExp {
     }
 }
 
-/// Snapshot a finished cluster's counters into a metrics registry:
-/// server request-pipeline counters, storage-engine counters, slab-I/O
-/// mode/stall accounting, client resilience counters (including the
-/// send-window high-water mark and circuit-breaker trips), and fabric
-/// link traffic. Counters sum across nodes; gauges take the max.
+/// Snapshot a finished cluster's counters into a metrics registry: each
+/// node's stats structs under their layer prefixes, plus the replication-lag
+/// gauge, breaker trips and the ops-per-batch histogram, which are not
+/// struct fields. Counters add across nodes; gauges take the largest.
 pub fn cluster_registry(cluster: &Cluster) -> Registry {
     let mut reg = Registry::new();
     for s in &cluster.servers {
-        let st = s.stats();
-        reg.inc("server.requests", st.requests);
-        reg.inc("server.inline_handled", st.inline_handled);
-        reg.inc("server.staged", st.staged);
-        reg.inc("server.responses", st.responses);
-        reg.inc("server.proto_errors", st.proto_errors);
-        reg.inc("server.recv_during_flush", st.recv_during_flush);
-        reg.inc("server.batches", st.batches);
-        reg.inc("server.batch_ops", st.batch_ops);
-        reg.inc("server.repl_sent", st.repl_sent);
-        reg.inc("server.repl_acked", st.repl_acked);
-        reg.inc("server.repl_retrans", st.repl_retrans);
+        s.stats().export("server.", &mut reg);
         reg.gauge_max("server.repl_lag_ops", s.repl_lag_ops() as i64);
-        let ss = s.store().stats();
-        reg.inc("store.sets", ss.sets);
-        reg.inc("store.get_hits_ram", ss.get_hits_ram);
-        reg.inc("store.get_hits_ssd", ss.get_hits_ssd);
-        reg.inc("store.get_misses", ss.get_misses);
-        reg.inc("store.deletes", ss.deletes);
-        reg.inc("store.flushed_pages", ss.flushed_pages);
-        reg.inc("store.async_flushes", ss.async_flushes);
-        reg.inc("store.evicted_items", ss.evicted_items);
-        reg.inc("store.promotes", ss.promotes);
-        reg.inc("store.inflight_hits", ss.inflight_hits);
-        reg.inc("store.repl_applied", ss.repl_applied);
-        reg.inc("store.repl_stale_drops", ss.repl_stale_drops);
+        s.store().stats().export("store.", &mut reg);
         if let Some(io) = s.store().slab_io() {
-            let io = io.io_stats();
-            reg.inc("slab_io.reads", io.reads);
-            reg.inc("slab_io.writes", io.writes);
-            reg.inc("slab_io.read_bytes", io.read_bytes);
-            reg.inc("slab_io.write_bytes", io.write_bytes);
-            reg.inc("slab_io.direct_ops", io.direct_ops);
-            reg.inc("slab_io.cached_ops", io.cached_ops);
-            reg.inc("slab_io.mmap_ops", io.mmap_ops);
-            reg.inc("slab_io.stall_ns", io.stall_ns);
+            io.io_stats().export("slab_io.", &mut reg);
         }
     }
     for c in &cluster.clients {
-        let st = c.stats();
-        reg.inc("client.issued", st.issued);
-        reg.inc("client.completed", st.completed);
-        reg.inc("client.orphans", st.orphans);
-        reg.inc("client.timeouts", st.timeouts);
-        reg.inc("client.retries", st.retries);
-        reg.inc("client.hedges", st.hedges);
-        reg.inc("client.breaker_rejections", st.breaker_rejections);
+        c.stats().export("client.", &mut reg);
+        c.mr_stats().export("client.mr_", &mut reg);
         reg.inc("client.breaker_trips", c.breaker_trips());
-        reg.gauge_max("client.window_hwm", st.window_hwm as i64);
-        reg.inc("client.batches_sent", st.batches_sent);
-        reg.inc("client.batched_ops", st.batched_ops);
-        reg.inc("client.flush_on_count", st.flush_on_count);
-        reg.inc("client.flush_on_size", st.flush_on_size);
-        reg.inc("client.flush_on_deadline", st.flush_on_deadline);
-        reg.inc("client.flush_on_doorbell", st.flush_on_doorbell);
-        reg.inc("client.direct_hits", st.direct_hits);
-        reg.inc("client.stale_retries", st.stale_retries);
-        reg.inc("client.ssd_fallbacks", st.ssd_fallbacks);
-        reg.inc("client.direct_lost", st.direct_lost);
-        reg.inc("client.mode_flips", st.mode_flips);
-        reg.inc("client.replica_reads", st.replica_reads);
-        reg.inc("client.promotions", st.promotions);
-        let mr = c.mr_stats();
-        reg.inc("client.mr_hits", mr.hits);
-        reg.inc("client.mr_misses", mr.misses);
-        reg.gauge_max("client.mr_registered_bytes", mr.registered_bytes as i64);
         let hist = c.ops_per_batch();
         if hist.count() > 0 {
             reg.merge_hist("client.ops_per_batch", &hist);
         }
     }
     for l in &cluster.links {
-        let st = l.stats();
-        reg.inc("fabric.messages", st.messages);
-        reg.inc("fabric.bytes", st.bytes);
+        l.stats().export("fabric.", &mut reg);
     }
     reg
 }
@@ -273,5 +215,30 @@ mod tests {
         let report = exp.run();
         assert_eq!(report.ops, 300);
         assert!(report.throughput_ops_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn every_stats_field_reaches_the_registry() {
+        use nbkv_core::{client::ClientStats, server::ServerStats, server::StoreStats};
+        use nbkv_fabric::{LinkStats, MrStats};
+        use nbkv_storesim::SlabIoStats;
+        let exp = LatencyExp {
+            ops_per_client: 200,
+            ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 8 << 20)
+        };
+        let json = exp.run_obs().1.to_json().render_pretty();
+        for (prefix, names) in [
+            ("server.", &ServerStats::NAMES[..]),
+            ("store.", &StoreStats::NAMES),
+            ("slab_io.", &SlabIoStats::NAMES),
+            ("client.", &ClientStats::NAMES),
+            ("client.mr_", &MrStats::NAMES),
+            ("fabric.", &LinkStats::NAMES),
+        ] {
+            for name in names {
+                let key = format!("\"{prefix}{name}\"");
+                assert!(json.contains(&key), "{key} missing from the registry");
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! out every round trip, so there is never more than one op to coalesce.
 
 use nbkv_core::designs::Design;
+use nbkv_fabric::LinkStats;
 use nbkv_obs::Registry;
 use nbkv_workload::{OpMix, RunReport};
 
@@ -84,7 +85,9 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
         // messages per key — so subtracting it isolates the measured
         // phase's wire traffic.
         let preload_msgs = 2 * exp(design, batch).keys() as u64;
-        let measured_msgs = reg.counter("fabric.messages").saturating_sub(preload_msgs);
+        let measured_msgs = LinkStats::read(&reg, "fabric.")
+            .messages
+            .saturating_sub(preload_msgs);
         t.row(vec![
             design.label().to_string(),
             if batch > 1 {

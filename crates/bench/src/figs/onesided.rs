@@ -16,6 +16,7 @@
 //! policies and reports latency, throughput, and the direct-path
 //! counters.
 
+use nbkv_core::client::ClientStats;
 use nbkv_core::designs::Design;
 use nbkv_core::{DirectPolicy, OneSidedConfig};
 use nbkv_obs::Registry;
@@ -83,16 +84,17 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             DirectPolicy::Adaptive,
         ] {
             let (report, reg) = run_case(m, mix, direct);
+            let client = ClientStats::read(&reg, "client.");
             t.row(vec![
                 mix.label(),
                 policy_label(direct).to_string(),
                 us(report.mean_latency_ns),
                 us(report.phases.e2e.p99()),
                 format!("{:.0}", report.throughput_ops_per_sec() / 1e3),
-                reg.counter("client.direct_hits").to_string(),
-                reg.counter("client.stale_retries").to_string(),
-                reg.counter("client.ssd_fallbacks").to_string(),
-                reg.counter("client.mode_flips").to_string(),
+                client.direct_hits.to_string(),
+                client.stale_retries.to_string(),
+                client.ssd_fallbacks.to_string(),
+                client.mode_flips.to_string(),
             ]);
         }
     }
@@ -177,15 +179,13 @@ mod tests {
     fn direct_counters_account_for_the_read_path() {
         let (report, reg) = small(READ_HEAVY, DirectPolicy::Always).run_obs();
         assert_eq!(report.ops, 600);
-        let hits = reg.counter("client.direct_hits");
-        assert!(hits > 0, "always-direct recorded no direct hits");
+        let c = ClientStats::read(&reg, "client.");
+        assert!(c.direct_hits > 0, "always-direct recorded no direct hits");
         assert!(
-            hits + reg.counter("client.stale_retries")
-                + reg.counter("client.ssd_fallbacks")
-                + reg.counter("client.direct_lost")
+            c.direct_hits + c.stale_retries + c.ssd_fallbacks + c.direct_lost
                 <= report.ops as u64 * 2,
             "direct-path counters exceed the op count"
         );
-        assert_eq!(reg.counter("client.timeouts"), 0);
+        assert_eq!(c.timeouts, 0);
     }
 }

@@ -19,6 +19,7 @@
 
 use std::time::Duration;
 
+use nbkv_core::client::ClientStats;
 use nbkv_core::cluster::CrashEvent;
 use nbkv_core::designs::Design;
 use nbkv_core::{ReadPolicy, ReplicationConfig, ResiliencePolicy};
@@ -153,6 +154,7 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             label.push_str("/failover");
         }
         let (report, reg) = run_case(m, &label, &e);
+        let client = ClientStats::read(&reg, "client.");
         t.row(vec![
             mix.label(),
             if crash {
@@ -163,9 +165,9 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             format!("{:.0}", report.throughput_ops_per_sec() / 1e3),
             format!("{:.0}", report.goodput_ops_per_sec() / 1e3),
             us(report.phases.e2e.p99()),
-            reg.counter("server.repl_lag_ops").to_string(),
-            reg.counter("client.replica_reads").to_string(),
-            reg.counter("client.promotions").to_string(),
+            reg.gauge("server.repl_lag_ops").to_string(),
+            client.replica_reads.to_string(),
+            client.promotions.to_string(),
             report.failed_ops.to_string(),
         ]);
     }

@@ -24,10 +24,12 @@
 use std::rc::Rc;
 use std::time::Duration;
 
+use nbkv_core::client::ClientStats;
 use nbkv_core::cluster::ChaosConfig;
 use nbkv_core::designs::Design;
+use nbkv_core::server::{ServerStats, StoreStats};
 use nbkv_core::{DirectPolicy, OneSidedConfig, ReadPolicy, ReplicationConfig, ResiliencePolicy};
-use nbkv_fabric::FaultPlan;
+use nbkv_fabric::{FaultPlan, LinkStats};
 use nbkv_simrt::Sim;
 use nbkv_storesim::{
     sata_ssd, DeviceStats, HostModel, IoScheme, SlabIo, SlabIoConfig, SlabIoStats, SsdDevice,
@@ -164,7 +166,7 @@ fn regress_resilience(m: &mut Manifest) -> Table {
         let (r, cluster_reg) = exp.run_obs();
         let reg = m.record_report(&format!("resilience/{}", design.label()), &r);
         reg.merge(&cluster_reg);
-        let retries = cluster_reg.counter("client.retries");
+        let retries = ClientStats::read(&cluster_reg, "client.").retries;
         t.row(vec![
             design.label().to_string(),
             r.ops.to_string(),
@@ -207,13 +209,15 @@ fn regress_batch(m: &mut Manifest) -> Table {
         let label = if batch > 1 { "batched" } else { "per-op" };
         let reg = m.record_report(&format!("batch/{label}"), &r);
         reg.merge(&cluster_reg);
+        let client = ClientStats::read(&cluster_reg, "client.");
+        let msgs = LinkStats::read(&cluster_reg, "fabric.").messages;
         t.row(vec![
             design.label().to_string(),
             label.to_string(),
             r.mean_latency_ns.to_string(),
-            cluster_reg.counter("fabric.messages").to_string(),
-            cluster_reg.counter("client.batches_sent").to_string(),
-            cluster_reg.counter("client.batched_ops").to_string(),
+            msgs.to_string(),
+            client.batches_sent.to_string(),
+            client.batched_ops.to_string(),
         ]);
     }
     t.note("pinned: 8 MiB memory, 4 MiB RAM-resident data, 512 B values, 600 read-only ops, seed 42; default BatchPolicy.");
@@ -277,19 +281,8 @@ fn regress_io(m: &mut Manifest) -> Table {
         reg.set_counter("write_ns", write_ns);
         reg.set_counter("read_ns", read_ns);
         reg.set_counter("sync_ns", sync_ns);
-        reg.set_counter("slab_io.reads", io.reads);
-        reg.set_counter("slab_io.writes", io.writes);
-        reg.set_counter("slab_io.read_bytes", io.read_bytes);
-        reg.set_counter("slab_io.write_bytes", io.write_bytes);
-        reg.set_counter("slab_io.direct_ops", io.direct_ops);
-        reg.set_counter("slab_io.cached_ops", io.cached_ops);
-        reg.set_counter("slab_io.mmap_ops", io.mmap_ops);
-        reg.set_counter("slab_io.stall_ns", io.stall_ns);
-        reg.set_counter("ssd.reads", dev.reads);
-        reg.set_counter("ssd.writes", dev.writes);
-        reg.set_counter("ssd.bytes_read", dev.bytes_read);
-        reg.set_counter("ssd.bytes_written", dev.bytes_written);
-        reg.set_counter("ssd.gc_stalls", dev.gc_stalls);
+        io.export("slab_io.", reg);
+        dev.export("ssd.", reg);
         t.row(vec![
             "stream".into(),
             scheme.label().to_string(),
@@ -420,16 +413,17 @@ fn regress_onesided(m: &mut Manifest) -> Vec<Table> {
             let (r, cluster_reg) = onesided_exp(mix, direct, data, value_len).run_obs();
             let reg = m.record_report(&format!("{case}/{label}"), &r);
             reg.merge(&cluster_reg);
+            let client = ClientStats::read(&cluster_reg, "client.");
             t.row(vec![
                 case.to_string(),
                 label.to_string(),
                 r.mean_latency_ns.to_string(),
                 r.ops.to_string(),
-                cluster_reg.counter("client.direct_hits").to_string(),
-                cluster_reg.counter("client.stale_retries").to_string(),
-                cluster_reg.counter("client.ssd_fallbacks").to_string(),
-                cluster_reg.counter("client.direct_lost").to_string(),
-                cluster_reg.counter("client.mode_flips").to_string(),
+                client.direct_hits.to_string(),
+                client.stale_retries.to_string(),
+                client.ssd_fallbacks.to_string(),
+                client.direct_lost.to_string(),
+                client.mode_flips.to_string(),
             ]);
         }
     }
@@ -489,8 +483,10 @@ fn regress_replication(m: &mut Manifest) -> Vec<Table> {
         let (r, cluster_reg) = e.run_obs();
         let reg = m.record_report(&format!("{case}/{label}"), &r);
         reg.merge(&cluster_reg);
+        let client = ClientStats::read(&cluster_reg, "client.");
+        let store = StoreStats::read(&cluster_reg, "store.");
         if crash {
-            promotions = cluster_reg.counter("client.promotions");
+            promotions = client.promotions;
             failover_ops = r.ops;
         } else {
             thr.push(r.throughput_ops_per_sec());
@@ -501,11 +497,13 @@ fn regress_replication(m: &mut Manifest) -> Vec<Table> {
             r.mean_latency_ns.to_string(),
             r.ops.to_string(),
             r.failed_ops.to_string(),
-            cluster_reg.counter("server.repl_sent").to_string(),
-            cluster_reg.counter("store.repl_applied").to_string(),
-            cluster_reg.counter("store.repl_stale_drops").to_string(),
-            cluster_reg.counter("client.replica_reads").to_string(),
-            cluster_reg.counter("client.promotions").to_string(),
+            ServerStats::read(&cluster_reg, "server.")
+                .repl_sent
+                .to_string(),
+            store.repl_applied.to_string(),
+            store.repl_stale_drops.to_string(),
+            client.replica_reads.to_string(),
+            client.promotions.to_string(),
         ]);
     }
     // The acceptance gates, re-asserted at regression scale.

@@ -16,7 +16,7 @@
 //!   `get_multi` burst).
 //!
 //! A flushed frame holds exactly one send-window permit regardless of how
-//! many ops it carries ([`WindowSlot`]); the permit returns when the last
+//! many ops it carries (`WindowSlot`); the permit returns when the last
 //! member completes. Single-op flushes go out as plain unbatched frames,
 //! so a batch-enabled client that happens to issue one op at a time is
 //! bit-identical to an unbatched one.

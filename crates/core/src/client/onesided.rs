@@ -1,6 +1,6 @@
 //! The client half of the server-bypass GET path.
 //!
-//! [`DirectReadEngine`] serves GETs with two chained one-sided RDMA
+//! `DirectReadEngine` serves GETs with two chained one-sided RDMA
 //! reads against the server's published index window — descriptor, then
 //! value arena slot — validating the key fingerprint and the seqlock
 //! version pair, and falling back to the two-sided RPC path on any
@@ -26,6 +26,7 @@ use bytes::Bytes;
 use nbkv_fabric::{FabricProfile, QueuePair};
 use nbkv_simrt::Sim;
 
+use crate::client::ClientStats;
 use crate::proto::LeaseGeometry;
 use crate::server::onesided::{key_fingerprint, Descriptor, ARENA_HEADER, DESC_SLOT};
 
@@ -88,12 +89,8 @@ pub(crate) struct DirectReadEngine {
     queue_depth: Cell<u32>,
     mode_direct: Cell<bool>,
     probe_seq: Cell<u64>,
-    // Counters surfaced through `ClientStats`.
-    direct_hits: Cell<u64>,
-    stale_retries: Cell<u64>,
-    ssd_fallbacks: Cell<u64>,
-    direct_lost: Cell<u64>,
-    mode_flips: Cell<u64>,
+    /// The owning client's counters (shared, like the batcher's).
+    pub(crate) stats: Rc<RefCell<ClientStats>>,
 }
 
 impl DirectReadEngine {
@@ -104,6 +101,7 @@ impl DirectReadEngine {
         profile: &FabricProfile,
         dispatch: Duration,
         deadline: Option<Duration>,
+        stats: Rc<RefCell<ClientStats>>,
     ) -> Self {
         // Two round trips: descriptor (DESC_SLOT bytes back) + arena slot
         // (header + a typical small value back). Each read costs request
@@ -130,11 +128,7 @@ impl DirectReadEngine {
             queue_depth: Cell::new(0),
             mode_direct: Cell::new(false),
             probe_seq: Cell::new(0),
-            direct_hits: Cell::new(0),
-            stale_retries: Cell::new(0),
-            ssd_fallbacks: Cell::new(0),
-            direct_lost: Cell::new(0),
-            mode_flips: Cell::new(0),
+            stats,
         }
     }
 
@@ -194,7 +188,7 @@ impl DirectReadEngine {
                 };
                 if want != was_direct {
                     self.mode_direct.set(want);
-                    self.mode_flips.set(self.mode_flips.get() + 1);
+                    self.stats.borrow_mut().mode_flips += 1;
                 }
                 if want {
                     let seq = self.probe_seq.get();
@@ -210,24 +204,14 @@ impl DirectReadEngine {
 
     /// Account a finished attempt.
     pub(crate) fn note(&self, outcome: &DirectOutcome) {
-        let cell = match outcome {
-            DirectOutcome::Hit { .. } => &self.direct_hits,
-            DirectOutcome::Stale => &self.stale_retries,
-            DirectOutcome::Ssd => &self.ssd_fallbacks,
-            DirectOutcome::Lost => &self.direct_lost,
-            DirectOutcome::Miss => return,
-        };
-        cell.set(cell.get() + 1);
-    }
-
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.direct_hits.get(),
-            self.stale_retries.get(),
-            self.ssd_fallbacks.get(),
-            self.direct_lost.get(),
-            self.mode_flips.get(),
-        )
+        let mut st = self.stats.borrow_mut();
+        match outcome {
+            DirectOutcome::Hit { .. } => st.direct_hits += 1,
+            DirectOutcome::Stale => st.stale_retries += 1,
+            DirectOutcome::Ssd => st.ssd_fallbacks += 1,
+            DirectOutcome::Lost => st.direct_lost += 1,
+            DirectOutcome::Miss => {}
+        }
     }
 
     fn alloc_wr(&self) -> u64 {
@@ -319,6 +303,7 @@ mod tests {
             &profile,
             Duration::from_micros(1),
             None,
+            Rc::default(),
         ));
         engine.install_lease(idx.lease());
         (sim, idx, engine, qp)
@@ -387,24 +372,25 @@ mod tests {
     #[test]
     fn adaptive_flips_with_hysteresis_and_probes() {
         let (_sim, _idx, engine, _qp) = rig(DirectPolicy::Adaptive);
+        let flips = || engine.stats.borrow().mode_flips;
         // No latency signal yet: stay on RPC, no flip.
         assert!(!engine.decide());
-        assert_eq!(engine.counters().4, 0);
+        assert_eq!(flips(), 0);
         // A slow RPC observation flips to direct; the first eligible GET
         // is the probe (seq 0), the following go direct.
         engine.observe_rpc_latency(100_000);
         assert!(!engine.decide(), "first direct-mode get is an RPC probe");
-        assert_eq!(engine.counters().4, 1);
+        assert_eq!(flips(), 1);
         let direct = (0..(PROBE_EVERY - 1)).filter(|_| engine.decide()).count();
         assert_eq!(direct as u64, PROBE_EVERY - 1);
         assert!(!engine.decide(), "every {PROBE_EVERY}th get re-probes RPC");
-        assert_eq!(engine.counters().4, 1, "probes are not mode flips");
+        assert_eq!(flips(), 1, "probes are not mode flips");
         // Load drains: fast RPC observations flip back.
         for _ in 0..32 {
             engine.observe_rpc_latency(500);
         }
         assert!(!engine.decide());
-        assert_eq!(engine.counters().4, 2);
+        assert_eq!(flips(), 2);
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl ReqHandle {
     /// release its share of the frame's send-window slot. Returns `true`
     /// if the request was still in flight (a completed or already-
     /// cancelled request is a no-op). A response that arrives after
-    /// cancellation is counted as an orphan in [`crate::ClientStats`]. An
+    /// cancellation is counted as an orphan in [`crate::client::ClientStats`]. An
     /// op cancelled while still queued in a batch is dropped from the
     /// frame at flush time (it never touched the window).
     pub fn cancel(&self) -> bool {

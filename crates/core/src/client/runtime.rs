@@ -105,7 +105,7 @@ pub enum ClientError {
         attempts: u32,
     },
     /// The server's response decoded but its payload was missing or
-    /// malformed (e.g. a fault-corrupted `stats` JSON snapshot).
+    /// malformed (e.g. a `stats` payload that is not exactly 37 words).
     BadResponse,
 }
 
@@ -125,59 +125,61 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Client counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Requests issued.
-    pub issued: u64,
-    /// Responses completed.
-    pub completed: u64,
-    /// Responses that arrived with no matching request (late/duplicate,
-    /// including responses to cancelled or timed-out requests).
-    pub orphans: u64,
-    /// Blocking attempts that ran out their deadline.
-    pub timeouts: u64,
-    /// Retry attempts made by blocking operations.
-    pub retries: u64,
-    /// Always 0: the client posts no hedge requests. Kept because the
-    /// benchmark's `client.hedges` metric and the run manifests read it.
-    pub hedges: u64,
-    /// Attempts rejected because every candidate breaker was open.
-    pub breaker_rejections: u64,
-    /// High-water mark of concurrently-held send-window permits (frame
-    /// occupancy — never exceeds [`ClientConfig::max_outstanding`]).
-    pub window_hwm: u64,
-    /// Multi-op batch frames sent (single-op flushes go out unbatched
-    /// and are not counted here).
-    pub batches_sent: u64,
-    /// Ops carried inside those batch frames.
-    pub batched_ops: u64,
-    /// Flushes triggered by the op-count threshold.
-    pub flush_on_count: u64,
-    /// Flushes triggered by the wire-byte threshold.
-    pub flush_on_size: u64,
-    /// Flushes triggered by the virtual-time deadline.
-    pub flush_on_deadline: u64,
-    /// Flushes triggered by an explicit [`Client::flush_batches`] doorbell.
-    pub flush_on_doorbell: u64,
-    /// GETs served entirely by one-sided RDMA reads (server CPU bypassed).
-    pub direct_hits: u64,
-    /// Direct reads that lost a seqlock race with a writer and fell back
-    /// to RPC.
-    pub stale_retries: u64,
-    /// Direct reads that found the value SSD-resident and fell back.
-    pub ssd_fallbacks: u64,
-    /// Direct reads whose completion never arrived (fault injection or a
-    /// dead link) before falling back.
-    pub direct_lost: u64,
-    /// Adaptive-policy mode changes (RPC↔direct), across all servers.
-    pub mode_flips: u64,
-    /// Read attempts routed to a non-primary replica (spread reads plus
-    /// reads failed over from a dead primary).
-    pub replica_reads: u64,
-    /// Write attempts promoted to a non-primary replica because the
-    /// primary's breaker was open (crash failover).
-    pub promotions: u64,
+nbkv_obs::counters! {
+    /// Client counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClientStats {
+        /// Requests issued.
+        sum issued: u64,
+        /// Responses completed.
+        sum completed: u64,
+        /// Responses that arrived with no matching request (late/duplicate,
+        /// including responses to cancelled or timed-out requests).
+        sum orphans: u64,
+        /// Blocking attempts that ran out their deadline.
+        sum timeouts: u64,
+        /// Retry attempts made by blocking operations.
+        sum retries: u64,
+        /// Always 0: the client posts no hedge requests. Kept because the
+        /// benchmark's `client.hedges` metric and the run manifests read it.
+        sum hedges: u64,
+        /// Attempts rejected because every candidate breaker was open.
+        sum breaker_rejections: u64,
+        /// High-water mark of concurrently-held send-window permits (frame
+        /// occupancy — never exceeds [`ClientConfig::max_outstanding`]).
+        max window_hwm: u64,
+        /// Multi-op batch frames sent (single-op flushes go out unbatched
+        /// and are not counted here).
+        sum batches_sent: u64,
+        /// Ops carried inside those batch frames.
+        sum batched_ops: u64,
+        /// Flushes triggered by the op-count threshold.
+        sum flush_on_count: u64,
+        /// Flushes triggered by the wire-byte threshold.
+        sum flush_on_size: u64,
+        /// Flushes triggered by the virtual-time deadline.
+        sum flush_on_deadline: u64,
+        /// Flushes triggered by an explicit [`Client::flush_batches`] doorbell.
+        sum flush_on_doorbell: u64,
+        /// GETs served entirely by one-sided RDMA reads (server CPU bypassed).
+        sum direct_hits: u64,
+        /// Direct reads that lost a seqlock race with a writer and fell back
+        /// to RPC.
+        sum stale_retries: u64,
+        /// Direct reads that found the value SSD-resident and fell back.
+        sum ssd_fallbacks: u64,
+        /// Direct reads whose completion never arrived (fault injection or a
+        /// dead link) before falling back.
+        sum direct_lost: u64,
+        /// Adaptive-policy mode changes (RPC↔direct), across all servers.
+        sum mode_flips: u64,
+        /// Read attempts routed to a non-primary replica (spread reads plus
+        /// reads failed over from a dead primary).
+        sum replica_reads: u64,
+        /// Write attempts promoted to a non-primary replica because the
+        /// primary's breaker was open (crash failover).
+        sum promotions: u64,
+    }
 }
 
 /// A Memcached client bound to one or more servers.
@@ -248,6 +250,7 @@ impl Client {
                     &profile,
                     cfg.costs.dispatch,
                     cfg.resilience.deadline,
+                    Rc::clone(&stats),
                 ))),
             })
             .collect();
@@ -369,14 +372,6 @@ impl Client {
     pub fn stats(&self) -> ClientStats {
         let mut st = *self.stats.borrow();
         st.window_hwm = self.window.hwm();
-        for e in self.directs.iter().flatten() {
-            let (hits, stale, ssd, lost, flips) = e.counters();
-            st.direct_hits += hits;
-            st.stale_retries += stale;
-            st.ssd_fallbacks += ssd;
-            st.direct_lost += lost;
-            st.mode_flips += flips;
-        }
         st
     }
 

@@ -257,7 +257,8 @@ pub enum Request {
         negative: bool,
     },
     /// Fetch a server observability snapshot (memcached's `stats`). The
-    /// response is a `Get` carrying JSON in the value field.
+    /// response is a `Get` whose value field holds the 37 big-endian `u64`
+    /// words of a `StatsSnapshot`.
     Stats {
         /// Client-assigned request id.
         req_id: u64,

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use nbkv_fabric::{FabricProfile, Transport, TransportTx, FRAME_OVERHEAD};
 use nbkv_simrt::{Semaphore, Sim, SimTime};
 use nbkv_storesim::SlabIo;
@@ -87,35 +87,35 @@ impl ServerConfig {
     }
 }
 
-stats_words! {
+nbkv_obs::counters! {
     /// Server counters.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ServerStats {
         /// Requests received (member ops of a batch frame each count once).
-        pub requests: u64,
+        sum requests: u64,
         /// Requests handled inline on the dispatcher.
-        pub inline_handled: u64,
+        sum inline_handled: u64,
         /// Requests staged for the worker pool.
-        pub staged: u64,
+        sum staged: u64,
         /// Response frames sent (a coalesced batch response counts once).
-        pub responses: u64,
+        sum responses: u64,
         /// Undecodable messages dropped.
-        pub proto_errors: u64,
+        sum proto_errors: u64,
         /// Requests that arrived while a slab-eviction flush was in flight —
         /// the comm/memory overlap the non-blocking pipeline creates.
-        pub recv_during_flush: u64,
+        sum recv_during_flush: u64,
         /// Batch frames received.
-        pub batches: u64,
+        sum batches: u64,
         /// Member ops carried inside those batch frames.
-        pub batch_ops: u64,
+        sum batch_ops: u64,
         /// Replication ops enqueued toward peer replicas (each op counts once,
         /// however many times its frame is retransmitted).
-        pub repl_sent: u64,
+        sum repl_sent: u64,
         /// Replication ops acknowledged by their replica.
-        pub repl_acked: u64,
+        sum repl_acked: u64,
         /// Replication ops retransmitted after the ack deadline (lost frames,
         /// crashed replicas catching up after restart).
-        pub repl_retrans: u64,
+        sum repl_retrans: u64,
     }
 }
 
@@ -137,15 +137,25 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Encoded size: one 8-byte word per counter.
-    pub const WIRE_LEN: usize = 8 * (ServerStats::WORDS + StoreStats::WORDS + SlabStats::WORDS);
+    pub const WIRE_LEN: usize =
+        8 * (ServerStats::NAMES.len() + StoreStats::NAMES.len() + SlabStats::NAMES.len());
 
     /// Encode as the `stats` response payload.
     pub(crate) fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(Self::WIRE_LEN);
-        self.server.put_words(&mut b);
-        self.store.put_words(&mut b);
-        self.slab.put_words(&mut b);
+        for (_, w) in self.fields() {
+            b.put_u64(w);
+        }
         b.freeze()
+    }
+
+    /// Every counter as `(field name, word)`, in wire order.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let server = ServerStats::NAMES.into_iter().zip(self.server.words());
+        let store = StoreStats::NAMES.into_iter().zip(self.store.words());
+        server
+            .chain(store)
+            .chain(SlabStats::NAMES.into_iter().zip(self.slab.words()))
     }
 
     /// Decode a `stats` response payload; `None` unless it is exactly
@@ -158,9 +168,9 @@ impl StatsSnapshot {
             .chunks_exact(8)
             .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte chunk")));
         Some(StatsSnapshot {
-            server: ServerStats::take_words(&mut words),
-            store: StoreStats::take_words(&mut words),
-            slab: SlabStats::take_words(&mut words),
+            server: ServerStats::from_words(&mut words),
+            store: StoreStats::from_words(&mut words),
+            slab: SlabStats::from_words(&mut words),
         })
     }
 }

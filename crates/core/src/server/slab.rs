@@ -123,18 +123,18 @@ struct Page {
     generation: u32,
 }
 
-stats_words! {
+nbkv_obs::counters! {
     /// Pool counters.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SlabStats {
         /// Pages currently assigned to classes.
-        pub pages_in_use: usize,
+        sum pages_in_use: usize,
         /// Pages in the free pool.
-        pub pages_free: usize,
+        sum pages_free: usize,
         /// Total page budget.
-        pub pages_budget: usize,
+        sum pages_budget: usize,
         /// Live items across all pages.
-        pub live_items: u64,
+        sum live_items: u64,
     }
 }
 

@@ -217,58 +217,58 @@ impl OpOutcome {
     }
 }
 
-stats_words! {
+nbkv_obs::counters! {
     /// Store counters.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct StoreStats {
         /// Successful sets.
-        pub sets: u64,
+        sum sets: u64,
         /// Gets served from RAM.
-        pub get_hits_ram: u64,
+        sum get_hits_ram: u64,
         /// Gets served from SSD.
-        pub get_hits_ssd: u64,
+        sum get_hits_ssd: u64,
         /// Gets that missed.
-        pub get_misses: u64,
+        sum get_misses: u64,
         /// Items that missed because they expired.
-        pub expired: u64,
+        sum expired: u64,
         /// Deletes that removed something.
-        pub deletes: u64,
+        sum deletes: u64,
         /// Slab pages flushed to SSD.
-        pub flushed_pages: u64,
+        sum flushed_pages: u64,
         /// Items lost to memory-only eviction.
-        pub evicted_items: u64,
+        sum evicted_items: u64,
         /// Items dropped because the SSD was full.
-        pub ssd_full_drops: u64,
+        sum ssd_full_drops: u64,
         /// SSD items promoted back to RAM.
-        pub promotes: u64,
+        sum promotes: u64,
         /// Pages flushed asynchronously (async-flush extension).
-        pub async_flushes: u64,
+        sum async_flushes: u64,
         /// SSD reads served from an in-flight flush buffer.
-        pub inflight_hits: u64,
+        sum inflight_hits: u64,
         /// Bytes of SSD extents occupied by dead (superseded/deleted) items,
         /// awaiting whole-extent reclamation.
-        pub ssd_dead_bytes: u64,
+        sum ssd_dead_bytes: u64,
         /// Extents returned to the free list after every item in them died.
-        pub ssd_reclaimed_extents: u64,
+        sum ssd_reclaimed_extents: u64,
         /// Bytes made reusable by extent reclamation.
-        pub ssd_reclaimed_bytes: u64,
+        sum ssd_reclaimed_bytes: u64,
         /// Sets that failed (no memory / too large).
-        pub set_errors: u64,
+        sum set_errors: u64,
         /// Gets that failed on an SSD read error (e.g. injected device fault).
-        pub get_io_errors: u64,
+        sum get_io_errors: u64,
         /// Slab-page flushes whose SSD write failed (items dropped).
-        pub flush_errors: u64,
+        sum flush_errors: u64,
         /// Simulated crashes (RAM state lost).
-        pub crashes: u64,
+        sum crashes: u64,
         /// Items re-indexed from SSD extents during warm recovery.
-        pub recovered_items: u64,
+        sum recovered_items: u64,
         /// Replicated writes applied (set or delete) via
         /// [`HybridStore::apply_replicated`].
-        pub repl_applied: u64,
+        sum repl_applied: u64,
         /// Replicated writes dropped because an equal-or-newer per-key
         /// sequence number had already been applied (out-of-order delivery or
         /// retransmit; dropping prevents stale-value resurrection).
-        pub repl_stale_drops: u64,
+        sum repl_stale_drops: u64,
     }
 }
 

@@ -99,36 +99,27 @@ fn hash3(seed: u64, seq: u64, salt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Counters for injected (and observed) link faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages dropped by random drop probability.
-    pub dropped: u64,
-    /// Messages dropped because the link was scripted down.
-    pub down_dropped: u64,
-    /// Messages given extra delay.
-    pub delayed: u64,
-    /// Messages allowed to escape FIFO ordering.
-    pub reordered: u64,
-    /// Messages discarded in flight because the receiver was gone.
-    pub receiver_gone: u64,
+nbkv_obs::counters! {
+    /// Counters for injected (and observed) link faults.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultStats {
+        /// Messages dropped by random drop probability.
+        sum dropped: u64,
+        /// Messages dropped because the link was scripted down.
+        sum down_dropped: u64,
+        /// Messages given extra delay.
+        sum delayed: u64,
+        /// Messages allowed to escape FIFO ordering.
+        sum reordered: u64,
+        /// Messages discarded in flight because the receiver was gone.
+        sum receiver_gone: u64,
+    }
 }
 
 impl FaultStats {
     /// Total messages that never reached the peer.
     pub fn total_lost(&self) -> u64 {
         self.dropped + self.down_dropped + self.receiver_gone
-    }
-
-    /// Element-wise sum (for cluster-level aggregation).
-    pub fn merge(&self, other: &FaultStats) -> FaultStats {
-        FaultStats {
-            dropped: self.dropped + other.dropped,
-            down_dropped: self.down_dropped + other.down_dropped,
-            delayed: self.delayed + other.delayed,
-            reordered: self.reordered + other.reordered,
-            receiver_gone: self.receiver_gone + other.receiver_gone,
-        }
     }
 }
 

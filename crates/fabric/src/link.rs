@@ -44,34 +44,27 @@ impl fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-/// Per-link counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages sent.
-    pub messages: u64,
-    /// Payload bytes sent (excluding framing).
-    pub bytes: u64,
+nbkv_obs::counters! {
+    /// Per-link counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LinkStats {
+        /// Messages sent.
+        sum messages: u64,
+        /// Payload bytes sent (excluding framing).
+        sum bytes: u64,
+    }
 }
 
 struct LinkInner {
     model: LatencyModel,
     busy_until: Cell<SimTime>,
-    messages: Cell<u64>,
-    bytes: Cell<u64>,
+    stats: RefCell<LinkStats>,
     /// Delivery-time floor: per-message jitter must not reorder a link's
     /// FIFO stream.
     last_deliver: Cell<SimTime>,
     /// Optional injected-fault schedule (see [`FaultPlan`]).
     fault_plan: RefCell<Option<FaultPlan>>,
-    faults: Cell<FaultStats>,
-}
-
-impl LinkInner {
-    fn bump_faults(&self, f: impl FnOnce(&mut FaultStats)) {
-        let mut stats = self.faults.get();
-        f(&mut stats);
-        self.faults.set(stats);
-    }
+    faults: RefCell<FaultStats>,
 }
 
 /// Sending half of a unidirectional link. Cheap to clone; clones share the
@@ -90,11 +83,10 @@ impl Link {
             inner: Rc::new(LinkInner {
                 model,
                 busy_until: Cell::new(SimTime::ZERO),
-                messages: Cell::new(0),
-                bytes: Cell::new(0),
+                stats: RefCell::new(LinkStats::default()),
                 last_deliver: Cell::new(SimTime::ZERO),
                 fault_plan: RefCell::new(None),
-                faults: Cell::new(FaultStats::default()),
+                faults: RefCell::new(FaultStats::default()),
             }),
             tx,
         }
@@ -116,12 +108,10 @@ impl Link {
         let wire_len = payload.len() + FRAME_OVERHEAD;
         let start = now.max(self.inner.busy_until.get());
         let sent_at = start + self.inner.model.serialization(wire_len);
-        let seq = self.inner.messages.get();
+        let seq = self.inner.stats.borrow().messages;
         self.inner.busy_until.set(sent_at);
-        self.inner.messages.set(seq + 1);
-        self.inner
-            .bytes
-            .set(self.inner.bytes.get() + payload.len() as u64);
+        self.inner.stats.borrow_mut().messages += 1;
+        self.inner.stats.borrow_mut().bytes += payload.len() as u64;
 
         let ticket = SendTicket {
             sim: self.sim.clone(),
@@ -134,21 +124,21 @@ impl Link {
         let mut keep_fifo = true;
         if let Some(plan) = self.inner.fault_plan.borrow().as_ref() {
             if plan.is_down_at(start) {
-                self.inner.bump_faults(|f| f.down_dropped += 1);
+                self.inner.faults.borrow_mut().down_dropped += 1;
                 return Ok(ticket);
             }
             if plan.drop_prob > 0.0 && plan.roll(seq, SALT_DROP) < plan.drop_prob {
-                self.inner.bump_faults(|f| f.dropped += 1);
+                self.inner.faults.borrow_mut().dropped += 1;
                 return Ok(ticket);
             }
             if plan.delay_prob > 0.0 && plan.roll(seq, SALT_DELAY) < plan.delay_prob {
                 extra += plan.scaled_delay(seq, SALT_DELAY_AMT, plan.extra_delay);
-                self.inner.bump_faults(|f| f.delayed += 1);
+                self.inner.faults.borrow_mut().delayed += 1;
             }
             if plan.reorder_prob > 0.0 && plan.roll(seq, SALT_REORDER) < plan.reorder_prob {
                 extra += plan.scaled_delay(seq, SALT_REORDER_AMT, plan.reorder_delay);
                 keep_fifo = false;
-                self.inner.bump_faults(|f| f.reordered += 1);
+                self.inner.faults.borrow_mut().reordered += 1;
             }
         }
 
@@ -167,7 +157,7 @@ impl Link {
             // The peer may have shut down mid-flight; the message vanishes
             // like on a real network, but the loss is counted.
             if tx.send_now(payload).is_err() {
-                inner.bump_faults(|f| f.receiver_gone += 1);
+                inner.faults.borrow_mut().receiver_gone += 1;
             }
         });
 
@@ -176,10 +166,7 @@ impl Link {
 
     /// Counters for this link.
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            messages: self.inner.messages.get(),
-            bytes: self.inner.bytes.get(),
-        }
+        *self.inner.stats.borrow()
     }
 
     /// The link's latency model.
@@ -202,7 +189,7 @@ impl Link {
     /// Counters for injected and observed faults on this link, including
     /// messages discarded because the receiver was gone.
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner.faults.get()
+        *self.inner.faults.borrow()
     }
 
     /// True while the peer's receiver is alive.
@@ -242,15 +229,12 @@ impl LinkFaultHandle {
 
     /// Counters for injected and observed faults on the link.
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner.faults.get()
+        *self.inner.faults.borrow()
     }
 
     /// Traffic counters for the link.
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            messages: self.inner.messages.get(),
-            bytes: self.inner.bytes.get(),
-        }
+        *self.inner.stats.borrow()
     }
 }
 

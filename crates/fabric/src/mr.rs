@@ -80,15 +80,17 @@ fn fingerprint(buf: &[u8]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MrKey(pub u32);
 
-/// Registration-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MrStats {
-    /// Cache hits (no cost charged).
-    pub hits: u64,
-    /// Cache misses (full registration cost charged).
-    pub misses: u64,
-    /// Bytes currently registered.
-    pub registered_bytes: u64,
+nbkv_obs::counters! {
+    /// Registration-cache counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MrStats {
+        /// Cache hits (no cost charged).
+        sum hits: u64,
+        /// Cache misses (full registration cost charged).
+        sum misses: u64,
+        /// Bytes currently registered.
+        max registered_bytes: u64,
+    }
 }
 
 struct MrInner {

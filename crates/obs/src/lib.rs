@@ -1,7 +1,7 @@
 //! # nbkv-obs — virtual-time observability
 //!
 //! The metrics layer threaded through the whole reproduction: because every
-//! component runs on one virtual clock ([`nbkv_simrt`]'s discrete-event
+//! component runs on one virtual clock (`nbkv_simrt`'s discrete-event
 //! simulation), every quantity recorded here is **bit-for-bit reproducible**
 //! for a fixed configuration and seed. That determinism is what turns the
 //! repo's CI regression gate (`scripts/regress.sh`) from a smoke test into
@@ -14,6 +14,8 @@
 //!   deterministic integers, never interpolated floats.
 //! - [`Registry`] — a plain-data bag of named counters, gauges, and
 //!   histograms with a sorted, deterministic JSON rendering.
+//! - [`counters!`] — declares a stats struct from one field list and
+//!   generates its names, wire words, registry export and merge.
 //! - [`ReqTimeline`]/[`PhaseBreakdown`] — the request-lifecycle stamps
 //!   (issue → NIC-out → server-recv → comm-done → store-done → complete)
 //!   and the per-phase decomposition that sums exactly to end-to-end
@@ -29,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod hist;
 pub mod json;
 pub mod manifest;

@@ -34,8 +34,9 @@ impl Registry {
         self.counters.insert(name.to_string(), v);
     }
 
-    /// Read counter `name` (0 if absent).
+    /// Read counter `name` (0 if absent). Panics if `name` is a gauge.
     pub fn counter(&self, name: &str) -> u64 {
+        assert!(!self.gauges.contains_key(name), "{name} is a gauge");
         self.counters.get(name).copied().unwrap_or(0)
     }
 
@@ -45,8 +46,9 @@ impl Registry {
         *e = (*e).max(v);
     }
 
-    /// Read gauge `name` (0 if absent).
+    /// Read gauge `name` (0 if absent). Panics if `name` is a counter.
     pub fn gauge(&self, name: &str) -> i64 {
+        assert!(!self.counters.contains_key(name), "{name} is a counter");
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
@@ -143,6 +145,15 @@ mod tests {
         assert_eq!(r.gauge("window_hwm"), 9);
         assert_eq!(r.hist("lat").unwrap().count(), 2);
         assert_eq!(r.counter("missing"), 0);
+    }
+
+    #[test]
+    fn reading_a_metric_as_the_other_kind_panics() {
+        let mut r = Registry::new();
+        r.gauge_max("hwm", 2);
+        r.inc("ops", 2);
+        assert!(std::panic::catch_unwind(|| r.counter("hwm")).is_err());
+        assert!(std::panic::catch_unwind(|| r.gauge("ops")).is_err());
     }
 
     #[test]

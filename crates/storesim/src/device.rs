@@ -60,19 +60,21 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-/// Device counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Read commands serviced.
-    pub reads: u64,
-    /// Write commands serviced.
-    pub writes: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Garbage-collection stalls taken.
-    pub gc_stalls: u64,
+nbkv_obs::counters! {
+    /// Device counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DeviceStats {
+        /// Read commands serviced.
+        sum reads: u64,
+        /// Write commands serviced.
+        sum writes: u64,
+        /// Bytes read.
+        sum bytes_read: u64,
+        /// Bytes written.
+        sum bytes_written: u64,
+        /// Garbage-collection stalls taken.
+        sum gc_stalls: u64,
+    }
 }
 
 /// A simulated SSD.
@@ -82,18 +84,14 @@ pub struct SsdDevice {
     /// Busy-until cursor per parallel command channel.
     channels: RefCell<Vec<SimTime>>,
     extents: RefCell<HashMap<u64, Box<[u8]>>>,
-    reads: Cell<u64>,
-    writes: Cell<u64>,
-    bytes_read: Cell<u64>,
-    bytes_written: Cell<u64>,
+    stats: RefCell<DeviceStats>,
     /// Bytes written since the last GC stall.
     gc_accumulator: Cell<u64>,
-    gc_stalls: Cell<u64>,
     /// Optional injected-fault schedule (see [`SsdFaultPlan`]).
     fault_plan: RefCell<Option<SsdFaultPlan>>,
     /// Per-command sequence for deterministic fault rolls.
     fault_seq: Cell<u64>,
-    faults: Cell<SsdFaultStats>,
+    faults: RefCell<SsdFaultStats>,
 }
 
 /// Outcome of rolling the fault plan for one command.
@@ -112,15 +110,11 @@ impl SsdDevice {
             profile,
             channels: RefCell::new(vec![SimTime::ZERO; profile.queue_depth]),
             extents: RefCell::new(HashMap::new()),
-            reads: Cell::new(0),
-            writes: Cell::new(0),
-            bytes_read: Cell::new(0),
-            bytes_written: Cell::new(0),
+            stats: RefCell::new(DeviceStats::default()),
             gc_accumulator: Cell::new(0),
-            gc_stalls: Cell::new(0),
             fault_plan: RefCell::new(None),
             fault_seq: Cell::new(0),
-            faults: Cell::new(SsdFaultStats::default()),
+            faults: RefCell::new(SsdFaultStats::default()),
         })
     }
 
@@ -136,7 +130,7 @@ impl SsdDevice {
 
     /// Counters for injected device faults.
     pub fn fault_stats(&self) -> SsdFaultStats {
-        self.faults.get()
+        *self.faults.borrow()
     }
 
     /// Roll the fault plan for the next command of class `op`.
@@ -148,7 +142,7 @@ impl SsdDevice {
             return CommandFault::default();
         };
         let mut fault = CommandFault::default();
-        let mut stats = self.faults.get();
+        let mut stats = self.faults.borrow_mut();
         if plan.in_stall_window(self.sim.now()) {
             fault.stall = plan.stall;
             stats.stalled += 1;
@@ -167,7 +161,6 @@ impl SsdDevice {
                 IoOp::Write => stats.write_errors += 1,
             }
         }
-        self.faults.set(stats);
         fault
     }
 
@@ -178,13 +171,7 @@ impl SsdDevice {
 
     /// Counter snapshot.
     pub fn stats(&self) -> DeviceStats {
-        DeviceStats {
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            gc_stalls: self.gc_stalls.get(),
-        }
+        *self.stats.borrow()
     }
 
     /// Read `len` bytes at `offset`, waiting the device service time.
@@ -194,8 +181,8 @@ impl SsdDevice {
         let fault = self.roll_fault(IoOp::Read);
         self.service(self.profile.read_cost(len) + fault.stall)
             .await;
-        self.reads.set(self.reads.get() + 1);
-        self.bytes_read.set(self.bytes_read.get() + len as u64);
+        self.stats.borrow_mut().reads += 1;
+        self.stats.borrow_mut().bytes_read += len as u64;
         if fault.error {
             return Err(DeviceError::Injected { op: IoOp::Read });
         }
@@ -232,16 +219,15 @@ impl SsdDevice {
             let acc = self.gc_accumulator.get() + data.len() as u64;
             if acc >= self.profile.gc_window_bytes {
                 self.gc_accumulator.set(acc % self.profile.gc_window_bytes);
-                self.gc_stalls.set(self.gc_stalls.get() + 1);
+                self.stats.borrow_mut().gc_stalls += 1;
                 cost += self.profile.gc_stall;
             } else {
                 self.gc_accumulator.set(acc);
             }
         }
         self.service(cost).await;
-        self.writes.set(self.writes.get() + 1);
-        self.bytes_written
-            .set(self.bytes_written.get() + data.len() as u64);
+        self.stats.borrow_mut().writes += 1;
+        self.stats.borrow_mut().bytes_written += data.len() as u64;
         if fault.error {
             // The command occupied the device but persisted nothing.
             return Err(DeviceError::Injected { op: IoOp::Write });

@@ -91,25 +91,16 @@ fn hash3(seed: u64, seq: u64, salt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Counters for injected device faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SsdFaultStats {
-    /// Reads that failed with an injected error.
-    pub read_errors: u64,
-    /// Writes that failed with an injected error.
-    pub write_errors: u64,
-    /// Commands stalled (random or scripted window).
-    pub stalled: u64,
-}
-
-impl SsdFaultStats {
-    /// Element-wise sum (for cluster-level aggregation).
-    pub fn merge(&self, other: &SsdFaultStats) -> SsdFaultStats {
-        SsdFaultStats {
-            read_errors: self.read_errors + other.read_errors,
-            write_errors: self.write_errors + other.write_errors,
-            stalled: self.stalled + other.stalled,
-        }
+nbkv_obs::counters! {
+    /// Counters for injected device faults.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SsdFaultStats {
+        /// Reads that failed with an injected error.
+        sum read_errors: u64,
+        /// Writes that failed with an injected error.
+        sum write_errors: u64,
+        /// Commands stalled (random or scripted window).
+        sum stalled: u64,
     }
 }
 

@@ -67,26 +67,28 @@ impl SlabIoConfig {
     }
 }
 
-/// I/O-facade counters: per-scheme operation mix plus total virtual time
-/// callers spent stalled inside slab reads/writes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabIoStats {
-    /// Read operations.
-    pub reads: u64,
-    /// Write operations.
-    pub writes: u64,
-    /// Bytes read.
-    pub read_bytes: u64,
-    /// Bytes written.
-    pub write_bytes: u64,
-    /// Operations routed through the direct scheme.
-    pub direct_ops: u64,
-    /// Operations routed through the cached scheme.
-    pub cached_ops: u64,
-    /// Operations routed through the mmap scheme.
-    pub mmap_ops: u64,
-    /// Total virtual ns callers spent awaiting slab reads/writes.
-    pub stall_ns: u64,
+nbkv_obs::counters! {
+    /// I/O-facade counters: per-scheme operation mix plus total virtual time
+    /// callers spent stalled inside slab reads/writes.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SlabIoStats {
+        /// Read operations.
+        sum reads: u64,
+        /// Write operations.
+        sum writes: u64,
+        /// Bytes read.
+        sum read_bytes: u64,
+        /// Bytes written.
+        sum write_bytes: u64,
+        /// Operations routed through the direct scheme.
+        sum direct_ops: u64,
+        /// Operations routed through the cached scheme.
+        sum cached_ops: u64,
+        /// Operations routed through the mmap scheme.
+        sum mmap_ops: u64,
+        /// Total virtual ns callers spent awaiting slab reads/writes.
+        sum stall_ns: u64,
+    }
 }
 
 /// Unified I/O facade over one SSD.

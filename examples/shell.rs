@@ -87,26 +87,10 @@ fn main() {
             "stats" => {
                 let client = Rc::clone(&client);
                 let snap = sim.run_until(async move { client.server_stats(0).await.unwrap() });
-                println!(
-                    "server: {} reqs ({} staged, {} inline), {} responses",
-                    snap.server.requests,
-                    snap.server.staged,
-                    snap.server.inline_handled,
-                    snap.server.responses
-                );
-                println!(
-                    "store : {} sets, hits ram/ssd {}/{}, misses {}, flushed pages {}, reclaimed extents {}",
-                    snap.store.sets,
-                    snap.store.get_hits_ram,
-                    snap.store.get_hits_ssd,
-                    snap.store.get_misses,
-                    snap.store.flushed_pages,
-                    snap.store.ssd_reclaimed_extents
-                );
-                println!(
-                    "slab  : {}/{} pages in use, {} live items",
-                    snap.slab.pages_in_use, snap.slab.pages_budget, snap.slab.live_items
-                );
+                for (name, v) in snap.fields() {
+                    println!("STAT {name} {v}");
+                }
+                println!("END");
             }
             "get" if parts.len() >= 2 => {
                 let client = Rc::clone(&client);

@@ -44,6 +44,10 @@ cargo test --workspace -q
 echo "==> cargo test --workspace --doc -q"
 cargo test --workspace --doc -q
 
+# Broken or private intra-doc links fail the gate.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The vendored stand-ins are workspace-excluded, so run their own tests
 # here; the shared target dir keeps build output out of third_party/.
 for manifest in third_party/*/Cargo.toml; do
