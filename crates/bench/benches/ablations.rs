@@ -5,9 +5,10 @@
 //! - promotion policy (never vs if-free);
 //! - OS page-cache size (what the paper's big-RAM nodes contribute).
 //!
-//! Each benchmark returns the *virtual* mean latency as its measured
-//! output, so `cargo bench` both exercises the configurations and lets a
-//! reader compare wall-clock simulation costs.
+//! Each benchmark returns the virtual mean latency, but the criterion
+//! stand-in only black-boxes it and prints host time per iteration: these
+//! groups time the simulator on each configuration and do not measure the
+//! design choice itself (DESIGN.md §5 names what does).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use nbkv_obs::{Registry, RunManifest};
+use nbkv_obs::{Json, Registry};
 use nbkv_workload::RunReport;
 
 use crate::exp::scale_factor;
@@ -64,50 +64,87 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// One bench invocation's manifest under construction.
+/// One bench invocation's manifest under construction: identification
+/// plus one metric section per design/case.
 pub struct Manifest {
-    inner: RunManifest,
+    /// Bench id (the output filename stem), e.g. `fig1` or `phases`.
+    bench: String,
+    /// `git describe --always --dirty` of the producing tree.
+    git_describe: String,
+    /// Experiment scale factor (`NBKV_SCALE`).
+    scale: f64,
+    /// Base workload seed.
+    seed: u64,
+    /// Named metric sections in insertion order (one per design/case).
+    sections: Vec<(String, Registry)>,
 }
 
 impl Manifest {
     /// Manifest for bench `bench` at the ambient `NBKV_SCALE`.
     pub fn new(bench: &str) -> Self {
-        Manifest {
-            inner: RunManifest::new(bench, &git_describe(), scale_factor(), BASE_SEED),
-        }
+        Self::new_fixed(bench, scale_factor(), BASE_SEED)
     }
 
     /// Manifest with an explicit scale/seed, independent of the
     /// environment (the regression benches run at a pinned scale).
     pub fn new_fixed(bench: &str, scale: f64, seed: u64) -> Self {
         Manifest {
-            inner: RunManifest::new(bench, &git_describe(), scale, seed),
+            bench: bench.to_string(),
+            git_describe: git_describe(),
+            scale,
+            seed,
+            sections: Vec::new(),
         }
     }
 
-    /// The metric section for `label`, created on first use.
+    /// The metric section for `label`, created on first use. Sections
+    /// keep their insertion order in the rendered JSON.
     pub fn section(&mut self, label: &str) -> &mut Registry {
-        self.inner.section(label)
+        if let Some(i) = self.sections.iter().position(|(l, _)| l == label) {
+            return &mut self.sections[i].1;
+        }
+        self.sections.push((label.to_string(), Registry::new()));
+        &mut self.sections.last_mut().expect("just pushed").1
     }
 
     /// Record a workload report into section `label` (counters plus the
     /// per-phase lifecycle histograms), returning the section so callers
     /// can add bench-specific metrics.
     pub fn record_report(&mut self, label: &str, r: &RunReport) -> &mut Registry {
-        let reg = self.inner.section(label);
+        let reg = self.section(label);
         record_report(reg, r);
         reg
     }
 
+    /// Deterministic JSON. `git_describe` renders on its own line so the
+    /// regression diff can ignore exactly that line.
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("bench".into(), Json::Str(self.bench.clone())),
+            ("git_describe".into(), Json::Str(self.git_describe.clone())),
+            ("scale".into(), Json::F64(self.scale)),
+            ("seed".into(), Json::U64(self.seed)),
+            (
+                "sections".into(),
+                Json::Obj(
+                    self.sections
+                        .iter()
+                        .map(|(l, r)| (l.clone(), r.to_json()))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
     /// Render the canonical manifest text.
     pub fn render(&self) -> String {
-        self.inner.render()
+        self.to_json().render_pretty()
     }
 
     /// Write `<manifest_dir()>/<bench>.json`; a failed write panics with
     /// the path and the I/O error.
     pub fn emit(&self) {
-        let path = manifest_dir().join(format!("{}.json", self.inner.bench));
+        let path = manifest_dir().join(format!("{}.json", self.bench));
         write_or_die(&path, &self.render());
         eprintln!("[manifest] wrote {}", path.display());
     }
@@ -147,6 +184,45 @@ pub fn record_report(reg: &mut Registry, r: &RunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sections_keep_insertion_order_and_accumulate() {
+        let mut m = Manifest::new_fixed("figx", 0.25, 42);
+        m.section("H-RDMA-Opt-NonB-i").inc("ops", 10);
+        m.section("IPoIB-Mem").inc("ops", 5);
+        m.section("H-RDMA-Opt-NonB-i").inc("ops", 1);
+        assert_eq!(m.sections.len(), 2);
+        let s = m.render();
+        assert!(s.find("H-RDMA-Opt-NonB-i").unwrap() < s.find("IPoIB-Mem").unwrap());
+        assert!(s.contains("\"ops\": 11"));
+    }
+
+    #[test]
+    fn git_describe_renders_on_its_own_line() {
+        let m = Manifest {
+            git_describe: "abc1234-dirty".to_string(),
+            ..Manifest::new_fixed("figx", 1.0, 7)
+        };
+        let line = m
+            .render()
+            .lines()
+            .find(|l| l.contains("git_describe"))
+            .expect("git_describe line")
+            .to_string();
+        assert_eq!(line.trim(), "\"git_describe\": \"abc1234-dirty\",");
+    }
+
+    #[test]
+    fn rendering_is_byte_deterministic() {
+        let build = || {
+            let mut m = Manifest::new_fixed("d", 0.25, 42);
+            let r = m.section("case");
+            r.inc("a", 1);
+            r.observe("lat", 999);
+            m.render()
+        };
+        assert_eq!(build(), build());
+    }
 
     #[test]
     fn write_or_die_creates_dirs_and_fails_loudly() {

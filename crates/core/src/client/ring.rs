@@ -1,6 +1,8 @@
 //! Key-to-server selection: a ketama-style consistent-hash ring.
 
-use crate::util::{fnv1a, mix64};
+use nbkv_simrt::mix64;
+
+use crate::util::fnv1a;
 
 const VNODES_PER_SERVER: u32 = 64;
 

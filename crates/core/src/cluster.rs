@@ -147,11 +147,9 @@ impl Cluster {
 /// Decorrelate a per-entity seed from the chaos base seed and topology
 /// coordinates (pure splitmix-style mix; stable across runs).
 fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
-    let mut x =
-        base ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    nbkv_simrt::mix64(
+        base ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+    )
 }
 
 /// Build a cluster on `sim`: creates the fabric, the per-server SSDs (for

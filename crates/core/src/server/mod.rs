@@ -1,7 +1,6 @@
 //! The hybrid Memcached-like server: slab storage, hash index, request
 //! pipeline.
 
-pub mod hashtable;
 pub mod onesided;
 pub mod runtime;
 pub mod slab;

@@ -1186,9 +1186,10 @@ mod tests {
         let server = Server::new(&sim, mem_cfg(), None);
         let (client_side, server_side) = fabric.connect();
         server.accept(server_side);
+        let (client_tx, _client_rx) = client_side.split();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            client_side
+            client_tx
                 .send(Bytes::from_static(&[255, 1, 2, 3]))
                 .await
                 .unwrap();

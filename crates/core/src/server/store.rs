@@ -15,6 +15,7 @@
 //! paper's Section III-A breakdown.
 
 use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -23,7 +24,6 @@ use nbkv_storesim::{IoScheme, LruMap, SlabIo};
 
 use crate::costs::CpuCosts;
 use crate::proto::{OpStatus, ServedFrom, SetMode, StageTimes};
-use crate::server::hashtable::HashTable;
 use crate::server::onesided::OneSidedIndex;
 use crate::server::slab::{parse_item_bytes, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
 use crate::util::unpack_item_id;
@@ -153,16 +153,19 @@ struct ExtentInfo {
 }
 
 /// In-flight flush registry: extent base -> (length, buffered contents).
-type InflightFlushes = Rc<RefCell<std::collections::HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
+type InflightFlushes = Rc<RefCell<HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
 
-/// Set `key`'s replication sequence number. A new entry stores its own
-/// copy of the key, so the map never keeps a request frame alive through
-/// a zero-copy key slice (`HashMap::entry` would take the caller's key).
-fn record_seq(seqs: &mut std::collections::HashMap<Bytes, u64>, key: &[u8], seq: u64) {
-    match seqs.get_mut(key) {
-        Some(last) => *last = seq,
+/// Insert `value` under `key`, returning the value it replaces. A new
+/// entry stores its own copy of the key, so a long-lived map never keeps a
+/// request frame or a device read buffer alive through a zero-copy key
+/// slice (`HashMap::entry` would take the caller's key); an overwrite
+/// keeps the stored key.
+fn insert_owned<V>(map: &mut HashMap<Bytes, V>, key: &[u8], value: V) -> Option<V> {
+    match map.get_mut(key) {
+        Some(slot) => Some(std::mem::replace(slot, value)),
         None => {
-            seqs.insert(Bytes::copy_from_slice(key), seq);
+            map.insert(Bytes::copy_from_slice(key), value);
+            None
         }
     }
 }
@@ -327,21 +330,21 @@ pub struct HybridStore {
     sim: Sim,
     cfg: StoreConfig,
     pool: RefCell<SlabPool>,
-    index: Rc<RefCell<HashTable<ItemMeta>>>,
+    index: Rc<RefCell<HashMap<Bytes, ItemMeta>>>,
     item_lru: RefCell<Vec<LruMap<u64, ()>>>,
     page_lru: RefCell<Vec<LruMap<u32, ()>>>,
     ssd: Option<Rc<SlabIo>>,
     ssd_bump: Cell<u64>,
     /// Live-item count per SSD extent (keyed by base offset); an extent
     /// whose count reaches zero is reclaimed for reuse.
-    ssd_extents: Rc<RefCell<std::collections::BTreeMap<u64, ExtentInfo>>>,
+    ssd_extents: Rc<RefCell<BTreeMap<u64, ExtentInfo>>>,
     /// Reclaimed extents ready for reuse by new flushes (shared with the
     /// async-flush completion tasks).
     ssd_free_shared: Rc<RefCell<Vec<(u64, u32)>>>,
     /// Extents that died while their flush was still in flight; reclaimed
     /// when the background write lands (prevents write/write reordering
     /// onto a reused extent).
-    ssd_dead_pending: Rc<RefCell<std::collections::HashMap<u64, u32>>>,
+    ssd_dead_pending: Rc<RefCell<HashMap<u64, u32>>>,
     /// Extents whose background flush has not yet landed on the device:
     /// base offset -> (byte length, buffered page contents). Reads within
     /// these ranges are served from the buffer.
@@ -354,7 +357,7 @@ pub struct HybridStore {
     /// per key. Survives deletes as a tombstone so a late replicated
     /// write cannot resurrect a removed value; lost on crash like every
     /// other RAM structure (the first post-restart delivery re-seeds it).
-    repl_seqs: RefCell<std::collections::HashMap<Bytes, u64>>,
+    repl_seqs: RefCell<HashMap<Bytes, u64>>,
     /// Replication hook for locally originated writes, if the server
     /// enabled replication.
     repl_hook: RefCell<Option<ReplHook>>,
@@ -376,20 +379,20 @@ impl HybridStore {
             sim: sim.clone(),
             cfg,
             pool: RefCell::new(pool),
-            index: Rc::new(RefCell::new(HashTable::new())),
+            index: Rc::new(RefCell::new(HashMap::new())),
             item_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             page_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             ssd,
             ssd_bump: Cell::new(0),
-            ssd_extents: Rc::new(RefCell::new(std::collections::BTreeMap::new())),
+            ssd_extents: Rc::new(RefCell::new(BTreeMap::new())),
             ssd_free_shared: Rc::new(RefCell::new(Vec::new())),
-            ssd_dead_pending: Rc::new(RefCell::new(std::collections::HashMap::new())),
-            inflight_flushes: Rc::new(RefCell::new(std::collections::HashMap::new())),
+            ssd_dead_pending: Rc::new(RefCell::new(HashMap::new())),
+            inflight_flushes: Rc::new(RefCell::new(HashMap::new())),
             next_version: Cell::new(1),
             flushes_in_flight: Cell::new(0),
             mem_notify: Notify::new(),
             stats: Rc::new(RefCell::new(StoreStats::default())),
-            repl_seqs: RefCell::new(std::collections::HashMap::new()),
+            repl_seqs: RefCell::new(HashMap::new()),
             repl_hook: RefCell::new(None),
             onesided: RefCell::new(None),
         })
@@ -653,8 +656,9 @@ impl HybridStore {
         let version = self.next_version.get();
         self.next_version.set(version + 1);
         self.os_publish(&key, &value, flags, expire_at_ns);
-        let old = self.index.borrow_mut().insert(
-            key.clone(),
+        let old = insert_owned(
+            &mut self.index.borrow_mut(),
+            &key,
             ItemMeta {
                 loc: Location::Ram(id),
                 class: class as u32,
@@ -971,7 +975,7 @@ impl HybridStore {
                 self.stats.borrow_mut().repl_stale_drops += 1;
                 return OpOutcome::status_only(OpStatus::NotStored, stages);
             }
-            record_seq(&mut seqs, &key, seq);
+            insert_owned(&mut seqs, &key, seq);
         }
         if delete {
             self.remove_entry(&key);
@@ -1005,7 +1009,7 @@ impl HybridStore {
         let mut seqs = self.repl_seqs.borrow_mut();
         let last = seqs.get(key).copied().unwrap_or(0);
         let seq = (last + 1).max(floor);
-        record_seq(&mut seqs, key, seq);
+        insert_owned(&mut seqs, key, seq);
         seq
     }
 
@@ -1444,7 +1448,7 @@ impl HybridStore {
     pub fn crash(&self) {
         let n_classes = self.pool.borrow().num_classes();
         *self.pool.borrow_mut() = SlabPool::new(SlabConfig::with_mem(self.cfg.mem_bytes));
-        *self.index.borrow_mut() = HashTable::new();
+        self.index.borrow_mut().clear();
         *self.item_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
         *self.page_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
         self.inflight_flushes.borrow_mut().clear();
@@ -1476,10 +1480,8 @@ impl HybridStore {
             .collect();
         // key -> extent base it was recovered from, for live accounting
         // when a later extent supersedes an earlier copy.
-        let mut recovered_from: std::collections::HashMap<Bytes, u64> =
-            std::collections::HashMap::new();
-        let mut live: std::collections::BTreeMap<u64, u32> =
-            extents.iter().map(|(b, _)| (*b, 0)).collect();
+        let mut recovered_from: HashMap<Bytes, u64> = HashMap::new();
+        let mut live: BTreeMap<u64, u32> = extents.iter().map(|(b, _)| (*b, 0)).collect();
         for (base, info) in &extents {
             report.extents_scanned += 1;
             let raw = match ssd.read(info.scheme, *base, info.len as usize).await {
@@ -1523,7 +1525,7 @@ impl HybridStore {
                     }
                     report.duplicates_dropped += 1;
                 }
-                self.index.borrow_mut().insert(item.key.clone(), meta);
+                insert_owned(&mut self.index.borrow_mut(), &item.key, meta);
                 if let Some(l) = live.get_mut(base) {
                     *l += 1;
                 }
@@ -1619,7 +1621,7 @@ impl HybridStore {
 /// invalidating its one-sided descriptor. An item rewritten since the
 /// capture keeps its newer value. Returns how many were removed.
 fn drop_captured(
-    index: &RefCell<HashTable<ItemMeta>>,
+    index: &RefCell<HashMap<Bytes, ItemMeta>>,
     onesided: Option<&OneSidedIndex>,
     captured: &[(Bytes, u64, u64, u32)],
 ) -> u64 {

@@ -1,8 +1,9 @@
 //! Small shared utilities.
 
-/// FNV-1a 64-bit hash — the classic memcached-adjacent byte hash. Used by
-/// the server hash table and the client's server-selection ring so the two
-/// sides agree without pulling in a hashing crate.
+/// FNV-1a 64-bit hash — the classic memcached-adjacent byte hash. The
+/// client's server-selection ring hashes keys with it, then mixes the
+/// result with `nbkv_simrt::mix64`: FNV-1a alone clusters for
+/// near-identical strings, which skews consistent-hash arcs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -12,15 +13,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
-}
-
-/// SplitMix64 finalizer: a cheap full-avalanche mixer. FNV-1a alone
-/// clusters for near-identical strings (e.g. ring vnode labels), which
-/// skews consistent-hash arcs; mixing fixes that.
-pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Pack a (slab page, chunk) pair into one id.

@@ -3,12 +3,10 @@
 use bytes::Bytes;
 use nbkv_core::client::Ring;
 use nbkv_core::proto::{ApiFlavor, OpStatus, Request, Response, ServedFrom, SetMode, StageTimes};
-use nbkv_core::server::hashtable::HashTable;
 use nbkv_core::server::slab::{
     parse_item_bytes, write_item_bytes, SlabConfig, SlabPool, ITEM_HEADER,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn arb_flavor() -> impl Strategy<Value = ApiFlavor> {
     prop_oneof![
@@ -155,33 +153,6 @@ proptest! {
         let buf = Bytes::from(bytes);
         let _ = Request::decode(&buf);
         let _ = Response::decode(&buf);
-    }
-
-    /// The hash table behaves exactly like std's HashMap under a random
-    /// operation sequence.
-    #[test]
-    fn hashtable_matches_reference(
-        ops in prop::collection::vec((0u8..3, 0u16..64, any::<u32>()), 0..400)
-    ) {
-        let mut ours: HashTable<u32> = HashTable::new();
-        let mut reference: HashMap<Vec<u8>, u32> = HashMap::new();
-        for (op, k, v) in ops {
-            let key = format!("k{k}").into_bytes();
-            match op {
-                0 => {
-                    let a = ours.insert(Bytes::from(key.clone()), v);
-                    let b = reference.insert(key, v);
-                    prop_assert_eq!(a, b);
-                }
-                1 => {
-                    prop_assert_eq!(ours.get(&key).copied(), reference.get(&key).copied());
-                }
-                _ => {
-                    prop_assert_eq!(ours.remove(&key), reference.remove(&key));
-                }
-            }
-            prop_assert_eq!(ours.len(), reference.len());
-        }
     }
 
     /// Slab items always parse back to what was written.

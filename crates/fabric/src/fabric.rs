@@ -63,6 +63,8 @@ mod tests {
             let fabric = Fabric::new(&sim2, fdr_rdma());
             let (a1, b1) = fabric.connect();
             let (a2, b2) = fabric.connect();
+            let ((a1, _a1_rx), (_b1_tx, b1)) = (a1.split(), b1.split());
+            let ((a2, _a2_rx), (_b2_tx, b2)) = (a2.split(), b2.split());
             a1.send(Bytes::from_static(b"one")).await.unwrap();
             a2.send(Bytes::from_static(b"two")).await.unwrap();
             assert_eq!(&b1.recv().await.unwrap()[..], b"one");

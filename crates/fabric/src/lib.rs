@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-mod conn;
 pub mod fabric;
 mod fault;
 mod latency;
@@ -39,7 +38,6 @@ pub mod profiles;
 mod transport;
 pub mod verbs;
 
-pub use conn::{pair, Conn};
 pub use fabric::Fabric;
 pub use fault::{FaultPlan, FaultStats};
 pub use latency::LatencyModel;

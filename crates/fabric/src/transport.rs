@@ -1,25 +1,29 @@
 //! Profile-aware transport endpoints.
 //!
-//! [`Transport`] wraps a raw [`Conn`] and charges the *host-side* costs of
-//! the chosen [`FabricProfile`] to the calling task:
+//! [`Transport`] pairs a [`Link`] with the receiving end of the opposite
+//! direction and charges the *host-side* costs of the chosen
+//! [`FabricProfile`] to the calling task:
 //!
 //! - RDMA: a sub-microsecond descriptor post per message, zero copies.
 //! - IPoIB: per-message TCP-stack CPU plus a per-byte kernel copy on each
 //!   end — which is exactly why the paper's `IPoIB-Mem` baseline loses.
 
 use bytes::Bytes;
-use nbkv_simrt::{Receiver, Sim};
+use nbkv_simrt::{channel, Receiver, Sim};
 
-use crate::conn::{pair, Conn};
-use crate::fault::{FaultPlan, FaultStats};
+use crate::fault::FaultPlan;
 use crate::link::{Disconnected, Link, SendTicket};
 use crate::profiles::FabricProfile;
 
-/// One endpoint of a profile-aware bidirectional transport.
+/// One endpoint of a profile-aware bidirectional transport. [`split`]
+/// separates the clonable send half from the receive half, so a progress
+/// engine can own the receive side while request issuers keep send
+/// handles.
+///
+/// [`split`]: Transport::split
 pub struct Transport {
-    sim: Sim,
-    profile: FabricProfile,
-    conn: Conn,
+    tx: TransportTx,
+    rx: TransportRx,
 }
 
 /// Send half of a split [`Transport`]. Clonable.
@@ -39,78 +43,56 @@ pub struct TransportRx {
 
 /// Create a connected transport pair using `profile` in both directions.
 pub fn transport_pair(sim: &Sim, profile: FabricProfile) -> (Transport, Transport) {
-    let (a, b) = pair(sim, profile.link);
-    (
-        Transport {
+    let (a_tx, b_rx) = channel();
+    let (b_tx, a_rx) = channel();
+    let endpoint = |tx, rx| Transport {
+        tx: TransportTx {
             sim: sim.clone(),
             profile,
-            conn: a,
+            link: Link::new(sim.clone(), profile.link, tx),
         },
-        Transport {
+        rx: TransportRx {
             sim: sim.clone(),
             profile,
-            conn: b,
+            rx,
         },
-    )
+    };
+    (endpoint(a_tx, a_rx), endpoint(b_tx, b_rx))
 }
 
 impl Transport {
-    /// Send a message, charging the caller the profile's host-side send
-    /// costs (descriptor post; kernel copy for IPoIB).
-    pub async fn send(&self, payload: Bytes) -> Result<SendTicket, Disconnected> {
-        send_with(&self.sim, &self.profile, payload, |b| self.conn.send(b)).await
-    }
-
-    /// Receive the next message, charging host-side receive costs.
-    pub async fn recv(&self) -> Option<Bytes> {
-        let msg = self.conn.recv().await?;
-        charge_recv(&self.sim, &self.profile, msg.len()).await;
-        Some(msg)
-    }
-
     /// Split into send and receive halves.
     pub fn split(self) -> (TransportTx, TransportRx) {
-        let (link, rx) = self.conn.split();
-        (
-            TransportTx {
-                sim: self.sim.clone(),
-                profile: self.profile,
-                link,
-            },
-            TransportRx {
-                sim: self.sim,
-                profile: self.profile,
-                rx,
-            },
-        )
+        (self.tx, self.rx)
     }
 
     /// The profile in force.
     pub fn profile(&self) -> &FabricProfile {
-        &self.profile
+        &self.tx.profile
     }
 
     /// Clone the outgoing link handle (e.g. to keep reading
     /// [`Link::stats`]/fault counters after the transport is consumed).
     pub fn sender_link(&self) -> Link {
-        self.conn.sender()
+        self.tx.link.clone()
     }
 
     /// Attach (or clear) a fault plan on the outgoing link.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        self.conn.set_fault_plan(plan);
-    }
-
-    /// Fault counters for the outgoing link.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.conn.fault_stats()
+        self.tx.link.set_fault_plan(plan);
     }
 }
 
 impl TransportTx {
-    /// See [`Transport::send`].
+    /// Send a message (never waits on the link; see [`Link::send`]),
+    /// charging the caller the profile's host-side send costs (descriptor
+    /// post; kernel copy for IPoIB).
     pub async fn send(&self, payload: Bytes) -> Result<SendTicket, Disconnected> {
-        send_with(&self.sim, &self.profile, payload, |b| self.link.send(b)).await
+        let host_cost = self.profile.per_message_cpu + self.profile.copy_cost(payload.len());
+        if !host_cost.is_zero() {
+            self.sim.sleep(host_cost).await;
+        }
+        self.link.send(payload)
     }
 
     /// The profile in force.
@@ -122,76 +104,45 @@ impl TransportTx {
     pub fn is_open(&self) -> bool {
         self.link.is_open()
     }
-
-    /// Attach (or clear) a fault plan on the outgoing link.
-    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        self.link.set_fault_plan(plan);
-    }
-
-    /// Fault counters for the outgoing link.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.link.fault_stats()
-    }
 }
 
 impl TransportRx {
-    /// See [`Transport::recv`].
+    /// Receive the next message, waiting in virtual time and charging
+    /// host-side receive costs. `None` once the peer's send half is fully
+    /// dropped.
     pub async fn recv(&self) -> Option<Bytes> {
         let msg = self.rx.recv().await?;
-        charge_recv(&self.sim, &self.profile, msg.len()).await;
+        let host_cost = self.profile.per_message_cpu + self.profile.copy_cost(msg.len());
+        if !host_cost.is_zero() {
+            self.sim.sleep(host_cost).await;
+        }
         Some(msg)
-    }
-
-    /// Non-waiting receive; applies no receive-cost (callers that poll must
-    /// charge [`FabricProfile::per_message_cpu`] themselves if they consume
-    /// a message).
-    pub fn try_recv(&self) -> Option<Bytes> {
-        self.rx.try_recv().ok()
-    }
-}
-
-async fn send_with<F>(
-    sim: &Sim,
-    profile: &FabricProfile,
-    payload: Bytes,
-    post: F,
-) -> Result<SendTicket, Disconnected>
-where
-    F: FnOnce(Bytes) -> Result<SendTicket, Disconnected>,
-{
-    let host_cost = profile.per_message_cpu + profile.copy_cost(payload.len());
-    if !host_cost.is_zero() {
-        sim.sleep(host_cost).await;
-    }
-    post(payload)
-}
-
-async fn charge_recv(sim: &Sim, profile: &FabricProfile, len: usize) {
-    let host_cost = profile.per_message_cpu + profile.copy_cost(len);
-    if !host_cost.is_zero() {
-        sim.sleep(host_cost).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::LatencyModel;
     use crate::profiles::{fdr_rdma, ipoib, loopback};
+    use std::time::Duration;
 
     fn ping_pong_us(profile: FabricProfile, len: usize) -> u64 {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
             let (client, server) = transport_pair(&sim2, profile);
+            let (s_tx, s_rx) = server.split();
             sim2.spawn(async move {
-                while let Some(msg) = server.recv().await {
-                    if server.send(msg).await.is_err() {
+                while let Some(msg) = s_rx.recv().await {
+                    if s_tx.send(msg).await.is_err() {
                         break;
                     }
                 }
             });
-            client.send(Bytes::from(vec![0u8; len])).await.unwrap();
-            client.recv().await.unwrap();
+            let (c_tx, c_rx) = client.split();
+            c_tx.send(Bytes::from(vec![0u8; len])).await.unwrap();
+            c_rx.recv().await.unwrap();
             sim2.now().as_nanos() / 1_000
         })
     }
@@ -225,22 +176,37 @@ mod tests {
     }
 
     #[test]
-    fn split_transport_round_trip() {
+    fn cloned_send_halves_share_one_link() {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (client, server) = transport_pair(&sim2, fdr_rdma());
-            let (s_tx, s_rx) = server.split();
-            sim2.spawn(async move {
-                while let Some(msg) = s_rx.recv().await {
-                    if s_tx.send(msg).await.is_err() {
-                        break;
-                    }
-                }
-            });
-            let (c_tx, c_rx) = client.split();
-            c_tx.send(Bytes::from_static(b"hello")).await.unwrap();
-            assert_eq!(&c_rx.recv().await.unwrap()[..], b"hello");
+            let (a, b) = transport_pair(&sim2, loopback());
+            let (a_tx, _a_rx) = a.split();
+            let (b_tx, b_rx) = b.split();
+            let a_tx2 = a_tx.clone();
+            a_tx.send(Bytes::from_static(b"one")).await.unwrap();
+            a_tx2.send(Bytes::from_static(b"two")).await.unwrap();
+            drop(b_tx);
+            assert_eq!(&b_rx.recv().await.unwrap()[..], b"one");
+            assert_eq!(&b_rx.recv().await.unwrap()[..], b"two");
+        });
+    }
+
+    #[test]
+    fn directions_have_independent_bandwidth() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let profile = FabricProfile {
+                link: LatencyModel::from_bandwidth_gbps(Duration::ZERO, 1.0),
+                ..loopback()
+            };
+            let (a, b) = transport_pair(&sim2, profile);
+            let ((a_tx, _a_rx), (b_tx, _b_rx)) = (a.split(), b.split());
+            // Saturate a->b; b->a must be unaffected.
+            let t_ab = a_tx.send(Bytes::from(vec![0u8; 1_000_000])).await.unwrap();
+            let t_ba = b_tx.send(Bytes::from(vec![0u8; 100])).await.unwrap();
+            assert!(t_ba.sent_at() < t_ab.sent_at());
         });
     }
 }

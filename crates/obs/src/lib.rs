@@ -22,8 +22,6 @@
 //!   latency.
 //! - [`PhaseRollup`] — per-phase histograms plus the eviction-overlap
 //!   ratio (requests received while a slab flush was in flight).
-//! - [`RunManifest`] — the machine-readable record every bench run emits
-//!   under `results/manifest/<bench>.json`.
 //!
 //! This crate is dependency-free (std only). Its [`Json`] writer renders
 //! every JSON file the workspace emits (manifests and figure tables), so
@@ -34,12 +32,10 @@
 mod counters;
 pub mod hist;
 pub mod json;
-pub mod manifest;
 pub mod metrics;
 pub mod trace;
 
 pub use hist::Histogram;
 pub use json::Json;
-pub use manifest::RunManifest;
 pub use metrics::Registry;
 pub use trace::{PhaseBreakdown, PhaseRollup, ReqTimeline};

@@ -23,7 +23,6 @@
 //!   (response encode, link flight, client progress task).
 
 use crate::hist::Histogram;
-use crate::json::Json;
 
 /// Lifecycle stamps of one completed request (absolute virtual ns).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,24 +164,6 @@ impl PhaseRollup {
         (self.overlapped_ops * 1_000_000)
             .checked_div(self.ops)
             .unwrap_or(0)
-    }
-
-    /// Deterministic JSON rollup for manifests.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("ops".into(), Json::U64(self.ops)),
-            ("overlapped_ops".into(), Json::U64(self.overlapped_ops)),
-            (
-                "eviction_overlap_ppm".into(),
-                Json::U64(self.eviction_overlap_ppm()),
-            ),
-            ("comm_in".into(), self.comm_in.summary()),
-            ("dispatch".into(), self.dispatch.summary()),
-            ("store".into(), self.store.summary()),
-            ("comm_out".into(), self.comm_out.summary()),
-            ("ssd".into(), self.ssd.summary()),
-            ("e2e".into(), self.e2e.summary()),
-        ])
     }
 }
 

@@ -84,11 +84,9 @@ pub(crate) const SALT_STALL: u64 = 0x7374_616c; // "stal"
 pub(crate) const SALT_STALL_AMT: u64 = 0x616d_7432; // "amt2"
 
 fn hash3(seed: u64, seq: u64, salt: u64) -> u64 {
-    let mut x =
-        seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seq.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    nbkv_simrt::mix64(
+        seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seq.wrapping_mul(0xD1B5_4A32_D192_ED03),
+    )
 }
 
 nbkv_obs::counters! {

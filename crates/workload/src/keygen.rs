@@ -51,7 +51,7 @@ impl KeySpace {
     /// Map a popularity rank to a key index, scrambling so consecutive
     /// ranks are not consecutive keys.
     pub fn index_for_rank(&self, rank: usize) -> usize {
-        (nbkv_core::util::mix64(rank as u64) % self.count as u64) as usize
+        (nbkv_simrt::mix64(rank as u64) % self.count as u64) as usize
     }
 }
 
