@@ -157,9 +157,8 @@ type InflightFlushes = Rc<RefCell<HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
 
 /// Insert `value` under `key`, returning the value it replaces. A new
 /// entry stores its own copy of the key, so a long-lived map never keeps a
-/// request frame or a device read buffer alive through a zero-copy key
-/// slice (`HashMap::entry` would take the caller's key); an overwrite
-/// keeps the stored key.
+/// request frame alive through a zero-copy key slice (`HashMap::entry`
+/// would take the caller's key); an overwrite keeps the stored key.
 fn insert_owned<V>(map: &mut HashMap<Bytes, V>, key: &[u8], value: V) -> Option<V> {
     match map.get_mut(key) {
         Some(slot) => Some(std::mem::replace(slot, value)),
@@ -1525,7 +1524,9 @@ impl HybridStore {
                     }
                     report.duplicates_dropped += 1;
                 }
-                insert_owned(&mut self.index.borrow_mut(), &item.key, meta);
+                // `parse_item_bytes` copied the key out of the read buffer,
+                // so the index can keep it as is.
+                self.index.borrow_mut().insert(item.key, meta);
                 if let Some(l) = live.get_mut(base) {
                     *l += 1;
                 }

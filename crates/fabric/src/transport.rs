@@ -88,10 +88,7 @@ impl TransportTx {
     /// charging the caller the profile's host-side send costs (descriptor
     /// post; kernel copy for IPoIB).
     pub async fn send(&self, payload: Bytes) -> Result<SendTicket, Disconnected> {
-        let host_cost = self.profile.per_message_cpu + self.profile.copy_cost(payload.len());
-        if !host_cost.is_zero() {
-            self.sim.sleep(host_cost).await;
-        }
+        charge_host(&self.sim, &self.profile, payload.len()).await;
         self.link.send(payload)
     }
 
@@ -112,11 +109,17 @@ impl TransportRx {
     /// dropped.
     pub async fn recv(&self) -> Option<Bytes> {
         let msg = self.rx.recv().await?;
-        let host_cost = self.profile.per_message_cpu + self.profile.copy_cost(msg.len());
-        if !host_cost.is_zero() {
-            self.sim.sleep(host_cost).await;
-        }
+        charge_host(&self.sim, &self.profile, msg.len()).await;
         Some(msg)
+    }
+}
+
+/// Charge the calling task the profile's per-message CPU plus the copy of
+/// `len` bytes; the same on the send and the receive side.
+async fn charge_host(sim: &Sim, profile: &FabricProfile, len: usize) {
+    let host_cost = profile.per_message_cpu + profile.copy_cost(len);
+    if !host_cost.is_zero() {
+        sim.sleep(host_cost).await;
     }
 }
 
