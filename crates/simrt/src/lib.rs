@@ -40,8 +40,8 @@
 //! - [`channel`]/[`bounded`] — mpsc channels that wake tasks in virtual time.
 //! - [`Semaphore`], [`Notify`] — synchronization primitives.
 //! - [`join_all`], [`yield_now`] — combinators.
-//! - [`mix64`] — the splitmix64 finalizer every seeded decision derives
-//!   from (fault rolls, per-link seeds, key scrambling, ring placement).
+//! - [`mix64`] — the splitmix64 finalizer behind fault rolls, per-link
+//!   seeds, key scrambling and ring placement.
 //!
 //! Everything is `!Send` by design (the world is one thread); tasks share
 //! state with `Rc<RefCell<_>>`.
@@ -70,8 +70,7 @@ pub use timeutil::{timeout, Elapsed, Timeout};
 
 /// SplitMix64 finalizer: a cheap full-avalanche mixer. Callers derive
 /// decorrelated seeds and rolls from it by folding their inputs into one
-/// word first (e.g. `seed ^ salt * odd_constant`), so every seeded
-/// decision in the workspace is a pure function of its inputs.
+/// word first (e.g. `seed ^ salt * odd_constant`).
 pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -82,8 +81,9 @@ pub fn mix64(mut x: u64) -> u64 {
 mod tests {
     use super::mix64;
 
-    /// Outputs captured before the five hand copies were merged into this
-    /// one, so every derived seed, roll and ring point stays bit-identical.
+    /// Fault rolls, derived seeds, key scrambling and ring points all come
+    /// from this function, so a change to its outputs would move every
+    /// seeded result and golden.
     #[test]
     fn mix64_outputs_are_pinned() {
         assert_eq!(mix64(1), 0x5692_161d_100b_05e5);
