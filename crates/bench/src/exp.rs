@@ -6,6 +6,7 @@ use nbkv_core::cluster::{build_cluster, schedule_crash, Cluster, ClusterConfig, 
 use nbkv_core::designs::Design;
 use nbkv_obs::Registry;
 use nbkv_simrt::{join_all, Sim};
+use nbkv_storesim::IoScheme;
 use nbkv_workload::{preload, run_workload, AccessPattern, OpMix, RunReport, WorkloadSpec};
 
 /// Global experiment scale factor.
@@ -145,7 +146,7 @@ impl LatencyExp {
             let reports = join_all(tasks).await;
             RunReport::merge(&reports)
         });
-        let registry = cluster_registry(&cluster);
+        let registry = cluster_registry(&sim, &cluster);
         // Break the world->task->server->Sim reference cycle so repeated
         // experiments in one process release their memory.
         sim.shutdown();
@@ -153,18 +154,28 @@ impl LatencyExp {
     }
 }
 
-/// Snapshot a finished cluster's counters into a metrics registry: each
-/// node's stats structs under their layer prefixes, plus the replication-lag
-/// gauge, breaker trips and the ops-per-batch histogram, which are not
-/// struct fields. Counters add across nodes; gauges take the largest.
-pub fn cluster_registry(cluster: &Cluster) -> Registry {
+/// Snapshot a finished cluster's counters into a metrics registry: the
+/// executor's, each node's stats structs under their layer prefixes, plus
+/// the replication-lag gauge, breaker trips and the ops-per-batch
+/// histogram, which are not struct fields. Counters add across nodes;
+/// gauges take the largest.
+pub fn cluster_registry(sim: &Sim, cluster: &Cluster) -> Registry {
     let mut reg = Registry::new();
+    sim.stats().export("sim.", &mut reg);
     for s in &cluster.servers {
         s.stats().export("server.", &mut reg);
         reg.gauge_max("server.repl_lag_ops", s.repl_lag_ops() as i64);
         s.store().stats().export("store.", &mut reg);
         if let Some(io) = s.store().slab_io() {
             io.io_stats().export("slab_io.", &mut reg);
+            for scheme in [IoScheme::Cached, IoScheme::Mmap] {
+                if let Some(st) = io.page_cache_stats(scheme) {
+                    st.export(&format!("page_cache.{}_", scheme.label()), &mut reg);
+                }
+            }
+        }
+        if let Some(idx) = s.store().onesided() {
+            idx.stats().export("onesided.", &mut reg);
         }
     }
     for c in &cluster.clients {
@@ -219,18 +230,25 @@ mod tests {
 
     #[test]
     fn every_stats_field_reaches_the_registry() {
-        use nbkv_core::{client::ClientStats, server::ServerStats, server::StoreStats};
+        use nbkv_core::server::{OneSidedStats, ServerStats, StoreStats};
+        use nbkv_core::{client::ClientStats, OneSidedConfig};
         use nbkv_fabric::{LinkStats, MrStats};
-        use nbkv_storesim::SlabIoStats;
-        let exp = LatencyExp {
+        use nbkv_simrt::SimStats;
+        use nbkv_storesim::{PageCacheStats, SlabIoStats};
+        let mut exp = LatencyExp {
             ops_per_client: 200,
             ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 8 << 20)
         };
+        exp.cluster.onesided = Some(OneSidedConfig::default());
         let json = exp.run_obs().1.to_json().render_pretty();
         for (prefix, names) in [
-            ("server.", &ServerStats::NAMES[..]),
+            ("sim.", &SimStats::NAMES[..]),
+            ("server.", &ServerStats::NAMES),
             ("store.", &StoreStats::NAMES),
             ("slab_io.", &SlabIoStats::NAMES),
+            ("page_cache.cached_", &PageCacheStats::NAMES),
+            ("page_cache.mmap_", &PageCacheStats::NAMES),
+            ("onesided.", &OneSidedStats::NAMES),
             ("client.", &ClientStats::NAMES),
             ("client.mr_", &MrStats::NAMES),
             ("fabric.", &LinkStats::NAMES),

@@ -120,7 +120,7 @@ fn run_design(design: Design, seed: u64) -> ChaosOutcome {
     let outcome = ChaosOutcome {
         report,
         msgs_lost: cluster.fabric_fault_stats().total_lost(),
-        registry: cluster_registry(&cluster),
+        registry: cluster_registry(&sim, &cluster),
     };
     sim.shutdown();
     outcome

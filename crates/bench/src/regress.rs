@@ -30,9 +30,10 @@ use nbkv_core::designs::Design;
 use nbkv_core::server::{ServerStats, StoreStats};
 use nbkv_core::{DirectPolicy, OneSidedConfig, ReadPolicy, ReplicationConfig, ResiliencePolicy};
 use nbkv_fabric::{FaultPlan, LinkStats};
-use nbkv_simrt::Sim;
+use nbkv_simrt::{Sim, SimStats};
 use nbkv_storesim::{
-    sata_ssd, DeviceStats, HostModel, IoScheme, SlabIo, SlabIoConfig, SlabIoStats, SsdDevice,
+    sata_ssd, DeviceStats, HostModel, IoScheme, PageCacheStats, SlabIo, SlabIoConfig, SlabIoStats,
+    SsdDevice,
 };
 use nbkv_workload::OpMix;
 
@@ -276,13 +277,15 @@ fn regress_io(m: &mut Manifest) -> Table {
         }
     }
     for scheme in [IoScheme::Cached, IoScheme::Mmap] {
-        let ([write_ns, read_ns, sync_ns], io, dev) = io_stream(scheme);
+        let ([write_ns, read_ns, sync_ns], io, cache, dev, sim) = io_stream(scheme);
         let reg = m.section(&format!("io/stream/{}", scheme.label()));
         reg.set_counter("write_ns", write_ns);
         reg.set_counter("read_ns", read_ns);
         reg.set_counter("sync_ns", sync_ns);
         io.export("slab_io.", reg);
+        cache.export(&format!("page_cache.{}_", scheme.label()), reg);
         dev.export("ssd.", reg);
+        sim.export("sim.", reg);
         t.row(vec![
             "stream".into(),
             scheme.label().to_string(),
@@ -301,9 +304,9 @@ fn regress_io(m: &mut Manifest) -> Table {
 }
 
 /// One sustained stream through a buffered `scheme`: the virtual ns of the
-/// writes, the cold read-back and the final sync, plus the facade and
-/// device counters at the end.
-fn io_stream(scheme: IoScheme) -> ([u64; 3], SlabIoStats, DeviceStats) {
+/// writes, the cold read-back and the final sync, plus the facade, page
+/// cache, device and executor counters at the end.
+fn io_stream(scheme: IoScheme) -> ([u64; 3], SlabIoStats, PageCacheStats, DeviceStats, SimStats) {
     let sim = Sim::new();
     let sim2 = sim.clone();
     let out = sim.run_until(async move {
@@ -334,10 +337,13 @@ fn io_stream(scheme: IoScheme) -> ([u64; 3], SlabIoStats, DeviceStats) {
         io.sync_all().await.expect("sync");
         let t3 = sim2.now();
         let spans = [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_nanos() as u64);
-        (spans, io.io_stats(), dev.stats())
+        let cache = io.page_cache_stats(scheme).expect("a buffered scheme");
+        (spans, io.io_stats(), cache, dev.stats())
     });
+    let (spans, io, cache, dev) = out;
+    let stats = sim.stats();
     sim.shutdown();
-    out
+    (spans, io, cache, dev, stats)
 }
 
 /// Pinned small experiment: non-blocking window 64 over one server,

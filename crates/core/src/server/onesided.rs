@@ -131,18 +131,20 @@ impl Descriptor {
     }
 }
 
-/// Publish-side counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OneSidedStats {
-    /// Values (re)published into the arena.
-    pub published: u64,
-    /// Descriptors invalidated (overwrite-by-other-key, delete, expiry,
-    /// drop, crash).
-    pub invalidated: u64,
-    /// Descriptors demoted to SSD-resident (in-RAM bit cleared).
-    pub marked_ssd: u64,
-    /// Values skipped because they exceed the arena slot capacity.
-    pub too_large: u64,
+nbkv_obs::counters! {
+    /// Publish-side counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OneSidedStats {
+        /// Values (re)published into the arena.
+        sum published: u64,
+        /// Descriptors invalidated (overwrite-by-other-key, delete, expiry,
+        /// drop, crash).
+        sum invalidated: u64,
+        /// Descriptors demoted to SSD-resident (in-RAM bit cleared).
+        sum marked_ssd: u64,
+        /// Values skipped because they exceed the arena slot capacity.
+        sum too_large: u64,
+    }
 }
 
 /// The server's published one-sided index region.

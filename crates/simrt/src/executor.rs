@@ -136,19 +136,22 @@ struct TaskSlot {
     generation: u64,
 }
 
-/// Executor statistics, exposed for tests and debugging.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Total tasks ever spawned.
-    pub tasks_spawned: u64,
-    /// Total `Future::poll` invocations.
-    pub polls: u64,
-    /// Timer events fired.
-    pub timer_events: u64,
-    /// Tasks currently alive (spawned and not yet complete).
-    pub tasks_alive: u64,
-    /// Timers still due to fire: heap entries minus cancelled ones.
-    pub timers_pending: u64,
+nbkv_obs::counters! {
+    /// Executor statistics: how much host work a run took, in polls and
+    /// fired timers, plus the tasks and timers still live.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SimStats {
+        /// Total tasks ever spawned.
+        sum tasks_spawned: u64,
+        /// Total `Future::poll` invocations.
+        sum polls: u64,
+        /// Timer events fired.
+        sum timer_events: u64,
+        /// Tasks currently alive (spawned and not yet complete).
+        max tasks_alive: u64,
+        /// Timers still due to fire: heap entries minus cancelled ones.
+        max timers_pending: u64,
+    }
 }
 
 struct World {

@@ -40,19 +40,21 @@ const PAGE_SIZE: usize = 64 << 10;
 /// Pages per writeback run (one contiguous device write).
 const WRITEBACK_RUN: usize = 16;
 
-/// Page-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Page lookups that found the page resident.
-    pub hits: u64,
-    /// Page lookups that missed (a soft fault under mmap).
-    pub misses: u64,
-    /// Pages flushed by writeback runs (background or `sync`).
-    pub writeback_pages: u64,
-    /// Dirty pages flushed inline due to cache pressure.
-    pub inline_flushes: u64,
-    /// Times a writer was throttled on the dirty limit.
-    pub throttle_waits: u64,
+nbkv_obs::counters! {
+    /// Page-cache counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PageCacheStats {
+        /// Page lookups that found the page resident.
+        sum hits: u64,
+        /// Page lookups that missed (a soft fault under mmap).
+        sum misses: u64,
+        /// Pages flushed by writeback runs (background or `sync`).
+        sum writeback_pages: u64,
+        /// Dirty pages flushed inline due to cache pressure.
+        sum inline_flushes: u64,
+        /// Times a writer was throttled on the dirty limit.
+        sum throttle_waits: u64,
+    }
 }
 
 /// The points in a call where the host is charged (see

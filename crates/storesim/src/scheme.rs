@@ -15,7 +15,7 @@ use bytes::Bytes;
 use nbkv_simrt::Sim;
 
 use crate::device::{DeviceError, SsdDevice};
-use crate::pagecache::PageCache;
+use crate::pagecache::{PageCache, PageCacheStats};
 use crate::profile::HostModel;
 
 /// Which I/O path a slab flush / item read uses.
@@ -185,6 +185,16 @@ impl SlabIo {
     /// Counter snapshot.
     pub fn io_stats(&self) -> SlabIoStats {
         self.stats.get()
+    }
+
+    /// Counter snapshot of the page cache behind a buffered `scheme`
+    /// (`None` for direct I/O, which has none).
+    pub fn page_cache_stats(&self, scheme: IoScheme) -> Option<PageCacheStats> {
+        match scheme {
+            IoScheme::Direct => None,
+            IoScheme::Cached => Some(self.cache.stats()),
+            IoScheme::Mmap => Some(self.mmap.stats()),
+        }
     }
 
     /// Flush all buffered state to the device.
