@@ -186,6 +186,24 @@ fn bench_bytes(c: &mut Criterion) {
             black_box(m.freeze())
         })
     });
+    // A one-sided read of a 1 KiB value: the version header plus the
+    // value, copied out of the window at completion.
+    let read = vec![5u8; 8 + 1024];
+    g.throughput(Throughput::Bytes(read.len() as u64));
+    g.bench_function("copy_from_slice_1k", |b| {
+        b.iter(|| black_box(Bytes::copy_from_slice(black_box(&read))))
+    });
+    // Store-index key traffic: clone a key, slice it, compare it with an
+    // equal key held elsewhere.
+    let key = Bytes::from(b"kvbench:key:000123".to_vec());
+    let other = Bytes::copy_from_slice(&key);
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("clone_slice_eq_key", |b| {
+        b.iter(|| {
+            let k = black_box(&key).clone();
+            black_box(k.slice(..) == *black_box(&other))
+        })
+    });
     g.finish();
 }
 

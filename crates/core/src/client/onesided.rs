@@ -23,7 +23,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use nbkv_fabric::{FabricProfile, QueuePair};
+use nbkv_fabric::{FabricProfile, QueuePair, WorkCompletion};
 use nbkv_simrt::Sim;
 
 use crate::client::ClientStats;
@@ -214,10 +214,22 @@ impl DirectReadEngine {
         }
     }
 
-    fn alloc_wr(&self) -> u64 {
-        let id = self.next_wr.get();
-        self.next_wr.set(id + 1);
-        id
+    /// Post one RDMA read and wait for its completion, or `None` once
+    /// `read_timeout` passes without one. The deadline is armed only when
+    /// it could fire: a completion due before it wakes the reader, which
+    /// drops the deadline unfired, so arming it would only consume a timer
+    /// seq (seqs are monotone, so no other event moves either way).
+    async fn rdma_read(&self, offset: usize, len: usize) -> Option<WorkCompletion> {
+        let wr = self.next_wr.get();
+        self.next_wr.set(wr + 1);
+        let due = self.qp.post_rdma_read(wr, offset, len);
+        let completion = self.qp.send_cq().next_for(wr);
+        match due {
+            Some(at) if at < self.sim.now() + self.read_timeout => Some(completion.await),
+            _ => nbkv_simrt::timeout(&self.sim, self.read_timeout, completion)
+                .await
+                .ok(),
+        }
     }
 
     /// One direct-read attempt: descriptor read, validation, value read,
@@ -230,12 +242,10 @@ impl DirectReadEngine {
         let bucket = (fp % lease.buckets as u64) as usize;
 
         // Read 1: the bucket descriptor.
-        let wr = self.alloc_wr();
-        self.qp
-            .post_rdma_read(wr, bucket * lease.desc_slot as usize, DESC_SLOT);
-        let wc =
-            nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
-        let Ok(wc) = wc else {
+        let Some(wc) = self
+            .rdma_read(bucket * lease.desc_slot as usize, DESC_SLOT)
+            .await
+        else {
             return DirectOutcome::Lost;
         };
         let Some(desc) = wc.data.as_deref().and_then(Descriptor::decode) else {
@@ -256,12 +266,10 @@ impl DirectReadEngine {
         }
 
         // Read 2: the arena slot (version copy + value bytes).
-        let wr = self.alloc_wr();
-        self.qp
-            .post_rdma_read(wr, desc.offset as usize, ARENA_HEADER + len);
-        let wc =
-            nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
-        let Ok(wc) = wc else {
+        let Some(wc) = self
+            .rdma_read(desc.offset as usize, ARENA_HEADER + len)
+            .await
+        else {
             return DirectOutcome::Lost;
         };
         let Some(data) = wc.data else {
@@ -356,16 +364,38 @@ mod tests {
     }
 
     #[test]
-    fn dropped_completions_surface_as_lost_within_the_timeout() {
+    fn dropped_completions_surface_as_lost_at_the_read_timeout() {
         let (sim, idx, engine, qp) = rig(DirectPolicy::Always);
         idx.publish(b"k", b"v", 0);
         qp.set_onesided_faults(Some(FaultPlan::drops(7, 1.0)));
         sim.clone().run_until(async move {
             let t0 = sim.now();
             assert!(matches!(engine.read(b"k").await, DirectOutcome::Lost));
-            // Bounded by the read timeout — a dropped completion must not
-            // hang the sim.
-            assert!(sim.now().saturating_since(t0) <= Duration::from_micros(600));
+            // The descriptor read's deadline fires: a dropped completion
+            // must not hang the sim, nor end the attempt early.
+            assert_eq!(sim.now() - t0, engine.read_timeout);
+            assert_eq!(sim.stats().timer_events, 1, "only the deadline fired");
+        });
+    }
+
+    #[test]
+    fn a_delivered_read_arms_no_deadline() {
+        let (sim, idx, engine, _qp) = rig(DirectPolicy::Always);
+        idx.publish(b"k", b"hello", 0);
+        sim.clone().run_until(async move {
+            let reader = sim.spawn({
+                let engine = Rc::clone(&engine);
+                async move { engine.read(b"k").await }
+            });
+            // Let the reader post its descriptor read, then look at the
+            // timers while that read is on the wire: only its completion.
+            sim.sleep(Duration::from_nanos(1)).await;
+            assert_eq!(sim.stats().timers_pending, 1, "{:?}", sim.stats());
+            assert!(matches!(reader.await, DirectOutcome::Hit { .. }));
+            // Two completions and the 1 ns sleep fired; no deadline did,
+            // and none is left behind.
+            assert_eq!(sim.stats().timer_events, 3);
+            assert_eq!(sim.stats().timers_pending, 0);
         });
     }
 

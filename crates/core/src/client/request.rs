@@ -5,18 +5,17 @@
 //! `memcached_wait`; [`ReqHandle::test`] is `memcached_test`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_simrt::{Notify, Semaphore, Sim, SimTime};
+use nbkv_simrt::{FxHashMap, Notify, Semaphore, Sim, SimTime};
 use std::time::Duration;
 
 use crate::proto::{OpStatus, Response, StageTimes};
 
 /// Outstanding-request table shared between the client, its progress
 /// tasks, and every [`ReqHandle`] (for cancellation).
-pub(crate) type Pending = Rc<RefCell<HashMap<u64, Rc<RefCell<ReqState>>>>>;
+pub(crate) type Pending = Rc<RefCell<FxHashMap<u64, Rc<RefCell<ReqState>>>>>;
 
 /// The client's send window: a semaphore bounding in-flight *fabric
 /// frames* plus direct occupancy accounting. The high-water mark tracks

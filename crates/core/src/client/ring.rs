@@ -50,6 +50,9 @@ impl Ring {
     /// The server responsible for `key`.
     pub fn select(&self, key: &[u8]) -> usize {
         debug_assert!(!self.points.is_empty(), "select on an empty ring");
+        if self.servers == 1 {
+            return 0; // every point is server 0's; skip the hash
+        }
         let h = mix64(fnv1a(key));
         let idx = self.points.partition_point(|&(p, _)| p < h);
         let (_, server) = self.points[idx % self.points.len()];
@@ -64,6 +67,9 @@ impl Ring {
     pub fn select_replicas(&self, key: &[u8], rf: usize) -> Vec<usize> {
         debug_assert!(!self.points.is_empty(), "select on an empty ring");
         let want = rf.clamp(1, self.servers);
+        if self.servers == 1 {
+            return vec![0];
+        }
         let h = mix64(fnv1a(key));
         let start = self.points.partition_point(|&(p, _)| p < h);
         let mut replicas = Vec::with_capacity(want);

@@ -23,7 +23,6 @@
 //!   first use of a buffer pays `ibv_reg_mr`, reuse is free.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -233,7 +232,7 @@ impl Client {
     ) -> Rc<Client> {
         assert!(!transports.is_empty(), "client needs at least one server");
         let profile = *transports[0].profile();
-        let pending: Pending = Rc::new(RefCell::new(HashMap::new()));
+        let pending: Pending = Rc::default();
         let window = SendWindow::new(cfg.max_outstanding);
         let stats = Rc::new(RefCell::new(ClientStats::default()));
         let n = transports.len();

@@ -11,6 +11,7 @@
 //! handle is still held elsewhere copies the page first, so a holder never
 //! sees the page change under it.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -48,9 +49,9 @@ impl SlabConfig {
 /// A parsed item as stored in a chunk (or read back from SSD).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedItem {
-    /// Key bytes (copied out).
+    /// Key bytes.
     pub key: Bytes,
-    /// Value bytes (copied out).
+    /// Value bytes.
     pub value: Bytes,
     /// Client flags.
     pub flags: u32,
@@ -88,14 +89,40 @@ fn item_lens(src: &[u8]) -> Option<(usize, usize)> {
     (src.len() >= ITEM_HEADER + key_len + val_len).then_some((key_len, val_len))
 }
 
-/// Parse an item from raw chunk bytes (inverse of [`write_item_bytes`]).
-pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
+/// Where an item's key and value sit in `src`, with its flags and expiry,
+/// if the whole item fits.
+fn item_layout(src: &[u8]) -> Option<(Range<usize>, Range<usize>, u32, u64)> {
     let (key_len, val_len) = item_lens(src)?;
     let flags = u32::from_be_bytes(src[8..12].try_into().ok()?);
     let expire_at_ns = u64::from_be_bytes(src[12..20].try_into().ok()?);
+    let key_end = ITEM_HEADER + key_len;
+    Some((
+        ITEM_HEADER..key_end,
+        key_end..key_end + val_len,
+        flags,
+        expire_at_ns,
+    ))
+}
+
+/// Parse an item from raw chunk bytes (inverse of [`write_item_bytes`]),
+/// copying its key and value out.
+pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
+    let (key, value, flags, expire_at_ns) = item_layout(src)?;
     Some(ParsedItem {
-        key: Bytes::copy_from_slice(&src[ITEM_HEADER..ITEM_HEADER + key_len]),
-        value: Bytes::copy_from_slice(&src[ITEM_HEADER + key_len..ITEM_HEADER + key_len + val_len]),
+        key: Bytes::copy_from_slice(&src[key]),
+        value: Bytes::copy_from_slice(&src[value]),
+        flags,
+        expire_at_ns,
+    })
+}
+
+/// Parse an item from a buffer the caller owns, such as a fresh device
+/// read, without copying: key and value are slices of `raw`.
+pub fn slice_item(raw: &Bytes) -> Option<ParsedItem> {
+    let (key, value, flags, expire_at_ns) = item_layout(raw)?;
+    Some(ParsedItem {
+        key: raw.slice(key),
+        value: raw.slice(value),
         flags,
         expire_at_ns,
     })

@@ -19,13 +19,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_simrt::{Notify, Sim, SimTime};
+use nbkv_simrt::{FxHashMap, Notify, Sim, SimTime};
 use nbkv_storesim::{IoScheme, LruMap, SlabIo};
 
 use crate::costs::CpuCosts;
 use crate::proto::{OpStatus, ServedFrom, SetMode, StageTimes};
 use crate::server::onesided::OneSidedIndex;
-use crate::server::slab::{parse_item_bytes, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
+use crate::server::slab::{slice_item, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
 use crate::util::unpack_item_id;
 
 /// Memory-only or hybrid storage.
@@ -159,7 +159,7 @@ type InflightFlushes = Rc<RefCell<HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
 /// entry stores its own copy of the key, so a long-lived map never keeps a
 /// request frame alive through a zero-copy key slice (`HashMap::entry`
 /// would take the caller's key); an overwrite keeps the stored key.
-fn insert_owned<V>(map: &mut HashMap<Bytes, V>, key: &[u8], value: V) -> Option<V> {
+fn insert_owned<V>(map: &mut FxHashMap<Bytes, V>, key: &[u8], value: V) -> Option<V> {
     match map.get_mut(key) {
         Some(slot) => Some(std::mem::replace(slot, value)),
         None => {
@@ -329,7 +329,7 @@ pub struct HybridStore {
     sim: Sim,
     cfg: StoreConfig,
     pool: RefCell<SlabPool>,
-    index: Rc<RefCell<HashMap<Bytes, ItemMeta>>>,
+    index: Rc<RefCell<FxHashMap<Bytes, ItemMeta>>>,
     item_lru: RefCell<Vec<LruMap<u64, ()>>>,
     page_lru: RefCell<Vec<LruMap<u32, ()>>>,
     ssd: Option<Rc<SlabIo>>,
@@ -356,7 +356,7 @@ pub struct HybridStore {
     /// per key. Survives deletes as a tombstone so a late replicated
     /// write cannot resurrect a removed value; lost on crash like every
     /// other RAM structure (the first post-restart delivery re-seeds it).
-    repl_seqs: RefCell<HashMap<Bytes, u64>>,
+    repl_seqs: RefCell<FxHashMap<Bytes, u64>>,
     /// Replication hook for locally originated writes, if the server
     /// enabled replication.
     repl_hook: RefCell<Option<ReplHook>>,
@@ -378,7 +378,7 @@ impl HybridStore {
             sim: sim.clone(),
             cfg,
             pool: RefCell::new(pool),
-            index: Rc::new(RefCell::new(HashMap::new())),
+            index: Rc::default(),
             item_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             page_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             ssd,
@@ -391,7 +391,7 @@ impl HybridStore {
             flushes_in_flight: Cell::new(0),
             mem_notify: Notify::new(),
             stats: Rc::new(RefCell::new(StoreStats::default())),
-            repl_seqs: RefCell::new(HashMap::new()),
+            repl_seqs: RefCell::default(),
             repl_hook: RefCell::new(None),
             onesided: RefCell::new(None),
         })
@@ -796,7 +796,7 @@ impl HybridStore {
                     let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
                     ssd.read(scheme, offset, len as usize).await.ok()?
                 };
-                let item = parse_item_bytes(&raw)?;
+                let item = slice_item(&raw)?;
                 debug_assert_eq!(&item.key[..], &key[..]);
                 Some(item.value)
             }
@@ -889,7 +889,7 @@ impl HybridStore {
                         }
                     }
                 };
-                let item = parse_item_bytes(&raw).expect("SSD item parse");
+                let item = slice_item(&raw).expect("SSD item parse");
                 debug_assert_eq!(&item.key[..], &key[..]);
                 stages.check_load_ns = self.ns_since(t0);
                 stages.served_from = ServedFrom::Ssd;
@@ -1494,7 +1494,7 @@ impl HybridStore {
             let stride = (info.chunk_size as usize).max(ITEM_HEADER);
             for chunk_start in (0..raw.len()).step_by(stride) {
                 let end = raw.len().min(chunk_start + stride);
-                let Some(item) = parse_item_bytes(&raw[chunk_start..end]) else {
+                let Some(item) = slice_item(&raw.slice(chunk_start..end)) else {
                     continue;
                 };
                 if item.key.is_empty() {
@@ -1518,15 +1518,16 @@ impl HybridStore {
                     expire_at_ns: item.expire_at_ns,
                     flags: item.flags,
                 };
-                if let Some(prev_base) = recovered_from.insert(item.key.clone(), *base) {
+                // Copy the key out so neither map pins the extent read; the
+                // value is only measured, never copied.
+                let key = Bytes::copy_from_slice(&item.key);
+                if let Some(prev_base) = recovered_from.insert(key.clone(), *base) {
                     if let Some(l) = live.get_mut(&prev_base) {
                         *l = l.saturating_sub(1);
                     }
                     report.duplicates_dropped += 1;
                 }
-                // `parse_item_bytes` copied the key out of the read buffer,
-                // so the index can keep it as is.
-                self.index.borrow_mut().insert(item.key, meta);
+                self.index.borrow_mut().insert(key, meta);
                 if let Some(l) = live.get_mut(base) {
                     *l += 1;
                 }
@@ -1622,7 +1623,7 @@ impl HybridStore {
 /// invalidating its one-sided descriptor. An item rewritten since the
 /// capture keeps its newer value. Returns how many were removed.
 fn drop_captured(
-    index: &RefCell<HashMap<Bytes, ItemMeta>>,
+    index: &RefCell<FxHashMap<Bytes, ItemMeta>>,
     onesided: Option<&OneSidedIndex>,
     captured: &[(Bytes, u64, u64, u32)],
 ) -> u64 {

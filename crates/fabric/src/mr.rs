@@ -17,11 +17,10 @@
 //! cache either way; the fingerprint keeps runs bit-reproducible.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_simrt::Sim;
+use nbkv_simrt::{FxHashMap, Sim};
 
 use crate::profiles::FabricProfile;
 
@@ -94,7 +93,7 @@ nbkv_obs::counters! {
 }
 
 struct MrInner {
-    regions: HashMap<(u64, usize), MrKey>,
+    regions: FxHashMap<(u64, usize), MrKey>,
     next_key: u32,
     stats: MrStats,
 }
@@ -114,7 +113,7 @@ impl MrCache {
             sim,
             profile,
             inner: Rc::new(RefCell::new(MrInner {
-                regions: HashMap::new(),
+                regions: FxHashMap::default(),
                 next_key: 1,
                 stats: MrStats::default(),
             })),

@@ -6,14 +6,14 @@
 //! from the peer's exposed window.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
-use nbkv_simrt::{Sim, SimTime};
+use nbkv_simrt::{FxHashMap, Sim, SimTime};
 
 use crate::fault::{FaultPlan, SALT_DROP};
 use crate::latency::LatencyModel;
@@ -80,7 +80,7 @@ pub struct CompletionQueue {
 struct CqInner {
     events: VecDeque<WorkCompletion>,
     /// Wakers of pending `next_for` futures, keyed by their `wr_id`.
-    waiters: HashMap<u64, Waker>,
+    waiters: FxHashMap<u64, Waker>,
 }
 
 impl CompletionQueue {
@@ -286,15 +286,18 @@ impl QueuePair {
 
     /// One-sided RDMA READ: fetch `len` bytes from `remote_offset` in the
     /// peer's window. The completion carries the data after a full round
-    /// trip (request propagation + data transfer back).
-    pub fn post_rdma_read(&self, wr_id: u64, remote_offset: usize, len: usize) {
+    /// trip (request propagation + data transfer back). Returns the instant
+    /// the completion lands on the send CQ, or `None` if the fault plan
+    /// drops it (it then never lands), so a caller can tell whether its
+    /// own deadline for the read could ever fire.
+    pub fn post_rdma_read(&self, wr_id: u64, remote_offset: usize, len: usize) -> Option<SimTime> {
         let window = self
             .peer_window
             .borrow()
             .clone()
             .expect("bind_peer_window before one-sided ops");
         if self.os_fault_drops() {
-            return; // read posted, completion lost
+            return None; // read posted, completion lost
         }
         let model = self.model;
         // Request goes out (tiny), data comes back (len bytes).
@@ -311,6 +314,7 @@ impl QueuePair {
                 completed_at: sim.now(),
             });
         });
+        Some(done_at)
     }
 
     /// The send completion queue.

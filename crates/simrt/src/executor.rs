@@ -13,22 +13,22 @@
 //! a monotonically increasing sequence number, so two runs of the same
 //! program produce identical timelines.
 //!
-//! Cancellation: a [`crate::Sleep`] dropped before its deadline marks its
-//! heap entry cancelled. Cancelled entries are skipped when popped (the
-//! clock does not move to them and they are not counted as events), and the
-//! heap is compacted once they outnumber the live ones, so the heap holds
-//! roughly the live timers rather than every deadline ever armed.
+//! Cancellation: a [`crate::Sleep`] dropped before its deadline disarms its
+//! timer in O(1) (see the timer store in `timers.rs`). A disarmed timer
+//! never fires: the clock does not move to it and it is not counted as an
+//! event.
 //!
 //! Wakers: a task's [`Waker`] carries no pointer, only its Sim's id and its
 //! task id packed into one integer. Waking it looks the id up in a
 //! thread-local registry of the Sims alive on this thread and appends the
 //! task id to that Sim's ready queue, so a wake takes no lock, no atomic
 //! and no allocation. A waker whose Sim is gone, or that is woken on
-//! another thread, finds no entry and does nothing.
+//! another thread, finds no entry and does nothing. A fired timer whose
+//! waker belongs to one of this Sim's own tasks skips even the lookup: the
+//! task id goes straight onto the ready queue.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -38,41 +38,12 @@ use std::time::Duration;
 
 use crate::task::JoinHandle;
 use crate::time::SimTime;
+use crate::timers::{Event, TimerHandle, TimerStore};
 
 /// Identifier of a spawned task within one [`Sim`].
 pub(crate) type TaskId = usize;
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// A timer-heap event: either wake a waiting future or run a closure at a
-/// scheduled virtual instant.
-enum Event {
-    Wake(Waker),
-    Call(Box<dyn FnOnce(&Sim)>),
-}
-
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
 
 /// Task ids in wake order, duplicates included: a task woken twice before
 /// it runs is polled twice.
@@ -149,20 +120,14 @@ nbkv_obs::counters! {
         sum timer_events: u64,
         /// Tasks currently alive (spawned and not yet complete).
         max tasks_alive: u64,
-        /// Timers still due to fire: heap entries minus cancelled ones.
+        /// Timers still due to fire: armed and neither fired nor cancelled.
         max timers_pending: u64,
     }
 }
 
-struct World {
+pub(crate) struct World {
     now: SimTime,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    /// Seqs of heap entries whose `Sleep` was dropped before the deadline.
-    /// Every member is still in `timers`.
-    cancelled: HashSet<u64>,
-    /// Seqs at or below this were discarded by `shutdown`; cancelling one
-    /// is a no-op.
-    cleared_through: u64,
+    timers: TimerStore,
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<TaskId>,
     generations: Vec<u64>,
@@ -171,12 +136,10 @@ struct World {
 }
 
 impl World {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         World {
             now: SimTime::ZERO,
-            timers: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            cleared_through: 0,
+            timers: TimerStore::default(),
             tasks: Vec::new(),
             free: Vec::new(),
             generations: Vec::new(),
@@ -185,9 +148,48 @@ impl World {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// Arm `event` for `at`, clamped to now.
+    pub(crate) fn arm(&mut self, at: SimTime, event: Event) -> TimerHandle {
+        let at = at.max(self.now);
         self.seq += 1;
-        self.seq
+        self.timers.insert(at, self.seq, event)
+    }
+
+    /// Disarm the timer `handle`, armed for `deadline`. At or after the
+    /// deadline this does nothing: a timer still queued at its own instant
+    /// fires as a spurious wake, which callers observe (it is counted in
+    /// `timer_events` and polls its task), so it must not be dropped here.
+    pub(crate) fn disarm(&mut self, handle: TimerHandle, deadline: SimTime) {
+        if self.now < deadline {
+            self.timers.cancel(handle);
+        }
+    }
+
+    /// The virtual clock.
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Timers fired and still pending, as [`SimStats`] reports them.
+    #[cfg(test)]
+    pub(crate) fn timer_counts(&self) -> (u64, usize) {
+        (self.stats.timer_events, self.timers.len())
+    }
+
+    /// Disarm every timer, as [`Sim::shutdown`] does.
+    #[cfg(test)]
+    pub(crate) fn clear_timers(&mut self) {
+        self.timers.clear();
+    }
+
+    /// Take the earliest armed timer's event and move the clock to it.
+    pub(crate) fn fire_next(&mut self) -> Option<Event> {
+        let (at, event) = self.timers.pop()?;
+        debug_assert!(at >= self.now, "timer heap went backwards");
+        self.now = at;
+        self.stats.timer_events += 1;
+        Some(event)
     }
 }
 
@@ -252,7 +254,7 @@ impl Sim {
     pub fn stats(&self) -> SimStats {
         let w = self.world.borrow();
         SimStats {
-            timers_pending: (w.timers.len() - w.cancelled.len()) as u64,
+            timers_pending: w.timers.len() as u64,
             ..w.stats
         }
     }
@@ -305,14 +307,7 @@ impl Sim {
     where
         F: FnOnce(&Sim) + 'static,
     {
-        let mut w = self.world.borrow_mut();
-        let at = at.max(w.now);
-        let seq = w.next_seq();
-        w.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            event: Event::Call(Box::new(f)),
-        }));
+        self.world.borrow_mut().arm(at, Event::Call(Box::new(f)));
     }
 
     /// Schedule `f` to run `after` from now.
@@ -325,39 +320,18 @@ impl Sim {
     }
 
     /// Register `waker` to be woken at virtual time `at`. Returns the
-    /// entry's seq, the handle for [`Sim::cancel_timer`].
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> u64 {
-        let mut w = self.world.borrow_mut();
-        let at = at.max(w.now);
-        let seq = w.next_seq();
-        w.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            event: Event::Wake(waker),
-        }));
-        seq
+    /// handle for [`Sim::cancel_timer`].
+    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> TimerHandle {
+        self.world.borrow_mut().arm(at, Event::Wake(waker))
     }
 
-    /// Cancel the timer entry `seq`, registered for `deadline`. The caller
-    /// must only cancel an entry that has not fired: that holds while
-    /// `now < deadline`, so at or after the deadline this does nothing and
-    /// the entry (if still queued) fires as a harmless spurious wake.
-    pub(crate) fn cancel_timer(&self, seq: u64, deadline: SimTime) {
+    /// Cancel the timer `handle`, registered for `deadline`, unless it
+    /// already fired or the deadline has come (see `World::disarm`).
+    pub(crate) fn cancel_timer(&self, handle: TimerHandle, deadline: SimTime) {
         // Called from `Drop`, which must not panic: should the world ever
         // be borrowed here, skip the cancel and leave a stale wake.
-        let Ok(mut w) = self.world.try_borrow_mut() else {
-            return;
-        };
-        if w.now >= deadline || seq <= w.cleared_through {
-            return;
-        }
-        w.cancelled.insert(seq);
-        if w.cancelled.len() * 2 > w.timers.len() {
-            let World {
-                timers, cancelled, ..
-            } = &mut *w;
-            timers.retain(|Reverse(e)| !cancelled.contains(&e.seq));
-            cancelled.clear();
+        if let Ok(mut w) = self.world.try_borrow_mut() {
+            w.disarm(handle, deadline);
         }
     }
 
@@ -419,8 +393,6 @@ impl Sim {
         let dropped = {
             let mut w = self.world.borrow_mut();
             w.timers.clear();
-            w.cancelled.clear();
-            w.cleared_through = w.seq;
             w.free.clear();
             w.stats.tasks_alive = 0;
             // Futures may themselves own Sim handles; take them out before
@@ -448,22 +420,19 @@ impl Sim {
     /// Fire the earliest live timer event, advancing the clock. Returns
     /// false if no live timers remain.
     fn advance_clock(&self) -> bool {
-        let entry = {
-            let mut w = self.world.borrow_mut();
-            loop {
-                let Some(Reverse(e)) = w.timers.pop() else {
-                    return false;
-                };
-                if !w.cancelled.is_empty() && w.cancelled.remove(&e.seq) {
-                    continue;
-                }
-                debug_assert!(e.at >= w.now, "timer heap went backwards");
-                w.now = e.at;
-                w.stats.timer_events += 1;
-                break e;
-            }
+        let Some(event) = self.world.borrow_mut().fire_next() else {
+            return false;
         };
-        match entry.event {
+        match event {
+            // One of this Sim's own tasks: queue it as `wake_task` would,
+            // without the registry lookup.
+            Event::Wake(waker)
+                if std::ptr::eq(waker.vtable(), &TASK_WAKER_VTABLE)
+                    && waker.data().addr() >> TASK_BITS == self.id =>
+            {
+                let task = waker.data().addr() & ((1 << TASK_BITS) - 1);
+                self.ready.borrow_mut().push_back(task);
+            }
             Event::Wake(waker) => waker.wake(),
             Event::Call(f) => f(self),
         }
@@ -728,7 +697,7 @@ mod tests {
             assert_eq!(sim2.now(), SimTime::from_micros(10_000));
             assert!(sim2.stats().timers_pending <= 1, "{:?}", sim2.stats());
             // Compaction keeps the heap itself small, not just the count.
-            assert!(sim2.world.borrow().timers.len() <= 4);
+            assert!(sim2.world.borrow().timers.heap_len() <= 4);
         });
         // Only the 10,000 inner sleeps fired; no 500 ms deadline did.
         assert_eq!(sim.stats().timer_events, 10_000);
@@ -808,7 +777,7 @@ mod tests {
             *keep.borrow_mut() = Some(held);
         });
         assert_eq!(sim.stats().timers_pending, 11);
-        assert_eq!(sim.world.borrow().cancelled.len(), 3);
+        assert_eq!(sim.world.borrow().timers.heap_len(), 14, "3 dead keys");
         sim.shutdown();
         assert_eq!(sim.stats().timers_pending, 0);
         // A sleep that outlived its simulation's shutdown drops cleanly and

@@ -42,6 +42,8 @@
 //! - [`join_all`], [`yield_now`] — combinators.
 //! - [`mix64`] — the splitmix64 finalizer behind fault rolls, per-link
 //!   seeds, key scrambling and ring placement.
+//! - [`FxHashMap`]/[`FxHashSet`] — maps over a deterministic word hasher
+//!   ([`FxHasher`]), for the hot per-request maps.
 //!
 //! Everything is `!Send` by design (the world is one thread); tasks share
 //! state with `Rc<RefCell<_>>`.
@@ -50,23 +52,26 @@
 
 mod channel;
 mod executor;
+mod fxhash;
 mod join;
 mod sync;
 mod task;
 mod time;
 mod timer;
+mod timers;
 mod timeutil;
 
 pub use channel::{
     bounded, channel, Receiver, RecvFuture, SendError, SendFuture, Sender, TryRecvError,
 };
 pub use executor::{Sim, SimStats};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use join::{join_all, yield_now, YieldNow};
 pub use sync::{Acquire, Notified, Notify, Permit, Semaphore};
 pub use task::JoinHandle;
 pub use time::SimTime;
 pub use timer::Sleep;
-pub use timeutil::{timeout, Elapsed, Timeout};
+pub use timeutil::{timeout, Elapsed};
 
 /// SplitMix64 finalizer: a cheap full-avalanche mixer. Callers derive
 /// decorrelated seeds and rolls from it by folding their inputs into one

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use crate::executor::Sim;
 use crate::time::SimTime;
+use crate::timers::TimerHandle;
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
 ///
@@ -15,8 +16,8 @@ use crate::time::SimTime;
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    /// Seq of the heap entry, once the first pending poll registered it.
-    timer: Option<u64>,
+    /// The armed timer, once the first pending poll registered it.
+    timer: Option<TimerHandle>,
 }
 
 impl Future for Sleep {
@@ -36,8 +37,8 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some(seq) = self.timer {
-            self.sim.cancel_timer(seq, self.deadline);
+        if let Some(handle) = self.timer {
+            self.sim.cancel_timer(handle, self.deadline);
         }
     }
 }

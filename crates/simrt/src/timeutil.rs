@@ -1,13 +1,12 @@
 //! Timeouts over virtual time.
 
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::executor::Sim;
-use crate::timer::Sleep;
 
 /// Error returned by [`timeout`] when the deadline fires first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,34 +21,23 @@ impl fmt::Display for Elapsed {
 impl std::error::Error for Elapsed {}
 
 /// Run `fut` with a virtual-time deadline: resolves to `Ok(output)` if the
-/// future completes first, `Err(Elapsed)` if the deadline fires first.
-pub fn timeout<F: Future>(sim: &Sim, dur: Duration, fut: F) -> Timeout<F> {
-    Timeout {
-        fut: Box::pin(fut),
-        sleep: sim.sleep(dur),
-    }
-}
-
-/// Future returned by [`timeout`].
-pub struct Timeout<F: Future> {
-    fut: Pin<Box<F>>,
-    sleep: Sleep,
-}
-
-impl<F: Future> Unpin for Timeout<F> {}
-
-impl<F: Future> Future for Timeout<F> {
-    type Output = Result<F::Output, Elapsed>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if let Poll::Ready(out) = this.fut.as_mut().poll(cx) {
-            return Poll::Ready(Ok(out));
-        }
-        match Pin::new(&mut this.sleep).poll(cx) {
-            Poll::Ready(()) => Poll::Ready(Err(Elapsed)),
-            Poll::Pending => Poll::Pending,
-        }
+/// future completes first, `Err(Elapsed)` if the deadline fires first. The
+/// deadline is `dur` from the call; on a tie the completion wins.
+pub fn timeout<F: Future>(
+    sim: &Sim,
+    dur: Duration,
+    fut: F,
+) -> impl Future<Output = Result<F::Output, Elapsed>> {
+    let mut sleep = sim.sleep(dur);
+    async move {
+        let mut fut = pin!(fut);
+        poll_fn(|cx| {
+            if let Poll::Ready(out) = fut.as_mut().poll(cx) {
+                return Poll::Ready(Ok(out));
+            }
+            Pin::new(&mut sleep).poll(cx).map(|()| Err(Elapsed))
+        })
+        .await
     }
 }
 

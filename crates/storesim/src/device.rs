@@ -7,12 +7,11 @@
 //! device costs nothing.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_simrt::{Sim, SimTime};
+use nbkv_simrt::{FxHashMap, Sim, SimTime};
 
 use crate::fault::{IoOp, SsdFaultPlan, SsdFaultStats, SALT_ERROR, SALT_STALL};
 use crate::profile::DeviceProfile;
@@ -83,7 +82,7 @@ pub struct SsdDevice {
     profile: DeviceProfile,
     /// Busy-until cursor per parallel command channel.
     channels: RefCell<Vec<SimTime>>,
-    extents: RefCell<HashMap<u64, Box<[u8]>>>,
+    extents: RefCell<FxHashMap<u64, Box<[u8]>>>,
     stats: RefCell<DeviceStats>,
     /// Bytes written since the last GC stall.
     gc_accumulator: Cell<u64>,
@@ -109,7 +108,7 @@ impl SsdDevice {
             sim: sim.clone(),
             profile,
             channels: RefCell::new(vec![SimTime::ZERO; profile.queue_depth]),
-            extents: RefCell::new(HashMap::new()),
+            extents: RefCell::new(FxHashMap::default()),
             stats: RefCell::new(DeviceStats::default()),
             gc_accumulator: Cell::new(0),
             fault_plan: RefCell::new(None),

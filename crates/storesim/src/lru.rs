@@ -1,14 +1,15 @@
 //! A small order-tracking LRU map (used by the page cache's residency and
 //! the server's item and page LRUs).
 //!
-//! Implemented as a `HashMap` from key to node index plus a doubly-linked
+//! Implemented as an `FxHashMap` from key to node index plus a doubly-linked
 //! list over a `Vec` of nodes, linked by `u32` index, so every operation
 //! does at most one map lookup and is O(1) expected. Removed nodes go on a
 //! free list and are reused by later inserts.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use nbkv_simrt::FxHashMap;
 
 /// The null link (no previous / next node).
 const NIL: u32 = u32::MAX;
@@ -24,7 +25,7 @@ struct Node<K, V> {
 /// An LRU-ordered map: `touch`/`insert` move entries to the front;
 /// `pop_lru` removes from the back.
 pub struct LruMap<K: Eq + Hash + Copy, V> {
-    map: HashMap<K, u32>,
+    map: FxHashMap<K, u32>,
     nodes: Vec<Node<K, V>>,
     free: Vec<u32>,
     head: u32,
@@ -41,7 +42,7 @@ impl<K: Eq + Hash + Copy, V> LruMap<K, V> {
     /// Create an empty map.
     pub fn new() -> Self {
         LruMap {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
