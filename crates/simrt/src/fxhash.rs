@@ -12,7 +12,7 @@
 //! The hash of a value is the same in every run and process, but no code
 //! may depend on a map's iteration order: maps keyed by it stay unordered.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx multiplier (from rustc's `FxHasher`).
@@ -76,12 +76,11 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` hashed with [`FxHasher`]; construct with `default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-/// A `HashSet` hashed with [`FxHasher`]; construct with `default()`.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash<T: Hash + ?Sized>(v: &T) -> u64 {
@@ -102,7 +101,7 @@ mod tests {
     fn prefix_sharing_keys_spread_over_low_bits() {
         // Keys like the workloads' `key:000123` differ only in their last
         // bytes; the low 10 bits (a 1,024-bucket table) must still spread.
-        let mut buckets = FxHashSet::default();
+        let mut buckets = HashSet::new();
         for i in 0..1024u32 {
             buckets.insert(hash(&format!("key:{i:06}").into_bytes()) & 1023);
         }

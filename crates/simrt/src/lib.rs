@@ -42,7 +42,7 @@
 //! - [`join_all`], [`yield_now`] — combinators.
 //! - [`mix64`] — the splitmix64 finalizer behind fault rolls, per-link
 //!   seeds, key scrambling and ring placement.
-//! - [`FxHashMap`]/[`FxHashSet`] — maps over a deterministic word hasher
+//! - [`FxHashMap`] — a map over a deterministic word hasher
 //!   ([`FxHasher`]), for the hot per-request maps.
 //!
 //! Everything is `!Send` by design (the world is one thread); tasks share
@@ -65,7 +65,7 @@ pub use channel::{
     bounded, channel, Receiver, RecvFuture, SendError, SendFuture, Sender, TryRecvError,
 };
 pub use executor::{Sim, SimStats};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHasher};
 pub use join::{join_all, yield_now, YieldNow};
 pub use sync::{Acquire, Notified, Notify, Permit, Semaphore};
 pub use task::JoinHandle;
