@@ -40,6 +40,12 @@ pub(crate) struct TimerHandle {
     seq: u64,
 }
 
+/// The slot and seq a heap key names.
+fn slot_and_seq(key: u128) -> (usize, u64) {
+    let slot = key as usize & ((1 << SLOT_BITS) - 1);
+    (slot, (key >> SLOT_BITS) as u64 & ((1 << SEQ_BITS) - 1))
+}
+
 #[derive(Default)]
 pub(crate) struct TimerStore {
     /// The seq each slot was last armed with, and its event while armed.
@@ -84,8 +90,8 @@ impl TimerStore {
         if (self.heap.len() - self.live) * 2 > self.heap.len() {
             let slots = &self.slots;
             self.heap.retain(|&Reverse(key)| {
-                let (seq, event) = &slots[(key as u32 & ((1 << SLOT_BITS) - 1)) as usize];
-                *seq == (key >> SLOT_BITS) as u64 & ((1 << SEQ_BITS) - 1) && event.is_some()
+                let (slot, seq) = slot_and_seq(key);
+                slots[slot].0 == seq && slots[slot].1.is_some()
             });
         }
     }
@@ -93,16 +99,15 @@ impl TimerStore {
     /// Take the earliest armed timer: its deadline and event.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         while let Some(Reverse(key)) = self.heap.pop() {
-            let slot = key as u32 & ((1 << SLOT_BITS) - 1);
-            let seq = (key >> SLOT_BITS) as u64 & ((1 << SEQ_BITS) - 1);
-            let entry = &mut self.slots[slot as usize];
+            let (slot, seq) = slot_and_seq(key);
+            let entry = &mut self.slots[slot];
             if entry.0 != seq {
                 continue; // cancelled, and the slot re-armed since
             }
             let Some(event) = entry.1.take() else {
                 continue; // cancelled
             };
-            self.free.push(slot);
+            self.free.push(slot as u32);
             self.live -= 1;
             return Some((SimTime::from_nanos((key >> 64) as u64), event));
         }
