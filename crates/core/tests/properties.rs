@@ -68,62 +68,155 @@ fn arb_stages() -> impl Strategy<Value = StageTimes> {
         )
 }
 
+fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
+    prop::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
+}
+
+/// Any request but a batch frame.
+fn arb_request() -> impl Strategy<Value = Request> {
+    (
+        (any::<u64>(), arb_flavor(), 0u8..8),
+        (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()),
+        arb_mode(),
+        arb_bytes(256),
+        arb_bytes(4096),
+    )
+        .prop_map(
+            |((req_id, flavor, which), (flags, expire_at_ns, n, flag), mode, key, value)| {
+                match which {
+                    0 => Request::Set {
+                        req_id,
+                        flavor,
+                        mode,
+                        flags,
+                        expire_at_ns,
+                        key,
+                        value,
+                    },
+                    1 => Request::Get {
+                        req_id,
+                        flavor,
+                        key,
+                    },
+                    2 => Request::Counter {
+                        req_id,
+                        flavor,
+                        key,
+                        delta: n,
+                        negative: flag,
+                    },
+                    3 => Request::Touch {
+                        req_id,
+                        flavor,
+                        key,
+                        expire_at_ns,
+                    },
+                    4 => Request::Stats { req_id, flavor },
+                    5 => Request::WindowLease { req_id, flavor },
+                    6 => Request::Replicate {
+                        req_id,
+                        flavor,
+                        seq: n,
+                        delete: flag,
+                        flags,
+                        expire_at_ns,
+                        key,
+                        value,
+                    },
+                    _ => Request::Delete {
+                        req_id,
+                        flavor,
+                        key,
+                    },
+                }
+            },
+        )
+}
+
+/// Any response but a batch frame.
+fn arb_response() -> impl Strategy<Value = Response> {
+    (
+        (any::<u64>(), arb_status(), arb_stages(), 0u8..5),
+        (any::<u32>(), any::<u64>(), any::<u64>()),
+        prop::option::of(arb_bytes(4096)),
+    )
+        .prop_map(
+            |((req_id, status, stages, which), (flags, cas, n), value)| match which {
+                0 => Response::Set {
+                    req_id,
+                    status,
+                    stages,
+                },
+                1 => Response::Get {
+                    req_id,
+                    status,
+                    stages,
+                    flags,
+                    cas,
+                    value,
+                },
+                2 => Response::Counter {
+                    req_id,
+                    status,
+                    stages,
+                    value: n,
+                },
+                3 => Response::ReplAck {
+                    req_id,
+                    status,
+                    stages,
+                    seq: n,
+                },
+                _ => Response::Delete {
+                    req_id,
+                    status,
+                    stages,
+                },
+            },
+        )
+}
+
+/// `req` decodes back from its encoding, whose length `wire_len` predicts.
+fn request_round_trips(req: &Request) -> Result<(), TestCaseError> {
+    let wire = req.encode();
+    prop_assert_eq!(req.wire_len(), wire.len());
+    prop_assert_eq!(&Request::decode(&wire).expect("decode"), req);
+    Ok(())
+}
+
+/// `resp` decodes back from its encoding, whose length `wire_len` predicts.
+fn response_round_trips(resp: &Response) -> Result<(), TestCaseError> {
+    let wire = resp.encode();
+    prop_assert_eq!(resp.wire_len(), wire.len());
+    prop_assert_eq!(&Response::decode(&wire).expect("decode"), resp);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every well-formed request survives an encode/decode round trip.
     #[test]
-    fn request_roundtrip(
-        req_id in any::<u64>(),
-        flavor in arb_flavor(),
-        flags in any::<u32>(),
-        expire in any::<u64>(),
-        key in prop::collection::vec(any::<u8>(), 0..256),
-        value in prop::collection::vec(any::<u8>(), 0..4096),
-        mode in arb_mode(),
-        delta in any::<u64>(),
-        negative in any::<bool>(),
-        which in 0u8..6,
-    ) {
-        let key = Bytes::from(key);
-        let req = match which {
-            0 => Request::Set {
-                req_id, flavor, mode, flags, expire_at_ns: expire,
-                key, value: Bytes::from(value),
-            },
-            1 => Request::Get { req_id, flavor, key },
-            2 => Request::Counter { req_id, flavor, key, delta, negative },
-            3 => Request::Touch { req_id, flavor, key, expire_at_ns: expire },
-            4 => Request::Stats { req_id, flavor },
-            _ => Request::Delete { req_id, flavor, key },
-        };
-        let wire = req.encode();
-        prop_assert_eq!(Request::decode(&wire).expect("decode"), req);
+    fn request_roundtrip(req in arb_request()) {
+        request_round_trips(&req)?;
     }
 
     /// Every well-formed response survives a round trip.
     #[test]
-    fn response_roundtrip(
+    fn response_roundtrip(resp in arb_response()) {
+        response_round_trips(&resp)?;
+    }
+
+    /// Batch frames of random members survive a round trip, both ways.
+    #[test]
+    fn batch_roundtrip(
         req_id in any::<u64>(),
-        status in arb_status(),
-        stages in arb_stages(),
-        flags in any::<u32>(),
-        value in prop::option::of(prop::collection::vec(any::<u8>(), 0..4096)),
-        cas in any::<u64>(),
-        counter in any::<u64>(),
-        which in 0u8..4,
+        flavor in arb_flavor(),
+        ops in prop::collection::vec(arb_request(), 1..8),
+        responses in prop::collection::vec(arb_response(), 1..8),
     ) {
-        let resp = match which {
-            0 => Response::Set { req_id, status, stages },
-            1 => Response::Get {
-                req_id, status, stages, flags, cas,
-                value: value.map(Bytes::from),
-            },
-            2 => Response::Counter { req_id, status, stages, value: counter },
-            _ => Response::Delete { req_id, status, stages },
-        };
-        let wire = resp.encode();
-        prop_assert_eq!(Response::decode(&wire).expect("decode"), resp);
+        request_round_trips(&Request::batch(req_id, flavor, ops).expect("batch"))?;
+        response_round_trips(&Response::batch(req_id, responses).expect("batch"))?;
     }
 
     /// Truncating a valid message never panics — it errors.
