@@ -57,14 +57,9 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
     let by = |d: Design| thr.iter().find(|(x, _)| *x == d).expect("ran").1;
     t.note(format!(
         "paper Fig 7(c): adaptive I/O gives ~1.3x over Def (measured {}); NonB-b/i give 2-2.5x over the blocking designs (measured NonB-i/Opt-Block = {}, NonB-b/Opt-Block = {})",
-        fmt_x(by(Design::HRdmaOptBlock) / by(Design::HRdmaDef)),
-        fmt_x(by(Design::HRdmaOptNonBI) / by(Design::HRdmaOptBlock)),
-        fmt_x(by(Design::HRdmaOptNonBB) / by(Design::HRdmaOptBlock)),
+        ratio(by(Design::HRdmaOptBlock), by(Design::HRdmaDef)),
+        ratio(by(Design::HRdmaOptNonBI), by(Design::HRdmaOptBlock)),
+        ratio(by(Design::HRdmaOptNonBB), by(Design::HRdmaOptBlock)),
     ));
-    let _ = ratio; // (ratio helper used by other figures)
     vec![t]
-}
-
-fn fmt_x(x: f64) -> String {
-    format!("{x:.1}x")
 }

@@ -490,20 +490,8 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<Completion, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
-        let rs = self.route_set(&key);
-        self.call_blocking(rs, false, &|req_id| Request::Set {
-            req_id,
-            flavor: ApiFlavor::Block,
-            mode: SetMode::Set,
-            flags,
-            expire_at_ns,
-            key: key.clone(),
-            value: value.clone(),
-        })
-        .await
+        self.conditional_store(SetMode::Set, key, value, flags, expire)
+            .await
     }
 
     /// Blocking get (`memcached_get`), under the configured
@@ -1092,7 +1080,9 @@ impl Client {
     /// then the remaining ring servers in `(primary + k) % n` order.
     fn route_set(&self, key: &[u8]) -> RouteSet {
         let n = self.txs.len();
-        let mut order = self.ring.select_replicas(key, self.cfg.replication.rf);
+        let mut order = Vec::with_capacity(n);
+        self.ring
+            .select_replicas(key, self.cfg.replication.rf, &mut order);
         let primary = order[0];
         let replicas = order.len();
         for k in 1..n {
