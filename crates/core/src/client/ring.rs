@@ -59,37 +59,44 @@ impl Ring {
         server as usize
     }
 
-    /// The ordered replica set for `key` at replication factor `rf`:
-    /// walk the ring clockwise from the key's point and collect the first
-    /// `rf` *distinct* servers. The first entry is always
-    /// [`select`](Self::select)'s primary; `rf` is clamped to the server
-    /// count, so the result is never empty and never repeats a server.
-    pub fn select_replicas(&self, key: &[u8], rf: usize) -> Vec<usize> {
+    /// Appends the ordered replica set for `key` at replication factor
+    /// `rf` to `out`: walk the ring clockwise from the key's point and
+    /// collect the first `rf` *distinct* servers. The first one appended is
+    /// always [`select`](Self::select)'s primary; `rf` is clamped to the
+    /// server count, so at least one server is appended and none twice.
+    /// Appending lets a caller route into a buffer it sized once.
+    pub fn select_replicas(&self, key: &[u8], rf: usize, out: &mut Vec<usize>) {
         debug_assert!(!self.points.is_empty(), "select on an empty ring");
         let want = rf.clamp(1, self.servers);
         if self.servers == 1 {
-            return vec![0];
+            out.push(0);
+            return;
         }
         let h = mix64(fnv1a(key));
         let start = self.points.partition_point(|&(p, _)| p < h);
-        let mut replicas = Vec::with_capacity(want);
+        let base = out.len();
         for step in 0..self.points.len() {
             let (_, server) = self.points[(start + step) % self.points.len()];
             let server = server as usize;
-            if !replicas.contains(&server) {
-                replicas.push(server);
-                if replicas.len() == want {
+            if !out[base..].contains(&server) {
+                out.push(server);
+                if out.len() - base == want {
                     break;
                 }
             }
         }
-        replicas
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn replicas(ring: &Ring, key: &[u8], rf: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        ring.select_replicas(key, rf, &mut out);
+        out
+    }
 
     #[test]
     fn single_server_gets_everything() {
@@ -167,16 +174,20 @@ mod tests {
         for i in 0..500 {
             let k = format!("key-{i:06}");
             let k = k.as_bytes();
-            assert_eq!(ring.select_replicas(k, 1), vec![ring.select(k)]);
-            let two = ring.select_replicas(k, 2);
+            assert_eq!(replicas(&ring, k, 1), vec![ring.select(k)]);
+            let two = replicas(&ring, k, 2);
             assert_eq!(two.len(), 2);
             assert_eq!(two[0], ring.select(k));
             // rf beyond the cluster clamps: every server, each exactly once.
-            let all = ring.select_replicas(k, 8);
+            let all = replicas(&ring, k, 8);
             let mut sorted = all.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2]);
             assert_eq!(all[..2], two[..]);
+            // Appending ignores what the buffer already holds.
+            let mut out = vec![2, 1, 0];
+            ring.select_replicas(k, 2, &mut out);
+            assert_eq!(out[3..], two[..]);
         }
     }
 
@@ -206,7 +217,7 @@ mod tests {
             let mut moved = 0usize;
             for k in &keys {
                 let k = k.as_bytes();
-                let set = ring.select_replicas(k, rf);
+                let set = replicas(&ring, k, rf);
                 // Distinct servers, primary first.
                 prop_assert_eq!(set.len(), rf);
                 prop_assert_eq!(set[0], ring.select(k));
@@ -221,7 +232,7 @@ mod tests {
                 // of its ring-walk arcs was taken over by the new server —
                 // i.e. the grown set is the old set with (at most) new
                 // members spliced in; surviving members keep their order.
-                let grown_set = grown.select_replicas(k, rf);
+                let grown_set = replicas(&grown, k, rf);
                 if grown_set != set {
                     moved += 1;
                     let survivors: Vec<usize> = grown_set
