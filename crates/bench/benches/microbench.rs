@@ -265,6 +265,25 @@ fn bench_proto(c: &mut Criterion) {
             },
         );
     }
+    // A full doorbell frame: 64 member sets of 512 B each.
+    let ops = (0..64u64)
+        .map(|i| Request::Set {
+            req_id: i,
+            flavor: ApiFlavor::NonBlockingI,
+            mode: SetMode::Set,
+            flags: 0,
+            expire_at_ns: 0,
+            key: Bytes::from(format!("bench-key-{i:06}")),
+            value: Bytes::from(vec![9u8; 512]),
+        })
+        .collect();
+    let frame = Request::batch(1 << 40, ApiFlavor::NonBlockingI, ops).expect("batch");
+    g.throughput(Throughput::Bytes(frame.wire_len() as u64));
+    g.bench_function("batch_encode", |b| b.iter(|| black_box(frame.encode())));
+    let wire = frame.encode();
+    g.bench_function("batch_decode", |b| {
+        b.iter(|| black_box(Request::decode(&wire).expect("decode")))
+    });
     g.finish();
 }
 
