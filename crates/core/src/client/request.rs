@@ -284,70 +284,29 @@ impl ReqHandle {
 }
 
 fn build_completion(s: &ReqState) -> Completion {
-    let completed_at = s.completed_at.expect("done implies completion time");
-    let sent_at = s.sent_at.unwrap_or(s.issued_at);
-    match s.response.as_ref().expect("done implies response") {
-        Response::Set { status, stages, .. } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
+    let resp = s.response.as_ref().expect("done implies response");
+    let (value, flags, cas, counter) = match resp {
+        Response::Set { .. } | Response::Delete { .. } => (None, 0, 0, 0),
         Response::Get {
-            status,
-            stages,
-            flags,
-            cas,
-            value,
-            ..
-        } => Completion {
-            status: *status,
-            value: value.clone(),
-            flags: *flags,
-            cas: *cas,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
-        Response::Delete { status, stages, .. } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
-        Response::Counter {
-            status,
-            stages,
-            value,
-            ..
-        } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: *value,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
+            value, flags, cas, ..
+        } => (value.clone(), *flags, *cas, 0),
+        Response::Counter { value, .. } => (None, 0, 0, *value),
         // The progress task fans batch frames out into member responses
         // before completing any op; a frame never lands on an op's state.
         Response::Batch { .. } => unreachable!("batch frames are fanned out per member"),
         // Replication acks flow on server-to-server links only; clients
         // never issue `Request::Replicate`.
         Response::ReplAck { .. } => unreachable!("replication acks never reach client ops"),
+    };
+    Completion {
+        status: resp.status(),
+        value,
+        flags,
+        cas,
+        counter,
+        stages: resp.stages(),
+        issued_at: s.issued_at,
+        sent_at: s.sent_at.unwrap_or(s.issued_at),
+        completed_at: s.completed_at.expect("done implies completion time"),
     }
 }
