@@ -431,6 +431,12 @@ macro_rules! messages {
                 }
             }
 
+            /// Bytes this message adds to a batch frame as a member: its
+            /// `u32` length prefix plus its encoding.
+            pub(crate) fn batch_member_len(&self) -> usize {
+                u32::LEN + self.wire_len()
+            }
+
             /// Encode to wire bytes.
             pub fn encode(&self) -> Bytes {
                 let mut b = BytesMut::with_capacity(self.wire_len());
@@ -466,7 +472,7 @@ macro_rules! messages {
         impl Field for Vec<$name> {
             type Head = usize;
             fn wire_len(&self) -> usize {
-                u32::LEN + self.iter().map(|m| u32::LEN + m.wire_len()).sum::<usize>()
+                u32::LEN + self.iter().map($name::batch_member_len).sum::<usize>()
             }
             fn put_head(&self, b: &mut BytesMut) {
                 debug_assert!(!self.is_empty(), "empty batch frames are unencodable");
@@ -1217,6 +1223,18 @@ mod tests {
         for req in reqs {
             assert_eq!(req.encode().len(), req.wire_len(), "{req:?}");
         }
+        // A batch is its empty frame's header plus each member's share,
+        // which is what the client's coalescing queue counts per op.
+        let members = member_ops();
+        let header = Request::Batch {
+            req_id: 107,
+            flavor: ApiFlavor::NonBlockingI,
+            ops: Vec::new(),
+        }
+        .wire_len();
+        let shares: usize = members.iter().map(Request::batch_member_len).sum();
+        let frame = Request::batch(107, ApiFlavor::NonBlockingI, members).unwrap();
+        assert_eq!(frame.wire_len(), header + shares);
     }
 
     #[test]
