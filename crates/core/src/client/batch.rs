@@ -21,17 +21,14 @@
 //! so a batch-enabled client that happens to issue one op at a time is
 //! bit-identical to an unbatched one.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use nbkv_fabric::TransportTx;
 use nbkv_obs::Histogram;
-use nbkv_simrt::Sim;
 
-use crate::client::request::{Pending, ReqState, SendWindow, WindowSlot};
-use crate::client::runtime::ClientStats;
-use crate::proto::{OpStatus, Request, Response, StageTimes};
+use crate::client::request::{send_failed, ClientCore, ReqState};
+use crate::proto::Request;
 
 /// Flush policy for the per-server coalescing queues.
 #[derive(Debug, Clone, Copy)]
@@ -55,9 +52,8 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Why a queue was flushed (counted per flush in [`ClientStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlushReason {
+/// Why a queue was flushed (counted per flush in the client's stats).
+enum FlushReason {
     Count,
     Size,
     Deadline,
@@ -69,54 +65,28 @@ pub(crate) enum FlushReason {
 /// still queued — the deadline fires exactly once per armed generation.
 #[derive(Default)]
 struct BatchQueue {
-    ops: Vec<Request>,
-    states: Vec<Rc<RefCell<ReqState>>>,
+    ops: Vec<(Request, Rc<RefCell<ReqState>>)>,
     bytes: usize,
     epoch: u64,
 }
 
-/// The client's batching engine: one [`BatchQueue`] per server plus the
-/// shared plumbing flush tasks need (transports, pending table, send
-/// window, counters).
+/// The client's batching engine: one [`BatchQueue`] per server over the
+/// client's shared plumbing.
 pub(crate) struct Batcher {
-    sim: Sim,
+    core: Rc<ClientCore>,
     policy: BatchPolicy,
     queues: Vec<RefCell<BatchQueue>>,
-    txs: Vec<TransportTx>,
-    pending: Pending,
-    window: Rc<SendWindow>,
-    stats: Rc<RefCell<ClientStats>>,
     ops_hist: RefCell<Histogram>,
-    next_id: Rc<Cell<u64>>,
-    /// Descriptor-chain post + doorbell ring, paid once per flushed
-    /// frame — the client-CPU half of the doorbell-batching win.
-    issue_cost: Duration,
 }
 
 impl Batcher {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        sim: Sim,
-        policy: BatchPolicy,
-        txs: Vec<TransportTx>,
-        pending: Pending,
-        window: Rc<SendWindow>,
-        stats: Rc<RefCell<ClientStats>>,
-        next_id: Rc<Cell<u64>>,
-        issue_cost: Duration,
-    ) -> Rc<Batcher> {
-        let queues = (0..txs.len()).map(|_| RefCell::default()).collect();
+    pub(crate) fn new(core: Rc<ClientCore>, policy: BatchPolicy) -> Rc<Batcher> {
+        let queues = (0..core.txs.len()).map(|_| RefCell::default()).collect();
         Rc::new(Batcher {
-            sim,
+            core,
             policy,
             queues,
-            txs,
-            pending,
-            window,
-            stats,
             ops_hist: RefCell::new(Histogram::new()),
-            next_id,
-            issue_cost,
         })
     }
 
@@ -139,9 +109,8 @@ impl Batcher {
         let (was_empty, trip) = {
             let mut q = self.queues[server].borrow_mut();
             let was_empty = q.ops.is_empty();
-            q.bytes += 4 + req.wire_len();
-            q.ops.push(req);
-            q.states.push(state);
+            q.bytes += req.batch_member_len();
+            q.ops.push((req, state));
             let trip = if q.ops.len() >= self.policy.max_ops {
                 Some(FlushReason::Count)
             } else if q.bytes >= self.policy.max_bytes {
@@ -152,15 +121,14 @@ impl Batcher {
             (was_empty, trip)
         };
         if let Some(reason) = trip {
-            let b = Rc::clone(self);
-            self.sim.spawn(async move { b.flush(server, reason).await });
+            self.core.sim.spawn(Rc::clone(self).flush(server, reason));
         } else if was_empty {
             // Arm the flush deadline for this generation of the queue.
             let b = Rc::clone(self);
             let armed_epoch = self.queues[server].borrow().epoch;
             let delay = self.policy.max_delay;
-            self.sim.spawn(async move {
-                b.sim.sleep(delay).await;
+            self.core.sim.spawn(async move {
+                b.core.sim.sleep(delay).await;
                 if b.queues[server].borrow().epoch == armed_epoch {
                     b.flush(server, FlushReason::Deadline).await;
                 }
@@ -174,9 +142,8 @@ impl Batcher {
             if self.queues[server].borrow().ops.is_empty() {
                 continue;
             }
-            let b = Rc::clone(self);
-            self.sim
-                .spawn(async move { b.flush(server, FlushReason::Doorbell).await });
+            let flush = Rc::clone(self).flush(server, FlushReason::Doorbell);
+            self.core.sim.spawn(flush);
         }
     }
 
@@ -184,16 +151,15 @@ impl Batcher {
     /// (already gone from the pending table) are dropped from the frame;
     /// a single survivor goes out as a plain unbatched request.
     async fn flush(self: Rc<Self>, server: usize, reason: FlushReason) {
-        let (ops, states) = {
+        let queued = {
             let mut q = self.queues[server].borrow_mut();
             q.epoch += 1;
             q.bytes = 0;
-            (std::mem::take(&mut q.ops), std::mem::take(&mut q.states))
+            std::mem::take(&mut q.ops)
         };
-        let (ops, states): (Vec<_>, Vec<_>) = ops
+        let (ops, states): (Vec<_>, Vec<_>) = queued
             .into_iter()
-            .zip(states)
-            .filter(|(op, _)| self.pending.borrow().contains_key(&op.req_id()))
+            .filter(|(op, _)| self.core.pending.borrow().contains_key(&op.req_id()))
             .unzip();
         let n = ops.len();
         if n == 0 {
@@ -201,7 +167,7 @@ impl Batcher {
         }
 
         {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.core.stats.borrow_mut();
             match reason {
                 FlushReason::Count => st.flush_on_count += 1,
                 FlushReason::Size => st.flush_on_size += 1,
@@ -215,66 +181,37 @@ impl Batcher {
         }
         self.ops_hist.borrow_mut().record(n as u64);
 
+        let members: Vec<(u64, bool)> = ops
+            .iter()
+            .map(|op| (op.req_id(), matches!(op, Request::Get { .. })))
+            .collect();
         // Post the descriptor chain and ring the doorbell: one issue cost
-        // for the whole frame, however many ops it carries.
-        if !self.issue_cost.is_zero() {
-            self.sim.sleep(self.issue_cost).await;
+        // and one send-window permit for the whole frame, however many ops
+        // it carries.
+        let (_, slot) = self.core.begin(n).await;
+        for (state, (req_id, _)) in states.iter().zip(&members) {
+            if self.core.pending.borrow().contains_key(req_id) {
+                state.borrow_mut().slot = Some(Rc::clone(&slot));
+            } else {
+                // Cancelled while the frame waited for its permit: nothing
+                // will land on it, so give its share back now.
+                slot.member_done();
+            }
         }
-
-        // One send-window permit per *frame*, shared by every member.
-        self.window.acquire().await;
-        let slot = WindowSlot::new(Rc::clone(&self.window), n);
-        for state in &states {
-            state.borrow_mut().slot = Some(Rc::clone(&slot));
-        }
-
-        let ids: Vec<u64> = ops.iter().map(|op| op.req_id()).collect();
         let frame = if n == 1 {
-            ops.into_iter().next().expect("n == 1").encode()
+            ops[0].encode()
         } else {
-            let frame_id = self.next_id.get();
-            self.next_id.set(frame_id + 1);
             let flavor = ops[0].flavor();
-            Request::batch(frame_id, flavor, ops)
+            Request::batch(self.core.alloc_req_id(), flavor, ops)
                 .expect("flush builds non-empty, non-nested batches")
                 .encode()
         };
-        match self.txs[server].send(frame).await {
-            Ok(ticket) => {
-                let sent_at = ticket.sent_at();
-                for state in &states {
-                    state.borrow_mut().sent_at = Some(sent_at);
-                }
-                ticket.wait_sent().await;
-                for state in &states {
-                    let mut s = state.borrow_mut();
-                    s.sent = true;
-                    s.notify.notify_waiters();
-                }
-            }
-            Err(_) => {
-                // The connection died under the frame: complete every
-                // member with an error so waiters do not hang, and return
-                // the frame's window permit.
-                let now = self.sim.now();
-                for (req_id, state) in ids.into_iter().zip(states) {
-                    self.pending.borrow_mut().remove(&req_id);
-                    let slot = {
-                        let mut s = state.borrow_mut();
-                        s.response = Some(Response::Set {
-                            req_id,
-                            status: OpStatus::Error,
-                            stages: StageTimes::default(),
-                        });
-                        s.done = true;
-                        s.completed_at = Some(now);
-                        s.notify.notify_waiters();
-                        s.slot.take()
-                    };
-                    if let Some(slot) = slot {
-                        slot.member_done();
-                    }
-                }
+        let sent = self.core.send_frame(server, frame, &states, true).await;
+        if sent.is_err() {
+            // The connection died under the frame: fail every member so
+            // waiters do not hang; the last one returns the frame's permit.
+            for (req_id, is_get) in members {
+                self.core.complete(send_failed(req_id, is_get));
             }
         }
     }

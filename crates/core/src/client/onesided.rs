@@ -26,7 +26,8 @@ use bytes::Bytes;
 use nbkv_fabric::{FabricProfile, QueuePair, WorkCompletion};
 use nbkv_simrt::Sim;
 
-use crate::client::ClientStats;
+use crate::client::request::ClientCore;
+use crate::client::{ClientConfig, ClientStats};
 use crate::proto::LeaseGeometry;
 use crate::server::onesided::{key_fingerprint, Descriptor, ARENA_HEADER, DESC_SLOT};
 
@@ -89,19 +90,16 @@ pub(crate) struct DirectReadEngine {
     queue_depth: Cell<u32>,
     mode_direct: Cell<bool>,
     probe_seq: Cell<u64>,
-    /// The owning client's counters (shared, like the batcher's).
+    /// The owning client's counters.
     pub(crate) stats: Rc<RefCell<ClientStats>>,
 }
 
 impl DirectReadEngine {
     pub(crate) fn new(
-        sim: Sim,
+        core: &ClientCore,
         qp: Rc<QueuePair>,
-        policy: DirectPolicy,
         profile: &FabricProfile,
-        dispatch: Duration,
-        deadline: Option<Duration>,
-        stats: Rc<RefCell<ClientStats>>,
+        cfg: &ClientConfig,
     ) -> Self {
         // Two round trips: descriptor (DESC_SLOT bytes back) + arena slot
         // (header + a typical small value back). Each read costs request
@@ -110,25 +108,27 @@ impl DirectReadEngine {
             (profile.link.propagation() * 2 + profile.link.serialization(bytes)).as_nanos() as f64
         };
         let direct_cost_ns = rtt(DESC_SLOT) + rtt(ARENA_HEADER + 512);
-        let read_timeout = deadline
+        let read_timeout = cfg
+            .resilience
+            .deadline
             .map(|d| d / 8)
             .unwrap_or(Duration::from_micros(500))
             .max(Duration::from_micros(50));
         DirectReadEngine {
-            sim,
+            sim: core.sim.clone(),
             qp,
-            policy,
+            policy: cfg.direct,
             lease: RefCell::new(None),
             no_window: Cell::new(false),
             next_wr: Cell::new(1),
             read_timeout,
             direct_cost_ns,
-            dispatch_ns: dispatch.as_nanos() as f64,
+            dispatch_ns: cfg.costs.dispatch.as_nanos() as f64,
             ewma_rpc_ns: Cell::new(0.0),
             queue_depth: Cell::new(0),
             mode_direct: Cell::new(false),
             probe_seq: Cell::new(0),
-            stats,
+            stats: Rc::clone(&core.stats),
         }
     }
 
@@ -304,15 +304,14 @@ mod tests {
         let qp = QueuePair::new(&sim, profile.link);
         let qp = Rc::new(qp);
         qp.bind_peer_window(idx.window());
-        let engine = Rc::new(DirectReadEngine::new(
-            sim.clone(),
-            Rc::clone(&qp),
-            policy,
-            &profile,
-            Duration::from_micros(1),
-            None,
-            Rc::default(),
-        ));
+        let mut cfg = ClientConfig {
+            direct: policy,
+            ..ClientConfig::default()
+        };
+        cfg.costs.dispatch = Duration::from_micros(1);
+        cfg.resilience.deadline = None;
+        let core = ClientCore::new(&sim, Vec::new(), &cfg);
+        let engine = Rc::new(DirectReadEngine::new(&core, Rc::clone(&qp), &profile, &cfg));
         engine.install_lease(idx.lease());
         (sim, idx, engine, qp)
     }

@@ -1,4 +1,5 @@
-//! Request handles: the Rust shape of the paper's `memcached_req`.
+//! Request handles: the Rust shape of the paper's `memcached_req`, and the
+//! op lifecycle behind them.
 //!
 //! Every issued operation returns a [`ReqHandle`] holding a completion
 //! flag, the eventual server response, and timing. [`ReqHandle::wait`] is
@@ -8,72 +9,23 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use nbkv_fabric::{Disconnected, TransportTx};
 use nbkv_simrt::{FxHashMap, Notify, Semaphore, Sim, SimTime};
 use std::time::Duration;
 
+use crate::client::runtime::{ClientConfig, ClientStats};
+use crate::costs::CpuCosts;
 use crate::proto::{OpStatus, Response, StageTimes};
 
-/// Outstanding-request table shared between the client, its progress
-/// tasks, and every [`ReqHandle`] (for cancellation).
-pub(crate) type Pending = Rc<RefCell<FxHashMap<u64, Rc<RefCell<ReqState>>>>>;
-
-/// The client's send window: a semaphore bounding in-flight *fabric
-/// frames* plus direct occupancy accounting. The high-water mark tracks
-/// acquired permits — not the pending-op table, which diverges from
-/// window occupancy once a batch frame shares one permit across many ops.
-pub(crate) struct SendWindow {
-    sem: Semaphore,
-    in_flight: Cell<u64>,
-    hwm: Cell<u64>,
-}
-
-impl SendWindow {
-    pub(crate) fn new(max_outstanding: usize) -> Rc<SendWindow> {
-        Rc::new(SendWindow {
-            sem: Semaphore::new(max_outstanding),
-            in_flight: Cell::new(0),
-            hwm: Cell::new(0),
-        })
-    }
-
-    /// Acquire one frame slot (released via [`WindowSlot`]).
-    pub(crate) async fn acquire(&self) {
-        self.sem.acquire().await.forget();
-        let n = self.in_flight.get() + 1;
-        self.in_flight.set(n);
-        self.hwm.set(self.hwm.get().max(n));
-    }
-
-    fn release(&self) {
-        debug_assert!(self.in_flight.get() > 0, "release without acquire");
-        self.in_flight.set(self.in_flight.get().saturating_sub(1));
-        self.sem.add_permits(1);
-    }
-
-    /// High-water mark of concurrently-held frame slots.
-    pub(crate) fn hwm(&self) -> u64 {
-        self.hwm.get()
-    }
-}
-
-/// One acquired send-window slot, shared by every op travelling in the
+/// One acquired send-window permit, shared by every op travelling in the
 /// same fabric frame (one op for the per-op path, N for a batch). The
-/// slot returns its window permit when the last member completes or is
-/// cancelled.
+/// permit returns when the last member completes or is cancelled.
 pub(crate) struct WindowSlot {
     remaining: Cell<usize>,
-    window: Rc<SendWindow>,
+    window: Semaphore,
 }
 
 impl WindowSlot {
-    pub(crate) fn new(window: Rc<SendWindow>, members: usize) -> Rc<WindowSlot> {
-        debug_assert!(members > 0);
-        Rc::new(WindowSlot {
-            remaining: Cell::new(members),
-            window,
-        })
-    }
-
     /// One member op finished (completed or cancelled); the last one out
     /// releases the frame's window permit.
     pub(crate) fn member_done(&self) {
@@ -81,7 +33,175 @@ impl WindowSlot {
         debug_assert!(r > 0, "slot over-released");
         self.remaining.set(r - 1);
         if r == 1 {
-            self.window.release();
+            self.window.add_permits(1);
+        }
+    }
+}
+
+/// The client plumbing every issue path shares, and the op lifecycle
+/// written once over it: [`begin`](Self::begin) a frame,
+/// [`track`](Self::track) each op it carries,
+/// [`send_frame`](Self::send_frame), and land each op's outcome with
+/// [`complete`](Self::complete). A per-op post, a batch flush and both
+/// direct-read paths are built from these steps.
+pub(crate) struct ClientCore {
+    pub(crate) sim: Sim,
+    pub(crate) costs: CpuCosts,
+    pub(crate) txs: Vec<TransportTx>,
+    pub(crate) pending: RefCell<FxHashMap<u64, Rc<RefCell<ReqState>>>>,
+    /// The send window: it bounds in-flight *fabric frames*, not ops (a
+    /// batch frame's members share one permit).
+    window: Semaphore,
+    max_outstanding: usize,
+    /// High-water mark of held window permits.
+    pub(crate) window_hwm: Cell<u64>,
+    pub(crate) stats: Rc<RefCell<ClientStats>>,
+    /// The id the next request or batch frame gets.
+    pub(crate) next_id: Cell<u64>,
+}
+
+impl ClientCore {
+    pub(crate) fn new(sim: &Sim, txs: Vec<TransportTx>, cfg: &ClientConfig) -> Rc<ClientCore> {
+        Rc::new(ClientCore {
+            sim: sim.clone(),
+            costs: cfg.costs,
+            txs,
+            pending: RefCell::default(),
+            window: Semaphore::new(cfg.max_outstanding),
+            max_outstanding: cfg.max_outstanding,
+            window_hwm: Cell::new(0),
+            stats: Rc::default(),
+            next_id: Cell::new(1),
+        })
+    }
+
+    /// Allocate a request (or batch frame) id.
+    pub(crate) fn alloc_req_id(&self) -> u64 {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        id
+    }
+
+    /// Spend `cost` of client CPU in virtual time (a zero cost arms no
+    /// timer).
+    pub(crate) async fn charge(&self, cost: Duration) {
+        if !cost.is_zero() {
+            self.sim.sleep(cost).await;
+        }
+    }
+
+    /// Begin a frame of `members` ops: pay the descriptor post + doorbell
+    /// (`client_issue`), then take one send-window permit, shared by the
+    /// members through the returned slot. Returns the instant the frame
+    /// began (an op's issue time unless it waited in a batch queue first).
+    pub(crate) async fn begin(&self, members: usize) -> (SimTime, Rc<WindowSlot>) {
+        debug_assert!(members > 0);
+        let start = self.sim.now();
+        self.charge(self.costs.client_issue).await;
+        self.window.acquire().await.forget();
+        let held = (self.max_outstanding - self.window.available()) as u64;
+        self.window_hwm.set(self.window_hwm.get().max(held));
+        let slot = WindowSlot {
+            remaining: Cell::new(members),
+            window: self.window.clone(),
+        };
+        (start, Rc::new(slot))
+    }
+
+    /// Track an op: enter it in the pending table and count it issued.
+    /// `slot` is its frame's window slot, `None` while it waits in a batch
+    /// queue.
+    pub(crate) fn track(
+        self: &Rc<Self>,
+        req_id: u64,
+        issued_at: SimTime,
+        slot: Option<Rc<WindowSlot>>,
+    ) -> ReqHandle {
+        let state = Rc::new(RefCell::new(ReqState {
+            issued_at,
+            slot,
+            ..ReqState::default()
+        }));
+        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
+        self.stats.borrow_mut().issued += 1;
+        ReqHandle {
+            core: Rc::clone(self),
+            state,
+            req_id,
+        }
+    }
+
+    /// Post `frame` to `server` and stamp its send-completion time on every
+    /// op it carries. With `wait_sent`, also wait for the NIC to finish
+    /// reading the buffers, then mark the ops sent and wake their
+    /// `bset`/`bget` waiters.
+    pub(crate) async fn send_frame(
+        &self,
+        server: usize,
+        frame: Bytes,
+        ops: &[Rc<RefCell<ReqState>>],
+        wait_sent: bool,
+    ) -> Result<(), Disconnected> {
+        let ticket = self.txs[server].send(frame).await?;
+        for op in ops {
+            op.borrow_mut().sent_at = Some(ticket.sent_at());
+        }
+        if wait_sent {
+            ticket.wait_sent().await;
+            for op in ops {
+                let mut s = op.borrow_mut();
+                s.sent = true;
+                s.notify.notify_waiters();
+            }
+        }
+        Ok(())
+    }
+
+    /// Land `resp` on its pending op: store it, mark the op done and wake
+    /// its waiters, release its share of the carrying frame's window slot
+    /// and count it completed. Wire responses, direct hits and failed sends
+    /// all end here. Returns the op's issue time and whether it was a
+    /// direct-read fallback, or `None` for an orphan whose op was already
+    /// cancelled.
+    pub(crate) fn complete(&self, resp: Response) -> Option<(SimTime, bool)> {
+        let Some(state) = self.pending.borrow_mut().remove(&resp.req_id()) else {
+            self.stats.borrow_mut().orphans += 1;
+            return None;
+        };
+        let (slot, issued_at, fallback) = {
+            let mut s = state.borrow_mut();
+            s.response = Some(resp);
+            s.sent = true;
+            s.completed_at = Some(self.sim.now());
+            s.notify.notify_waiters();
+            (s.slot.take(), s.issued_at, s.direct_fallback)
+        };
+        if let Some(slot) = slot {
+            slot.member_done();
+        }
+        self.stats.borrow_mut().completed += 1;
+        Some((issued_at, fallback))
+    }
+}
+
+/// The error outcome of an op whose frame could not be sent, shaped like
+/// the answer it asked for.
+pub(crate) fn send_failed(req_id: u64, is_get: bool) -> Response {
+    let (status, stages) = (OpStatus::Error, StageTimes::default());
+    if is_get {
+        Response::Get {
+            req_id,
+            status,
+            stages,
+            flags: 0,
+            cas: 0,
+            value: None,
+        }
+    } else {
+        Response::Set {
+            req_id,
+            status,
+            stages,
         }
     }
 }
@@ -150,8 +270,9 @@ impl Completion {
     }
 }
 
+#[derive(Default)]
 pub(crate) struct ReqState {
-    pub(crate) done: bool,
+    /// The outcome; `Some` once the op is done.
     pub(crate) response: Option<Response>,
     pub(crate) notify: Notify,
     pub(crate) issued_at: SimTime,
@@ -171,51 +292,19 @@ pub(crate) struct ReqState {
     pub(crate) direct_fallback: bool,
 }
 
-impl ReqState {
-    pub(crate) fn new(issued_at: SimTime) -> Rc<RefCell<ReqState>> {
-        Rc::new(RefCell::new(ReqState {
-            done: false,
-            response: None,
-            notify: Notify::new(),
-            issued_at,
-            sent_at: None,
-            completed_at: None,
-            slot: None,
-            sent: false,
-            direct_fallback: false,
-        }))
-    }
-}
-
-/// Wait until `state.sent` — the buffer-reuse point for coalesced
-/// `bset`/`bget` ops (set after the batch frame's send completion).
-pub(crate) async fn wait_sent(state: &Rc<RefCell<ReqState>>) {
-    loop {
-        let notified = {
-            let s = state.borrow();
-            if s.sent || s.done {
-                return;
-            }
-            s.notify.notified()
-        };
-        notified.await;
-    }
-}
-
 /// Handle to an in-flight (or completed) request — the `memcached_req` of
 /// Listing 1.
 #[derive(Clone)]
 pub struct ReqHandle {
-    pub(crate) sim: Sim,
+    pub(crate) core: Rc<ClientCore>,
     pub(crate) state: Rc<RefCell<ReqState>>,
     pub(crate) req_id: u64,
-    pub(crate) pending: Pending,
 }
 
 impl ReqHandle {
     /// True once the server's response has arrived.
     pub fn is_done(&self) -> bool {
-        self.state.borrow().done
+        self.state.borrow().response.is_some()
     }
 
     /// Abandon an in-flight request: drop it from the outstanding table and
@@ -226,28 +315,27 @@ impl ReqHandle {
     /// op cancelled while still queued in a batch is dropped from the
     /// frame at flush time (it never touched the window).
     pub fn cancel(&self) -> bool {
-        if self.state.borrow().done {
+        if self.is_done()
+            || self
+                .core
+                .pending
+                .borrow_mut()
+                .remove(&self.req_id)
+                .is_none()
+        {
             return false;
         }
-        if self.pending.borrow_mut().remove(&self.req_id).is_some() {
-            if let Some(slot) = self.state.borrow_mut().slot.take() {
-                slot.member_done();
-            }
-            true
-        } else {
-            false
+        if let Some(slot) = self.state.borrow_mut().slot.take() {
+            slot.member_done();
         }
+        true
     }
 
     /// Non-blocking completion check (`memcached_test`): `Some` with the
     /// outcome if complete, `None` if still in flight.
     pub fn test(&self) -> Option<Completion> {
         let s = self.state.borrow();
-        if s.done {
-            Some(build_completion(&s))
-        } else {
-            None
-        }
+        s.response.is_some().then(|| build_completion(&s))
     }
 
     /// Wait for completion, giving up after `dur` of virtual time.
@@ -259,22 +347,32 @@ impl ReqHandle {
     /// cannot leak the client's issue window. (To keep waiting instead,
     /// use [`nbkv_simrt::timeout`] around [`wait`](Self::wait) directly.)
     pub async fn wait_timeout(&self, dur: Duration) -> Result<Completion, nbkv_simrt::Elapsed> {
-        match nbkv_simrt::timeout(&self.sim, dur, self.wait()).await {
-            Ok(c) => Ok(c),
-            Err(elapsed) => {
-                self.cancel();
-                Err(elapsed)
-            }
+        let out = nbkv_simrt::timeout(&self.core.sim, dur, self.wait()).await;
+        if out.is_err() {
+            self.cancel();
         }
+        out
     }
 
     /// Wait (in virtual time) for completion (`memcached_wait`).
     pub async fn wait(&self) -> Completion {
+        self.wait_for(|s| s.response.is_some()).await;
+        build_completion(&self.state.borrow())
+    }
+
+    /// Wait until the NIC has finished reading the op's buffers — the
+    /// `bset`/`bget` buffer-reuse point — or the op is done.
+    pub(crate) async fn wait_sent(&self) {
+        self.wait_for(|s| s.sent || s.response.is_some()).await;
+    }
+
+    /// Sleep on the op's notify until `ready` holds.
+    async fn wait_for(&self, ready: impl Fn(&ReqState) -> bool) {
         loop {
             let notified = {
                 let s = self.state.borrow();
-                if s.done {
-                    return build_completion(&s);
+                if ready(&s) {
+                    return;
                 }
                 s.notify.notified()
             };
@@ -284,7 +382,10 @@ impl ReqHandle {
 }
 
 fn build_completion(s: &ReqState) -> Completion {
-    let resp = s.response.as_ref().expect("done implies response");
+    let resp = s
+        .response
+        .as_ref()
+        .expect("only a done op has a completion");
     let (value, flags, cas, counter) = match resp {
         Response::Set { .. } | Response::Delete { .. } => (None, 0, 0, 0),
         Response::Get {
@@ -307,6 +408,6 @@ fn build_completion(s: &ReqState) -> Completion {
         stages: resp.stages(),
         issued_at: s.issued_at,
         sent_at: s.sent_at.unwrap_or(s.issued_at),
-        completed_at: s.completed_at.expect("done implies completion time"),
+        completed_at: s.completed_at.expect("a done op has a completion time"),
     }
 }

@@ -22,19 +22,17 @@
 //! - All flavours charge memory-registration costs through an [`MrCache`]:
 //!   first use of a buffer pays `ibv_reg_mr`, reuse is free.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::Cell;
+use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use nbkv_fabric::{MrCache, QueuePair, Transport, TransportRx, TransportTx};
-use nbkv_simrt::{Sim, SimTime};
+use nbkv_fabric::{MrCache, QueuePair, Transport, TransportRx};
+use nbkv_simrt::Sim;
 
 use crate::client::batch::{BatchPolicy, Batcher};
 use crate::client::onesided::{DirectOutcome, DirectPolicy, DirectReadEngine};
-use crate::client::request::{
-    wait_sent, Completion, Pending, ReqHandle, ReqState, SendWindow, WindowSlot,
-};
+use crate::client::request::{send_failed, ClientCore, Completion, ReqHandle, WindowSlot};
 use crate::client::resilience::{Breaker, ResiliencePolicy, MAX_ATTEMPTS};
 use crate::client::ring::Ring;
 use crate::costs::CpuCosts;
@@ -183,15 +181,10 @@ nbkv_obs::counters! {
 
 /// A Memcached client bound to one or more servers.
 pub struct Client {
-    sim: Sim,
+    core: Rc<ClientCore>,
     cfg: ClientConfig,
-    txs: Vec<TransportTx>,
     ring: Ring,
-    pending: Pending,
-    next_id: Rc<Cell<u64>>,
     mr: MrCache,
-    window: Rc<SendWindow>,
-    stats: Rc<RefCell<ClientStats>>,
     breakers: Vec<Breaker>,
     batcher: Option<Rc<Batcher>>,
     directs: Vec<Option<Rc<DirectReadEngine>>>,
@@ -227,82 +220,43 @@ impl Client {
     pub fn new_with_onesided(
         sim: &Sim,
         transports: Vec<Transport>,
-        qps: Vec<Option<QueuePair>>,
+        mut qps: Vec<Option<QueuePair>>,
         cfg: ClientConfig,
     ) -> Rc<Client> {
         assert!(!transports.is_empty(), "client needs at least one server");
         let profile = *transports[0].profile();
-        let pending: Pending = Rc::default();
-        let window = SendWindow::new(cfg.max_outstanding);
-        let stats = Rc::new(RefCell::new(ClientStats::default()));
         let n = transports.len();
-        let mut qps = qps;
+        let (txs, rxs): (Vec<_>, Vec<_>) = transports.into_iter().map(Transport::split).unzip();
+        let core = ClientCore::new(sim, txs, &cfg);
         qps.resize_with(n, || None);
         let directs: Vec<Option<Rc<DirectReadEngine>>> = qps
             .into_iter()
-            .map(|qp| match (qp, cfg.direct) {
-                (_, DirectPolicy::Off) | (None, _) => None,
-                (Some(qp), policy) => Some(Rc::new(DirectReadEngine::new(
-                    sim.clone(),
-                    Rc::new(qp),
-                    policy,
-                    &profile,
-                    cfg.costs.dispatch,
-                    cfg.resilience.deadline,
-                    Rc::clone(&stats),
-                ))),
+            .map(|qp| {
+                let qp = Rc::new(qp.filter(|_| cfg.direct != DirectPolicy::Off)?);
+                Some(Rc::new(DirectReadEngine::new(&core, qp, &profile, &cfg)))
             })
             .collect();
-        let mut txs = Vec::with_capacity(n);
-        for (i, t) in transports.into_iter().enumerate() {
-            let (tx, rx) = t.split();
-            txs.push(tx);
-            let task = ProgressTask {
-                sim: sim.clone(),
-                rx,
-                pending: Rc::clone(&pending),
-                stats: Rc::clone(&stats),
-                costs: cfg.costs,
-                direct: directs[i].clone(),
-            };
-            sim.spawn(task.run());
+        for (rx, direct) in rxs.into_iter().zip(&directs) {
+            sim.spawn(progress(Rc::downgrade(&core), rx, direct.clone()));
         }
-        let ring = Ring::new(txs.len());
-        let breakers = (0..txs.len()).map(|_| Breaker::default()).collect();
-        let next_id = Rc::new(Cell::new(1));
-        let batcher = cfg.batch.map(|policy| {
-            Batcher::new(
-                sim.clone(),
-                policy,
-                txs.clone(),
-                Rc::clone(&pending),
-                Rc::clone(&window),
-                Rc::clone(&stats),
-                Rc::clone(&next_id),
-                cfg.costs.client_issue,
-            )
-        });
         let client = Rc::new(Client {
-            sim: sim.clone(),
             cfg,
-            txs,
-            ring,
-            pending,
-            next_id,
+            ring: Ring::new(n),
             mr: MrCache::new(sim.clone(), profile),
-            window,
-            stats,
-            breakers,
-            batcher,
+            breakers: (0..n).map(|_| Breaker::default()).collect(),
+            batcher: cfg
+                .batch
+                .map(|policy| Batcher::new(Rc::clone(&core), policy)),
             directs,
             read_rr: Cell::new(0),
+            core,
         });
         // Fetch each one-sided server's window lease in the background; a
         // GET that races ahead of the handshake just takes the RPC path.
-        for (i, e) in client.directs.iter().enumerate() {
-            if e.is_some() {
+        for (server, engine) in client.directs.iter().enumerate() {
+            if let Some(engine) = engine.clone() {
                 let c = Rc::clone(&client);
-                sim.spawn(async move { c.fetch_lease(i).await });
+                sim.spawn(async move { c.fetch_lease(server, engine).await });
             }
         }
         client
@@ -311,34 +265,22 @@ impl Client {
     /// Window-lease handshake for server `server`: one blocking RPC whose
     /// response carries the server's [`LeaseGeometry`], or a Miss when the
     /// server publishes no window.
-    async fn fetch_lease(&self, server: usize) {
-        let Some(engine) = self.directs[server].clone() else {
-            return;
-        };
+    async fn fetch_lease(&self, server: usize, engine: Rc<DirectReadEngine>) {
         let req = Request::WindowLease {
-            req_id: self.alloc_req_id(),
+            req_id: self.core.alloc_req_id(),
             flavor: ApiFlavor::Block,
         };
-        let Ok(h) = self.post(server, req, false).await else {
-            engine.mark_no_window();
-            return;
+        let deadline = self.policy().deadline.unwrap_or(Duration::from_millis(500));
+        let done = match self.post(server, req, false).await {
+            Ok(h) => h.wait_timeout(deadline).await.ok(),
+            Err(_) => None,
         };
-        let deadline = self
-            .cfg
-            .resilience
-            .deadline
-            .unwrap_or(Duration::from_millis(500));
-        let Ok(done) = h.wait_timeout(deadline).await else {
-            engine.mark_no_window();
-            return;
-        };
-        match done
-            .value
-            .as_ref()
-            .and_then(|v| LeaseGeometry::decode(v).ok())
-        {
-            Some(lease) if done.status == OpStatus::Hit => engine.install_lease(lease),
-            _ => engine.mark_no_window(),
+        let lease = done
+            .filter(|done| done.status == OpStatus::Hit)
+            .and_then(|done| LeaseGeometry::decode(done.value.as_ref()?).ok());
+        match lease {
+            Some(lease) => engine.install_lease(lease),
+            None => engine.mark_no_window(),
         }
     }
 
@@ -358,7 +300,7 @@ impl Client {
     /// replica, instead of burning a full per-attempt deadline discovering
     /// the crash.
     pub fn notify_server_crashed(&self, server: usize) {
-        self.breakers[server].force_open(self.sim.now());
+        self.breakers[server].force_open(self.core.sim.now());
     }
 
     /// Restart notification: close `server`'s breaker so traffic demotes
@@ -369,8 +311,8 @@ impl Client {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ClientStats {
-        let mut st = *self.stats.borrow();
-        st.window_hwm = self.window.hwm();
+        let mut st = *self.core.stats.borrow();
+        st.window_hwm = self.core.window_hwm.get();
         st
     }
 
@@ -385,7 +327,7 @@ impl Client {
 
     /// A handle to the simulation this client runs in.
     pub fn sim_handle(&self) -> Sim {
-        self.sim.clone()
+        self.core.sim.clone()
     }
 
     /// Registration-cache statistics (hits mean buffer reuse paid off).
@@ -404,7 +346,7 @@ impl Client {
 
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.pending.borrow().len()
+        self.core.pending.borrow().len()
     }
 
     /// Prepare a user buffer for transmission: small buffers are copied
@@ -412,10 +354,7 @@ impl Client {
     /// sent zero-copy after (cached) memory registration.
     async fn prepare_buffer(&self, buf: &Bytes) {
         if buf.len() <= INLINE_THRESHOLD {
-            let cost = self.cfg.costs.memcpy(buf.len());
-            if !cost.is_zero() {
-                self.sim.sleep(cost).await;
-            }
+            self.core.charge(self.cfg.costs.memcpy(buf.len())).await;
         } else {
             self.mr.ensure_registered(buf).await;
         }
@@ -431,18 +370,8 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        self.issue_set(
-            key,
-            value,
-            flags,
-            expire,
-            ApiFlavor::NonBlockingI,
-            false,
-            SetMode::Set,
-        )
-        .await
+        self.issue_set(key, value, flags, expire, ApiFlavor::NonBlockingI)
+            .await
     }
 
     /// Non-blocking set that returns once the key/value buffers are
@@ -454,31 +383,19 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        self.issue_set(
-            key,
-            value,
-            flags,
-            expire,
-            ApiFlavor::NonBlockingB,
-            true,
-            SetMode::Set,
-        )
-        .await
+        self.issue_set(key, value, flags, expire, ApiFlavor::NonBlockingB)
+            .await
     }
 
     /// Non-blocking get, no buffer-reuse guarantee (`memcached_iget`).
     pub async fn iget(&self, key: Bytes) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.issue_get(key, ApiFlavor::NonBlockingI, false).await
+        self.issue_get(key, ApiFlavor::NonBlockingI).await
     }
 
     /// Non-blocking get that returns once the key buffer is reusable
     /// (`memcached_bget`).
     pub async fn bget(&self, key: Bytes) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.issue_get(key, ApiFlavor::NonBlockingB, true).await
+        self.issue_get(key, ApiFlavor::NonBlockingB).await
     }
 
     /// Blocking set (`memcached_set`): issue and wait for the response,
@@ -505,43 +422,17 @@ impl Client {
         // Direct fast path: a validated one-sided read of the *selected
         // replica's* window returns without touching any server CPU; any
         // other outcome falls through to the full resilience engine below.
-        if let Some(engine) = self.directs.get(server).and_then(|e| e.clone()) {
-            if engine.decide() {
-                let t0 = self.sim.now();
-                if !self.cfg.costs.client_issue.is_zero() {
-                    self.sim.sleep(self.cfg.costs.client_issue).await;
-                }
-                self.window.acquire().await;
-                let slot = WindowSlot::new(Rc::clone(&self.window), 1);
-                let outcome = engine.read(&key).await;
-                slot.member_done();
-                engine.note(&outcome);
-                if let DirectOutcome::Hit { value, flags } = outcome {
-                    let cost = self.cfg.costs.memcpy(value.len());
-                    if !cost.is_zero() {
-                        self.sim.sleep(cost).await;
-                    }
-                    self.note_replica_route(&rs, server, true);
-                    {
-                        let mut st = self.stats.borrow_mut();
-                        st.issued += 1;
-                        st.completed += 1;
-                    }
-                    return Ok(Completion {
-                        status: OpStatus::Hit,
-                        value: Some(value),
-                        flags,
-                        cas: 0,
-                        counter: 0,
-                        stages: StageTimes {
-                            served_from: ServedFrom::Ram,
-                            ..StageTimes::default()
-                        },
-                        issued_at: t0,
-                        sent_at: t0,
-                        completed_at: self.sim.now(),
-                    });
-                }
+        if let Some(engine) = self.direct_engine(server) {
+            // The read holds a window permit and returns it as soon as the
+            // reads finish; only a hit counts as an issued op.
+            let (t0, slot) = self.core.begin(1).await;
+            if let Some(hit) = direct_get(&self.core, &engine, &key, 0, Some(slot)).await {
+                self.note_replica_route(&rs, server, true);
+                // Tracked under id 0, which no wire request carries, for
+                // the instant it takes to land.
+                let h = self.core.track(0, t0, None);
+                self.core.complete(hit);
+                return Ok(h.test().expect("a landed op is done"));
             }
         }
         self.call_blocking(rs, true, &|req_id| Request::Get {
@@ -635,7 +526,7 @@ impl Client {
         expire: Option<Duration>,
     ) -> Result<Completion, ClientError> {
         self.prepare_buffer(&key).await;
-        let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
+        let expire_at_ns = expire.map_or(0, |d| (self.core.sim.now() + d).as_nanos());
         let rs = self.route_set(&key);
         self.call_blocking(rs, false, &|req_id| Request::Touch {
             req_id,
@@ -658,17 +549,13 @@ impl Client {
         &self,
         server_idx: usize,
     ) -> Result<crate::server::StatsSnapshot, ClientError> {
-        assert!(server_idx < self.txs.len(), "no such server");
-        let req_id = self.alloc_req_id();
+        assert!(server_idx < self.core.txs.len(), "no such server");
         let req = Request::Stats {
-            req_id,
+            req_id: self.core.alloc_req_id(),
             flavor: ApiFlavor::Block,
         };
         let h = self.post(server_idx, req, false).await?;
-        let done = match self.cfg.resilience.deadline {
-            Some(d) => h.wait_timeout(d).await.map_err(|_| ClientError::TimedOut)?,
-            None => h.wait().await,
-        };
+        let done = self.wait_deadline(&h).await.ok_or(ClientError::TimedOut)?;
         // A fault plan can truncate or corrupt the payload in flight;
         // surface that as an error instead of killing the whole sim.
         let payload = done.value.ok_or(ClientError::BadResponse)?;
@@ -722,7 +609,7 @@ impl Client {
     ) -> Result<Completion, ClientError> {
         self.prepare_buffer(&key).await;
         self.prepare_buffer(&value).await;
-        let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
+        let expire_at_ns = expire.map_or(0, |d| (self.core.sim.now() + d).as_nanos());
         let rs = self.route_set(&key);
         self.call_blocking(rs, false, &|req_id| Request::Set {
             req_id,
@@ -766,7 +653,7 @@ impl Client {
 
     // -- issue path ---------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// `iset`/`bset`: a plain set routed to the first live replica.
     async fn issue_set(
         &self,
         key: Bytes,
@@ -774,135 +661,85 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
         flavor: ApiFlavor,
-        wait_sent: bool,
-        mode: SetMode,
     ) -> Result<ReqHandle, ClientError> {
-        let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
+        self.prepare_buffer(&key).await;
+        self.prepare_buffer(&value).await;
+        let expire_at_ns = expire.map_or(0, |d| (self.core.sim.now() + d).as_nanos());
         let rs = self.route_set(&key);
         let server = self.pick_live(&rs);
         self.note_replica_route(&rs, server, false);
-        let req_id = self.alloc_req_id();
         let req = Request::Set {
-            req_id,
+            req_id: self.core.alloc_req_id(),
             flavor,
-            mode,
+            mode: SetMode::Set,
             flags,
             expire_at_ns,
             key,
             value,
         };
-        if self.batcher.is_some() {
-            self.enqueue_op(server, req, wait_sent).await
-        } else {
-            self.post(server, req, wait_sent).await
-        }
+        self.issue(server, req).await
     }
 
-    async fn issue_get(
-        &self,
-        key: Bytes,
-        flavor: ApiFlavor,
-        wait_sent: bool,
-    ) -> Result<ReqHandle, ClientError> {
+    /// `iget`/`bget`: a direct read when the target's one-sided engine
+    /// elects one, else a get routed like a read.
+    async fn issue_get(&self, key: Bytes, flavor: ApiFlavor) -> Result<ReqHandle, ClientError> {
+        self.prepare_buffer(&key).await;
         let rs = self.read_route_set(&key);
         let server = self.pick_live(&rs);
         self.note_replica_route(&rs, server, true);
-        if let Some(engine) = self.directs.get(server).and_then(|e| e.clone()) {
-            if engine.decide() {
-                return self.issue_direct_get(server, engine, key, flavor).await;
-            }
+        if let Some(engine) = self.direct_engine(server) {
+            return Ok(self.issue_direct_get(server, engine, key, flavor).await);
         }
-        let req_id = self.alloc_req_id();
         let req = Request::Get {
-            req_id,
+            req_id: self.core.alloc_req_id(),
             flavor,
             key,
         };
-        if self.batcher.is_some() {
-            self.enqueue_op(server, req, wait_sent).await
-        } else {
-            self.post(server, req, wait_sent).await
-        }
+        self.issue(server, req).await
     }
 
-    /// Batched issue path: register the op and hand it to the coalescing
-    /// queue. Queuing a prepared descriptor is a memory write — the
-    /// `client_issue` cost (descriptor-chain post + doorbell ring) is paid
-    /// once per *frame* by the flush task, which is the doorbell-batching
-    /// win on the client CPU. Send failures surface as error completions
-    /// on the handle (the connection state is not knowable at enqueue
-    /// time).
-    async fn enqueue_op(
-        &self,
-        server: usize,
-        req: Request,
-        wait_for_sent: bool,
-    ) -> Result<ReqHandle, ClientError> {
-        let batcher = self.batcher.as_ref().expect("enqueue_op requires batching");
-        let req_id = req.req_id();
-        let state = ReqState::new(self.sim.now());
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
-        batcher.enqueue(server, req, Rc::clone(&state));
-        if wait_for_sent {
-            // bset/bget semantics: the buffers are reusable once the
-            // carrying frame's send completion fires.
-            wait_sent(&state).await;
+    /// Issue a non-blocking op: queue it for its server's next batch frame
+    /// (the flush pays the frame's issue cost; a failed send completes the
+    /// op with an error), or post it as its own frame. A `bset`/`bget`
+    /// returns once its buffers are reusable.
+    async fn issue(&self, server: usize, req: Request) -> Result<ReqHandle, ClientError> {
+        let wait_sent = req.flavor() == ApiFlavor::NonBlockingB;
+        let Some(batcher) = &self.batcher else {
+            return self.post(server, req, wait_sent).await;
+        };
+        let h = self.core.track(req.req_id(), self.core.sim.now(), None);
+        batcher.enqueue(server, req, Rc::clone(&h.state));
+        if wait_sent {
+            h.wait_sent().await;
         }
-        Ok(ReqHandle {
-            sim: self.sim.clone(),
-            state,
-            req_id,
-            pending: Rc::clone(&self.pending),
-        })
+        Ok(h)
     }
 
+    /// Post `req` as its own frame. The op starts when the application
+    /// asks for it, so the issue cost is part of its end-to-end latency,
+    /// exactly as on the batched path where the flush pays it.
     async fn post(
         &self,
         server: usize,
         req: Request,
         wait_sent: bool,
     ) -> Result<ReqHandle, ClientError> {
-        // The op starts when the application asks for it; the issue cost
-        // (descriptor post + doorbell) is part of its end-to-end latency,
-        // exactly as on the batched path where the flush pays it.
-        let issue_start = self.sim.now();
-        if !self.cfg.costs.client_issue.is_zero() {
-            self.sim.sleep(self.cfg.costs.client_issue).await;
+        let (issued_at, slot) = self.core.begin(1).await;
+        let h = self.core.track(req.req_id(), issued_at, Some(slot));
+        let (frame, ops) = (req.encode(), std::slice::from_ref(&h.state));
+        let sent = self.core.send_frame(server, frame, ops, wait_sent).await;
+        if sent.is_err() {
+            h.cancel();
+            return Err(ClientError::Disconnected);
         }
-        // Send-queue depth: acquire a frame slot, released on completion.
-        self.window.acquire().await;
-        let req_id = req.req_id();
-        let state = ReqState::new(issue_start);
-        state.borrow_mut().slot = Some(WindowSlot::new(Rc::clone(&self.window), 1));
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
+        Ok(h)
+    }
 
-        let payload = req.encode();
-        match self.txs[server].send(payload).await {
-            Ok(ticket) => {
-                state.borrow_mut().sent_at = Some(ticket.sent_at());
-                if wait_sent {
-                    ticket.wait_sent().await;
-                    let mut s = state.borrow_mut();
-                    s.sent = true;
-                    s.notify.notify_waiters();
-                }
-                Ok(ReqHandle {
-                    sim: self.sim.clone(),
-                    state,
-                    req_id,
-                    pending: Rc::clone(&self.pending),
-                })
-            }
-            Err(_) => {
-                self.pending.borrow_mut().remove(&req_id);
-                if let Some(slot) = state.borrow_mut().slot.take() {
-                    slot.member_done();
-                }
-                Err(ClientError::Disconnected)
-            }
-        }
+    /// The one-sided engine of `server`, if it elects a direct read for
+    /// this GET.
+    fn direct_engine(&self, server: usize) -> Option<Rc<DirectReadEngine>> {
+        let engine = self.directs[server].as_ref()?;
+        engine.decide().then(|| Rc::clone(engine))
     }
 
     /// Non-blocking direct GET: issue the one-sided read in the background
@@ -917,90 +754,31 @@ impl Client {
         engine: Rc<DirectReadEngine>,
         key: Bytes,
         flavor: ApiFlavor,
-    ) -> Result<ReqHandle, ClientError> {
-        let issue_start = self.sim.now();
-        if !self.cfg.costs.client_issue.is_zero() {
-            self.sim.sleep(self.cfg.costs.client_issue).await;
-        }
-        self.window.acquire().await;
-        let req_id = self.alloc_req_id();
-        let state = ReqState::new(issue_start);
-        {
-            let mut s = state.borrow_mut();
-            s.slot = Some(WindowSlot::new(Rc::clone(&self.window), 1));
-            s.sent = true; // no wire send: buffers reusable immediately
-        }
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
-
-        let sim = self.sim.clone();
-        let pending = Rc::clone(&self.pending);
-        let stats = Rc::clone(&self.stats);
-        let tx = self.txs[server].clone();
-        let costs = self.cfg.costs;
-        let task_state = Rc::clone(&state);
-        self.sim.spawn(async move {
-            let outcome = engine.read(&key).await;
-            engine.note(&outcome);
-            match outcome {
-                DirectOutcome::Hit { value, flags } => {
-                    let cost = costs.memcpy(value.len());
-                    if !cost.is_zero() {
-                        sim.sleep(cost).await;
-                    }
-                    let resp = Response::Get {
-                        req_id,
-                        status: OpStatus::Hit,
-                        stages: StageTimes {
-                            served_from: ServedFrom::Ram,
-                            ..StageTimes::default()
-                        },
-                        flags,
-                        cas: 0,
-                        value: Some(value),
-                    };
-                    complete(&sim, &pending, &stats, resp);
-                }
-                _ => {
-                    task_state.borrow_mut().direct_fallback = true;
-                    let req = Request::Get {
-                        req_id,
-                        flavor,
-                        key,
-                    };
-                    match tx.send(req.encode()).await {
-                        Ok(ticket) => {
-                            task_state.borrow_mut().sent_at = Some(ticket.sent_at());
-                        }
-                        Err(_) => {
-                            // Connection gone mid-fallback: surface an
-                            // error completion instead of a hang.
-                            let resp = Response::Get {
-                                req_id,
-                                status: OpStatus::Error,
-                                stages: StageTimes::default(),
-                                flags: 0,
-                                cas: 0,
-                                value: None,
-                            };
-                            complete(&sim, &pending, &stats, resp);
-                        }
-                    }
-                }
+    ) -> ReqHandle {
+        let (issued_at, slot) = self.core.begin(1).await;
+        let req_id = self.core.alloc_req_id();
+        let h = self.core.track(req_id, issued_at, Some(slot));
+        h.state.borrow_mut().sent = true; // no wire send: buffers reusable now
+        let (core, state) = (Rc::clone(&self.core), Rc::clone(&h.state));
+        self.core.sim.spawn(async move {
+            if let Some(hit) = direct_get(&core, &engine, &key, req_id, None).await {
+                core.complete(hit);
+                return;
+            }
+            state.borrow_mut().direct_fallback = true;
+            let req = Request::Get {
+                req_id,
+                flavor,
+                key,
+            };
+            let (frame, ops) = (req.encode(), std::slice::from_ref(&state));
+            if core.send_frame(server, frame, ops, false).await.is_err() {
+                // Connection gone mid-fallback: an error completion, not a
+                // hang.
+                core.complete(send_failed(req_id, true));
             }
         });
-        Ok(ReqHandle {
-            sim: self.sim.clone(),
-            state,
-            req_id,
-            pending: Rc::clone(&self.pending),
-        })
-    }
-
-    fn alloc_req_id(&self) -> u64 {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        id
+        h
     }
 
     // -- resilience engine --------------------------------------------------
@@ -1015,34 +793,32 @@ impl Client {
         is_read: bool,
         make: &dyn Fn(u64) -> Request,
     ) -> Result<Completion, ClientError> {
-        let mut backoff = self.cfg.resilience.backoff(self.next_id.get());
+        let mut backoff = self.cfg.resilience.backoff(self.core.next_id.get());
         let (mut timeouts, mut unavailable) = (0u32, 0u32);
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                self.stats.borrow_mut().retries += 1;
-                let delay = backoff.next_delay();
-                if !delay.is_zero() {
-                    self.sim.sleep(delay).await;
-                }
+                self.core.stats.borrow_mut().retries += 1;
+                self.core.charge(backoff.next_delay()).await;
             }
-            let Some(server) = self.route(&rs) else {
-                self.stats.borrow_mut().breaker_rejections += 1;
+            let Some(server) = self.first_live(&rs.order) else {
+                self.core.stats.borrow_mut().breaker_rejections += 1;
                 unavailable += 1;
                 continue;
             };
             self.note_replica_route(&rs, server, is_read);
-            let h = match self.post(server, make(self.alloc_req_id()), false).await {
-                Ok(h) => h,
-                Err(_) => {
-                    self.note_failure(server);
-                    unavailable += 1;
-                    continue;
-                }
+            let req = make(self.core.alloc_req_id());
+            let Ok(h) = self.post(server, req, false).await else {
+                self.note_failure(server);
+                unavailable += 1;
+                continue;
             };
-            match self.await_attempt(&h, server).await {
-                Some(c) => return Ok(c),
-                None => timeouts += 1,
+            if let Some(c) = self.wait_deadline(&h).await {
+                self.breakers[server].on_success();
+                return Ok(c);
             }
+            self.core.stats.borrow_mut().timeouts += 1;
+            self.note_failure(server);
+            timeouts += 1;
         }
         Err(match (timeouts, unavailable) {
             (_, 0) => ClientError::TimedOut,
@@ -1053,33 +829,20 @@ impl Client {
         })
     }
 
-    /// Wait out one attempt; `None` means the deadline elapsed (the request
-    /// has been cancelled and its window slot reclaimed).
-    async fn await_attempt(&self, h: &ReqHandle, server: usize) -> Option<Completion> {
+    /// Wait for `h` under the policy deadline; `None` means the deadline
+    /// elapsed (the request has been cancelled and its window slot
+    /// reclaimed).
+    async fn wait_deadline(&self, h: &ReqHandle) -> Option<Completion> {
         match self.cfg.resilience.deadline {
-            None => {
-                let c = h.wait().await;
-                self.note_success(server);
-                Some(c)
-            }
-            Some(d) => match nbkv_simrt::timeout(&self.sim, d, h.wait()).await {
-                Ok(c) => {
-                    self.note_success(server);
-                    Some(c)
-                }
-                Err(_) => {
-                    h.cancel();
-                    self.note_timeout(server);
-                    None
-                }
-            },
+            Some(d) => h.wait_timeout(d).await.ok(),
+            None => Some(h.wait().await),
         }
     }
 
     /// Build the routing order for a key: its replica set (primary first)
     /// then the remaining ring servers in `(primary + k) % n` order.
     fn route_set(&self, key: &[u8]) -> RouteSet {
-        let n = self.txs.len();
+        let n = self.core.txs.len();
         let mut order = Vec::with_capacity(n);
         self.ring
             .select_replicas(key, self.cfg.replication.rf, &mut order);
@@ -1116,11 +879,7 @@ impl Client {
     /// traffic (falling back to the head of the order when every replica
     /// breaker is open — the send then fails fast or times out).
     fn pick_live(&self, rs: &RouteSet) -> usize {
-        let now = self.sim.now();
-        rs.order[..rs.replicas]
-            .iter()
-            .copied()
-            .find(|&s| self.breakers[s].allows(now))
+        self.first_live(&rs.order[..rs.replicas])
             .unwrap_or(rs.order[0])
     }
 
@@ -1128,7 +887,7 @@ impl Client {
     /// (failover promotion for writes, replica read for reads).
     fn note_replica_route(&self, rs: &RouteSet, server: usize, is_read: bool) {
         if server != rs.primary && rs.order[..rs.replicas].contains(&server) {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.core.stats.borrow_mut();
             if is_read {
                 st.replica_reads += 1;
             } else {
@@ -1137,123 +896,98 @@ impl Client {
         }
     }
 
-    /// Pick the server for an attempt: the first server in the route
-    /// order whose breaker allows traffic (memcached-style host ejection,
-    /// extended to prefer the key's replicas before arbitrary ring
-    /// neighbours). `None` when every breaker is open.
-    fn route(&self, rs: &RouteSet) -> Option<usize> {
-        let now = self.sim.now();
-        rs.order
+    /// The first of `servers` whose breaker allows traffic now. A blocking
+    /// attempt picks from the whole route order (memcached-style host
+    /// ejection, extended to prefer the key's replicas before arbitrary
+    /// ring neighbours); `None` when every breaker is open.
+    fn first_live(&self, servers: &[usize]) -> Option<usize> {
+        let now = self.core.sim.now();
+        servers
             .iter()
             .copied()
             .find(|&s| self.breakers[s].allows(now))
     }
 
-    fn note_success(&self, server: usize) {
-        self.breakers[server].on_success();
-    }
-
     fn note_failure(&self, server: usize) {
-        self.breakers[server].on_failure(self.sim.now());
-    }
-
-    fn note_timeout(&self, server: usize) {
-        self.stats.borrow_mut().timeouts += 1;
-        self.note_failure(server);
+        self.breakers[server].on_failure(self.core.sim.now());
     }
 }
 
-/// Land a response on its pending op: store it, mark the op done and
-/// wake its waiters, and release the op's share of the carrying frame's
-/// window slot. Wire responses (via the progress task) and direct-path
-/// completions (hit or failed fallback send) both end here. Returns the
-/// op's issue time and whether it was a direct-read fallback, or `None`
-/// for an orphan whose op was already cancelled.
-fn complete(
-    sim: &Sim,
-    pending: &Pending,
-    stats: &RefCell<ClientStats>,
-    resp: Response,
-) -> Option<(SimTime, bool)> {
-    let Some(state) = pending.borrow_mut().remove(&resp.req_id()) else {
-        stats.borrow_mut().orphans += 1;
-        return None;
-    };
-    let (slot, issued_at, fallback) = {
-        let mut s = state.borrow_mut();
-        s.response = Some(resp);
-        s.done = true;
-        s.sent = true;
-        s.completed_at = Some(sim.now());
-        s.notify.notify_waiters();
-        (s.slot.take(), s.issued_at, s.direct_fallback)
-    };
-    if let Some(slot) = slot {
+/// A one-sided read of `key` for op `req_id`: the blocking path's
+/// `permit` (if given) goes back as soon as the reads finish. On a hit,
+/// copy the value out into the user's buffer and answer as the server
+/// would have; `None` means fall back to RPC.
+async fn direct_get(
+    core: &ClientCore,
+    engine: &DirectReadEngine,
+    key: &[u8],
+    req_id: u64,
+    permit: Option<Rc<WindowSlot>>,
+) -> Option<Response> {
+    let outcome = engine.read(key).await;
+    if let Some(slot) = permit {
         slot.member_done();
     }
-    stats.borrow_mut().completed += 1;
-    Some((issued_at, fallback))
+    engine.note(&outcome);
+    let DirectOutcome::Hit { value, flags } = outcome else {
+        return None;
+    };
+    core.charge(core.costs.memcpy(value.len())).await;
+    Some(Response::Get {
+        req_id,
+        status: OpStatus::Hit,
+        stages: StageTimes {
+            served_from: ServedFrom::Ram,
+            ..StageTimes::default()
+        },
+        flags,
+        cas: 0,
+        value: Some(value),
+    })
 }
 
-/// Per-connection completion engine.
-struct ProgressTask {
-    sim: Sim,
-    rx: TransportRx,
-    pending: Pending,
-    stats: Rc<RefCell<ClientStats>>,
-    costs: CpuCosts,
-    /// This connection's one-sided engine, fed the server's queue-depth
-    /// hint and observed RPC GET latencies for the adaptive policy.
-    direct: Option<Rc<DirectReadEngine>>,
-}
-
-impl ProgressTask {
-    async fn run(self) {
-        while let Some(msg) = self.rx.recv().await {
-            let resp = match Response::decode(&msg) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            match resp {
-                // A batch frame fans out into its member completions in
-                // frame order (decode rejects nested batches, so this
-                // recursion is one level deep by construction).
-                Response::Batch { responses, .. } => {
-                    for member in responses {
-                        self.complete_one(member).await;
-                    }
+/// Per-connection completion engine: lands each response on its pending
+/// op. `direct` is the connection's one-sided engine, fed the server's
+/// queue-depth hint and observed RPC GET latencies for the adaptive policy.
+/// It holds the client's plumbing weakly, so dropping the client (and its
+/// handles) drops the transports and the server sees the disconnect.
+async fn progress(weak: Weak<ClientCore>, rx: TransportRx, direct: Option<Rc<DirectReadEngine>>) {
+    while let Some(msg) = rx.recv().await {
+        let (Some(core), Ok(resp)) = (weak.upgrade(), Response::decode(&msg)) else {
+            continue;
+        };
+        match resp {
+            // A batch frame fans out into its member completions in frame
+            // order (decode rejects nested batches, so this recursion is
+            // one level deep by construction).
+            Response::Batch { responses, .. } => {
+                for member in responses {
+                    complete_one(&core, direct.as_deref(), member).await;
                 }
-                resp => self.complete_one(resp).await,
             }
+            resp => complete_one(&core, direct.as_deref(), resp).await,
         }
     }
+}
 
-    /// Complete one member response: copy a fetched value into the user's
-    /// buffer (iget semantics), match it to its pending op, and release
-    /// the op's share of the carrying frame's window slot.
-    async fn complete_one(&self, resp: Response) {
-        if let Response::Get { value: Some(v), .. } = &resp {
-            let cost = self.costs.memcpy(v.len());
-            if !cost.is_zero() {
-                self.sim.sleep(cost).await;
-            }
-        }
-        if let Some(direct) = &self.direct {
-            direct.observe_queue_depth(resp.stages().queue_depth);
-        }
-        let is_get = matches!(resp, Response::Get { .. });
-        let Some((issued_at, fallback)) = complete(&self.sim, &self.pending, &self.stats, resp)
-        else {
-            return;
-        };
-        // Feed the adaptive policy's RPC-latency EWMA. Fallback
-        // completions are excluded: their latency includes the failed
-        // direct attempt and would bias the signal.
-        if is_get && !fallback {
-            if let Some(direct) = &self.direct {
-                let latency = self.sim.now().saturating_since(issued_at).as_nanos() as u64;
-                direct.observe_rpc_latency(latency);
-            }
-        }
+/// Complete one member response: copy a fetched value into the user's
+/// buffer (iget semantics), then land it on its pending op.
+async fn complete_one(core: &ClientCore, direct: Option<&DirectReadEngine>, resp: Response) {
+    if let Response::Get { value: Some(v), .. } = &resp {
+        core.charge(core.costs.memcpy(v.len())).await;
+    }
+    if let Some(direct) = direct {
+        direct.observe_queue_depth(resp.stages().queue_depth);
+    }
+    let is_get = matches!(resp, Response::Get { .. });
+    let Some((issued_at, fallback)) = core.complete(resp) else {
+        return;
+    };
+    // Feed the adaptive policy's RPC-latency EWMA. Fallback completions
+    // are excluded: their latency includes the failed direct attempt and
+    // would bias the signal.
+    if let Some(direct) = direct.filter(|_| is_get && !fallback) {
+        let latency = core.sim.now().saturating_since(issued_at);
+        direct.observe_rpc_latency(latency.as_nanos() as u64);
     }
 }

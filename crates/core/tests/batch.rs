@@ -293,3 +293,61 @@ fn cancelled_member_is_dropped_from_the_frame() {
         assert_eq!(client.ops_per_batch().sum(), 1);
     });
 }
+
+/// A batching client with a one-frame window over a single connection,
+/// and that connection's server half (never read; drop it to fail sends).
+fn one_frame_client(sim: &Sim) -> (Rc<Client>, nbkv_fabric::Transport) {
+    let fabric = Fabric::new(sim, nbkv_fabric::profiles::fdr_rdma());
+    let (client_side, server_side) = fabric.connect();
+    let cfg = ClientConfig {
+        max_outstanding: 1,
+        batch: Some(BatchPolicy::default()),
+        ..ClientConfig::default()
+    };
+    (Client::new(sim, vec![client_side], cfg), server_side)
+}
+
+/// A batch frame whose send fails completes every member with an error of
+/// its own kind, counted like any other completion, and hands its window
+/// permit back: with a one-frame window, the next op does not hang.
+#[test]
+fn failed_batch_send_completes_and_counts_every_member() {
+    let sim = Sim::new();
+    let (client, server_side) = one_frame_client(&sim);
+    drop(server_side);
+    sim.run_until(async move {
+        // Four isets, the doorbell, and a wait for all of them.
+        let items = (0..4).map(|i| (key(i), value(i))).collect();
+        for c in client.set_multi(items).await.unwrap() {
+            assert_eq!(c.status, OpStatus::Error);
+        }
+        let st = client.stats();
+        assert_eq!((st.issued, st.completed), (4, 4));
+        assert_eq!(client.outstanding(), 0);
+        let get = client.get_multi(vec![key(0)]).await.unwrap();
+        assert_eq!(get[0].status, OpStatus::Error);
+    });
+    sim.shutdown();
+}
+
+/// A member cancelled while its flush waits for the window gives its
+/// permit share back once the permit arrives; otherwise the frame would
+/// hold the only permit for an answer nobody waits for, and the `bset`
+/// below would never get its frame sent.
+#[test]
+fn member_cancelled_during_flush_returns_its_window_share() {
+    let sim = Sim::new();
+    let (client, _silent_server) = one_frame_client(&sim);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        let first = client.iset(key(0), value(0), 0, None).await.unwrap();
+        client.flush_batches();
+        let second = client.iset(key(1), value(1), 0, None).await.unwrap();
+        client.flush_batches();
+        sim2.sleep(Duration::from_micros(50)).await;
+        assert!(second.cancel() && first.cancel());
+        client.bset(key(2), value(2), 0, None).await.unwrap();
+        assert_eq!(client.outstanding(), 1);
+    });
+    sim.shutdown();
+}
