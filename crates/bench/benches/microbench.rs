@@ -265,6 +265,23 @@ fn bench_proto(c: &mut Criterion) {
             },
         );
     }
+    // A `hybrid-spill-rw` SET: the 8 KiB value rides as a segment of its
+    // own, so neither side copies it.
+    let req = Request::Set {
+        req_id: 42,
+        flavor: ApiFlavor::NonBlockingI,
+        mode: SetMode::Set,
+        flags: 7,
+        expire_at_ns: 0,
+        key: Bytes::from_static(b"bench-key-000001"),
+        value: Bytes::from(vec![9u8; 8 << 10]),
+    };
+    g.throughput(Throughput::Bytes(8 << 10));
+    g.bench_function("set_encode_8k", |b| b.iter(|| black_box(req.encode())));
+    let wire = req.encode();
+    g.bench_function("set_decode_8k", |b| {
+        b.iter(|| black_box(Request::decode(&wire).expect("decode")))
+    });
     // A full doorbell frame: 64 member sets of 512 B each.
     let ops = (0..64u64)
         .map(|i| Request::Set {

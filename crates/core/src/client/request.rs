@@ -9,7 +9,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_fabric::{Disconnected, TransportTx};
+use nbkv_fabric::{Disconnected, Frame, TransportTx};
 use nbkv_simrt::{FxHashMap, Notify, Semaphore, Sim, SimTime};
 use std::time::Duration;
 
@@ -138,7 +138,7 @@ impl ClientCore {
     pub(crate) async fn send_frame(
         &self,
         server: usize,
-        frame: Bytes,
+        frame: Frame,
         ops: &[Rc<RefCell<ReqState>>],
         wait_sent: bool,
     ) -> Result<(), Disconnected> {

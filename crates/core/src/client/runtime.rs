@@ -38,6 +38,7 @@ use crate::client::ring::Ring;
 use crate::costs::CpuCosts;
 use crate::proto::{
     ApiFlavor, LeaseGeometry, OpStatus, Request, Response, ServedFrom, SetMode, StageTimes,
+    INLINE_THRESHOLD,
 };
 use crate::replication::{ReadPolicy, ReplicationConfig};
 
@@ -80,11 +81,6 @@ impl Default for ClientConfig {
         }
     }
 }
-
-/// Buffers at or below this size are copied into pre-registered
-/// communication buffers (like RDMA-Memcached's inline send path);
-/// larger buffers go zero-copy and pay registration on first use.
-pub const INLINE_THRESHOLD: usize = 4 << 10;
 
 /// Client-side error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

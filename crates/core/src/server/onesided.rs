@@ -224,12 +224,12 @@ impl OneSidedIndex {
         (self.arena_offset + slot * self.arena_slot) as u64
     }
 
+    /// Decode a bucket's descriptor in place in the window.
     fn read_desc(&self, bucket: usize) -> Descriptor {
-        let raw = self
-            .window
-            .try_peek(self.desc_off(bucket), DESC_SLOT)
-            .expect("descriptor table within window");
-        Descriptor::decode(&raw).expect("slot-sized descriptor")
+        self.window
+            .try_read(self.desc_off(bucket), DESC_SLOT, Descriptor::decode)
+            .expect("descriptor table within window")
+            .expect("slot-sized descriptor")
     }
 
     /// Seqlock write cycle: mark the bucket odd, write `value` (if any)

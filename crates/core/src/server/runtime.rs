@@ -20,7 +20,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use nbkv_fabric::{FabricProfile, Transport, TransportTx, FRAME_OVERHEAD};
+use nbkv_fabric::{FabricProfile, Frame, Transport, TransportTx, FRAME_OVERHEAD};
 use nbkv_simrt::{Semaphore, Sim, SimTime};
 use nbkv_storesim::SlabIo;
 
@@ -577,7 +577,7 @@ impl Server {
 
     /// Handle a frame coming back on a replication link: every `ReplAck`
     /// member settles one op in the peer's retransmission window.
-    fn handle_repl_ack(&self, peer: &ReplPeer, msg: &Bytes) {
+    fn handle_repl_ack(&self, peer: &ReplPeer, msg: &Frame) {
         let Ok(resp) = Response::decode(msg) else {
             self.stats.borrow_mut().proto_errors += 1;
             return;
@@ -606,7 +606,7 @@ impl Server {
         });
     }
 
-    async fn handle_message(self: &Rc<Self>, msg: Bytes, tx: &TransportTx) {
+    async fn handle_message(self: &Rc<Self>, msg: Frame, tx: &TransportTx) {
         if self.closed.get() {
             return; // crashed node: the request vanishes
         }

@@ -351,3 +351,91 @@ fn member_cancelled_during_flush_returns_its_window_share() {
     });
     sim.shutdown();
 }
+
+/// A value over `INLINE_THRESHOLD` crosses the wire by reference: the
+/// server's decoded `Request` holds the very allocation the client's
+/// `iset` was given, alone and as a batch member, and a large GET hit
+/// reaches the client's `Completion` as the server's buffer.
+#[test]
+fn large_values_cross_the_wire_without_a_copy() {
+    use nbkv_core::proto::INLINE_THRESHOLD;
+    use std::cell::RefCell;
+
+    let big = |b: u8| Bytes::from(vec![b; INLINE_THRESHOLD + 1]);
+    // The deadline outlasts both registrations, so the doorbell ships the
+    // two sets as one frame.
+    let policy = BatchPolicy {
+        max_delay: Duration::from_millis(1),
+        ..BatchPolicy::default()
+    };
+    for batch in [None, Some(policy)] {
+        let batched = batch.is_some();
+        let sim = Sim::new();
+        let fabric = Fabric::new(&sim, nbkv_fabric::profiles::fdr_rdma());
+        let (client_side, server_side) = fabric.connect();
+        let (tx, rx) = server_side.split();
+        // The value pointers the server decoded, in arrival order.
+        let seen: Rc<RefCell<Vec<*const u8>>> = Rc::default();
+        let answer = big(9);
+        let (seen2, answer2) = (Rc::clone(&seen), answer.clone());
+        sim.spawn(async move {
+            while let Some(frame) = rx.recv().await {
+                let ops = match Request::decode(&frame).expect("valid frame") {
+                    Request::Batch { ops, .. } => ops,
+                    op => vec![op],
+                };
+                let mut resps = Vec::new();
+                for op in ops {
+                    let stages = StageTimes::default();
+                    resps.push(match op {
+                        Request::Set { req_id, value, .. } => {
+                            seen2.borrow_mut().push(value.as_ptr());
+                            Response::Set {
+                                req_id,
+                                status: OpStatus::Stored,
+                                stages,
+                            }
+                        }
+                        op => Response::Get {
+                            req_id: op.req_id(),
+                            status: OpStatus::Hit,
+                            stages,
+                            flags: 0,
+                            cas: 0,
+                            value: Some(answer2.clone()),
+                        },
+                    });
+                }
+                for resp in resps {
+                    if tx.send(resp.encode()).await.is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        let cfg = ClientConfig {
+            batch,
+            ..ClientConfig::default()
+        };
+        let client = Client::new(&sim, vec![client_side], cfg);
+        let values = [big(1), big(2)];
+        let sent: Vec<*const u8> = values.iter().map(|v| v.as_ptr()).collect();
+        sim.run_until(async move {
+            let mut handles = Vec::new();
+            for (i, v) in values.iter().enumerate() {
+                handles.push(client.iset(key(i), v.clone(), 0, None).await.unwrap());
+            }
+            client.flush_batches();
+            for h in handles {
+                assert_eq!(h.wait().await.status, OpStatus::Stored);
+            }
+            assert_eq!(*seen.borrow(), sent);
+            assert_eq!(client.stats().batches_sent, u64::from(batched));
+            let got = client.iget(key(0)).await.unwrap();
+            client.flush_batches();
+            let value = got.wait().await.value.expect("a hit carries its value");
+            assert_eq!(value.as_ptr(), answer.as_ptr());
+        });
+        sim.shutdown();
+    }
+}

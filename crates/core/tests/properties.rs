@@ -2,10 +2,13 @@
 
 use bytes::Bytes;
 use nbkv_core::client::Ring;
-use nbkv_core::proto::{ApiFlavor, OpStatus, Request, Response, ServedFrom, SetMode, StageTimes};
+use nbkv_core::proto::{
+    ApiFlavor, OpStatus, Request, Response, ServedFrom, SetMode, StageTimes, INLINE_THRESHOLD,
+};
 use nbkv_core::server::slab::{
     parse_item_bytes, write_item_bytes, SlabConfig, SlabPool, ITEM_HEADER,
 };
+use nbkv_fabric::Frame;
 use proptest::prelude::*;
 
 fn arb_flavor() -> impl Strategy<Value = ApiFlavor> {
@@ -72,6 +75,22 @@ fn arb_bytes(max: usize) -> impl Strategy<Value = Bytes> {
     prop::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
 }
 
+/// A value body: random bytes up to [`INLINE_THRESHOLD`] (copied into a
+/// frame's head) or, as often, a patterned body above it (a segment of
+/// its own).
+fn arb_value() -> impl Strategy<Value = Bytes> {
+    prop_oneof![
+        arb_bytes(INLINE_THRESHOLD + 1),
+        (INLINE_THRESHOLD + 1..3 * INLINE_THRESHOLD, any::<u8>()).prop_map(|(len, seed)| {
+            Bytes::from(
+                (0..len)
+                    .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+                    .collect::<Vec<_>>(),
+            )
+        }),
+    ]
+}
+
 /// Any request but a batch frame.
 fn arb_request() -> impl Strategy<Value = Request> {
     (
@@ -79,7 +98,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()),
         arb_mode(),
         arb_bytes(256),
-        arb_bytes(4096),
+        arb_value(),
     )
         .prop_map(
             |((req_id, flavor, which), (flags, expire_at_ns, n, flag), mode, key, value)| {
@@ -138,7 +157,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
     (
         (any::<u64>(), arb_status(), arb_stages(), 0u8..5),
         (any::<u32>(), any::<u64>(), any::<u64>()),
-        prop::option::of(arb_bytes(4096)),
+        prop::option::of(arb_value()),
     )
         .prop_map(
             |((req_id, status, stages, which), (flags, cas, n), value)| match which {
@@ -176,20 +195,75 @@ fn arb_response() -> impl Strategy<Value = Response> {
         )
 }
 
-/// `req` decodes back from its encoding, whose length `wire_len` predicts.
-fn request_round_trips(req: &Request) -> Result<(), TestCaseError> {
-    let wire = req.encode();
-    prop_assert_eq!(req.wire_len(), wire.len());
-    prop_assert_eq!(&Request::decode(&wire).expect("decode"), req);
+/// The value bodies of `req` and of its batch members, in order.
+fn request_values(req: &Request) -> Vec<&Bytes> {
+    match req {
+        Request::Set { value, .. } | Request::Replicate { value, .. } => vec![value],
+        Request::Batch { ops, .. } => ops.iter().flat_map(request_values).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The value bodies of `resp` and of its batch members, in order.
+fn response_values(resp: &Response) -> Vec<&Bytes> {
+    match resp {
+        Response::Get { value: Some(v), .. } => vec![v],
+        Response::Batch { responses, .. } => responses.iter().flat_map(response_values).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// A decoded large value is the sender's buffer, not a copy of it.
+fn large_values_alias(sent: Vec<&Bytes>, got: Vec<&Bytes>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(sent.len(), got.len());
+    for (s, g) in sent.into_iter().zip(got) {
+        if s.len() > INLINE_THRESHOLD {
+            prop_assert_eq!(s.as_ptr(), g.as_ptr());
+        }
+    }
     Ok(())
 }
 
-/// `resp` decodes back from its encoding, whose length `wire_len` predicts.
+/// `req` decodes back from its encoding, whose segments add up to the
+/// length `wire_len` predicts; the same bytes in one buffer decode the same.
+fn request_round_trips(req: &Request) -> Result<(), TestCaseError> {
+    let wire = req.encode();
+    prop_assert_eq!(
+        wire.segments().map(Bytes::len).sum::<usize>(),
+        req.wire_len()
+    );
+    let decoded = Request::decode(&wire).expect("decode");
+    prop_assert_eq!(&decoded, req);
+    large_values_alias(request_values(req), request_values(&decoded))?;
+    let flat = Frame::from(wire.to_bytes());
+    prop_assert_eq!(&Request::decode(&flat).expect("decode"), req);
+    Ok(())
+}
+
+/// `resp` decodes back from its encoding, whose segments add up to the
+/// length `wire_len` predicts; the same bytes in one buffer decode the same.
 fn response_round_trips(resp: &Response) -> Result<(), TestCaseError> {
     let wire = resp.encode();
-    prop_assert_eq!(resp.wire_len(), wire.len());
-    prop_assert_eq!(&Response::decode(&wire).expect("decode"), resp);
+    prop_assert_eq!(
+        wire.segments().map(Bytes::len).sum::<usize>(),
+        resp.wire_len()
+    );
+    let decoded = Response::decode(&wire).expect("decode");
+    prop_assert_eq!(&decoded, resp);
+    large_values_alias(response_values(resp), response_values(&decoded))?;
+    let flat = Frame::from(wire.to_bytes());
+    prop_assert_eq!(&Response::decode(&flat).expect("decode"), resp);
     Ok(())
+}
+
+/// The first `cut` bytes of `frame`, keeping its segment boundaries.
+fn truncate(frame: &Frame, cut: usize) -> Frame {
+    let mut left = cut;
+    Frame::from_segments(frame.segments().map(|s| {
+        let n = s.len().min(left);
+        left -= n;
+        s.slice(..n)
+    }))
 }
 
 proptest! {
@@ -207,7 +281,8 @@ proptest! {
         response_round_trips(&resp)?;
     }
 
-    /// Batch frames of random members survive a round trip, both ways.
+    /// Batch frames of random members, some with values over
+    /// `INLINE_THRESHOLD`, survive a round trip, both ways.
     #[test]
     fn batch_roundtrip(
         req_id in any::<u64>(),
@@ -219,11 +294,12 @@ proptest! {
         response_round_trips(&Response::batch(req_id, responses).expect("batch"))?;
     }
 
-    /// Truncating a valid message never panics — it errors.
+    /// Truncating a valid message, segments and all, never panics — it
+    /// errors.
     #[test]
     fn truncated_decode_never_panics(
         key in prop::collection::vec(any::<u8>(), 0..64),
-        value in prop::collection::vec(any::<u8>(), 0..512),
+        value in arb_value(),
         cut_frac in 0.0f64..1.0,
     ) {
         let req = Request::Set {
@@ -233,19 +309,29 @@ proptest! {
             flags: 0,
             expire_at_ns: 0,
             key: Bytes::from(key),
-            value: Bytes::from(value),
+            value,
         };
         let wire = req.encode();
         let cut = ((wire.len() as f64) * cut_frac) as usize;
-        let _ = Request::decode(&wire.slice(..cut)); // must not panic
+        prop_assert!(Request::decode(&truncate(&wire, cut)).is_err());
     }
 
-    /// Random bytes never panic the decoder.
+    /// Random bytes never panic the decoder, in one segment or split in
+    /// two anywhere.
     #[test]
-    fn garbage_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+    fn garbage_decode_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        split_frac in 0.0f64..1.0,
+    ) {
         let buf = Bytes::from(bytes);
-        let _ = Request::decode(&buf);
-        let _ = Response::decode(&buf);
+        let at = ((buf.len() as f64) * split_frac) as usize;
+        for frame in [
+            Frame::from(buf.clone()),
+            Frame::from_segments([buf.slice(..at), buf.slice(at..)]),
+        ] {
+            let _ = Request::decode(&frame);
+            let _ = Response::decode(&frame);
+        }
     }
 
     /// Slab items always parse back to what was written.

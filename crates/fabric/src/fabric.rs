@@ -67,8 +67,8 @@ mod tests {
             let ((a2, _a2_rx), (_b2_tx, b2)) = (a2.split(), b2.split());
             a1.send(Bytes::from_static(b"one")).await.unwrap();
             a2.send(Bytes::from_static(b"two")).await.unwrap();
-            assert_eq!(&b1.recv().await.unwrap()[..], b"one");
-            assert_eq!(&b2.recv().await.unwrap()[..], b"two");
+            assert_eq!(&b1.recv().await.unwrap().to_bytes()[..], b"one");
+            assert_eq!(&b2.recv().await.unwrap().to_bytes()[..], b"two");
         });
     }
 }

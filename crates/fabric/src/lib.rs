@@ -9,6 +9,8 @@
 //! ## Model
 //!
 //! - [`LatencyModel`]: `cost(bytes) = base + bytes/bandwidth` — pure math.
+//! - [`Frame`]: one message as a gather list of byte segments; a large
+//!   buffer rides as a segment of its own instead of being copied.
 //! - [`Link`]: one direction of a connection; a busy cursor serializes
 //!   back-to-back messages at link bandwidth, and `send` returns a
 //!   [`SendTicket`] that resolves when the NIC has finished reading the
@@ -31,6 +33,7 @@
 
 pub mod fabric;
 mod fault;
+mod frame;
 mod latency;
 mod link;
 mod mr;
@@ -40,6 +43,7 @@ pub mod verbs;
 
 pub use fabric::Fabric;
 pub use fault::{FaultPlan, FaultStats};
+pub use frame::Frame;
 pub use latency::LatencyModel;
 pub use link::{Disconnected, Link, LinkFaultHandle, LinkStats, SendTicket, FRAME_OVERHEAD};
 pub use mr::{MrCache, MrKey, MrStats};

@@ -20,12 +20,12 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use nbkv_simrt::{Sender, Sim, SimTime, Sleep};
 
 use crate::fault::{
     FaultPlan, FaultStats, SALT_DELAY, SALT_DELAY_AMT, SALT_DROP, SALT_REORDER, SALT_REORDER_AMT,
 };
+use crate::frame::Frame;
 use crate::latency::LatencyModel;
 
 /// Fixed per-message framing overhead (headers, CRCs) added to every
@@ -73,11 +73,11 @@ struct LinkInner {
 pub struct Link {
     sim: Sim,
     inner: Rc<LinkInner>,
-    tx: Sender<Bytes>,
+    tx: Sender<Frame>,
 }
 
 impl Link {
-    pub(crate) fn new(sim: Sim, model: LatencyModel, tx: Sender<Bytes>) -> Self {
+    pub(crate) fn new(sim: Sim, model: LatencyModel, tx: Sender<Frame>) -> Self {
         Link {
             sim,
             inner: Rc::new(LinkInner {
@@ -92,7 +92,8 @@ impl Link {
         }
     }
 
-    /// Post `payload` for transmission. Returns immediately with a ticket;
+    /// Post `payload` for transmission; the link serializes its total
+    /// length, whatever its segments. Returns immediately with a ticket;
     /// the message is delivered to the peer at
     /// `max(now, busy) + serialization + propagation` — unless an attached
     /// [`FaultPlan`] drops, delays, or reorders it.
@@ -100,18 +101,20 @@ impl Link {
     /// A faulted message still occupies the link for its serialization
     /// time and still yields a ticket: local send completion says nothing
     /// about delivery, exactly as on real hardware.
-    pub fn send(&self, payload: Bytes) -> Result<SendTicket, Disconnected> {
+    pub fn send(&self, payload: impl Into<Frame>) -> Result<SendTicket, Disconnected> {
         if !self.tx.is_open() {
             return Err(Disconnected);
         }
+        let payload = payload.into();
         let now = self.sim.now();
-        let wire_len = payload.len() + FRAME_OVERHEAD;
+        let payload_len = payload.len();
+        let wire_len = payload_len + FRAME_OVERHEAD;
         let start = now.max(self.inner.busy_until.get());
         let sent_at = start + self.inner.model.serialization(wire_len);
         let seq = self.inner.stats.borrow().messages;
         self.inner.busy_until.set(sent_at);
         self.inner.stats.borrow_mut().messages += 1;
-        self.inner.stats.borrow_mut().bytes += payload.len() as u64;
+        self.inner.stats.borrow_mut().bytes += payload_len as u64;
 
         let ticket = SendTicket {
             sim: self.sim.clone(),
@@ -261,6 +264,7 @@ impl SendTicket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use nbkv_simrt::channel;
     use std::time::Duration;
 
@@ -316,7 +320,7 @@ mod tests {
                 link.send(Bytes::from(vec![i; 10])).unwrap();
             }
             for i in 0..10u8 {
-                let got = rx.recv().await.unwrap();
+                let got = rx.recv().await.unwrap().to_bytes();
                 assert_eq!(got[0], i);
             }
         });
@@ -343,7 +347,7 @@ mod tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             drop(rx);
             assert_eq!(
@@ -359,7 +363,7 @@ mod tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             link.send(Bytes::from_static(b"doomed")).unwrap();
             drop(rx);
@@ -409,6 +413,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use bytes::Bytes;
     use nbkv_simrt::channel;
     use std::time::Duration;
 
@@ -421,7 +426,7 @@ mod fault_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             link.set_fault_plan(Some(FaultPlan::drops(1, 1.0)));
             for i in 0..10u8 {
@@ -441,7 +446,7 @@ mod fault_tests {
             let sim = Sim::new();
             let sim2 = sim.clone();
             sim.run_until(async move {
-                let (tx, rx) = channel::<Bytes>();
+                let (tx, rx) = channel::<Frame>();
                 let link = Link::new(sim2.clone(), test_model(), tx);
                 link.set_fault_plan(Some(FaultPlan::drops(seed, 0.5)));
                 for i in 0..100u8 {
@@ -450,7 +455,7 @@ mod fault_tests {
                 sim2.sleep(Duration::from_millis(10)).await;
                 let mut got = Vec::new();
                 while let Ok(msg) = rx.try_recv() {
-                    got.push(msg[0]);
+                    got.push(msg.to_bytes()[0]);
                 }
                 (got, link.fault_stats())
             })
@@ -469,7 +474,7 @@ mod fault_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             link.set_fault_plan(Some(
                 FaultPlan::default()
@@ -482,8 +487,8 @@ mod fault_tests {
             sim2.sleep(Duration::from_micros(100)).await;
             link.send(Bytes::from_static(b"after")).unwrap();
             sim2.sleep(Duration::from_millis(1)).await;
-            assert_eq!(&rx.try_recv().unwrap()[..], b"before");
-            assert_eq!(&rx.try_recv().unwrap()[..], b"after");
+            assert_eq!(&rx.try_recv().unwrap().to_bytes()[..], b"before");
+            assert_eq!(&rx.try_recv().unwrap().to_bytes()[..], b"after");
             assert!(rx.try_recv().is_err());
             assert_eq!(link.fault_stats().down_dropped, 1);
         });
@@ -494,7 +499,7 @@ mod fault_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             link.set_fault_plan(Some(FaultPlan {
                 seed: 3,
@@ -503,7 +508,7 @@ mod fault_tests {
                 ..FaultPlan::default()
             }));
             link.send(Bytes::from_static(b"slow")).unwrap();
-            let msg = rx.recv().await.unwrap();
+            let msg = rx.recv().await.unwrap().to_bytes();
             assert_eq!(&msg[..], b"slow");
             // Baseline arrival would be ~2us; the injected delay dominates.
             assert!(sim2.now() > SimTime::from_nanos(2_000));
@@ -517,7 +522,7 @@ mod fault_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             // Force reorder on every message with a huge reorder delay so
             // at least one pair inverts.
@@ -533,7 +538,7 @@ mod fault_tests {
             sim2.sleep(Duration::from_millis(5)).await;
             let mut got = Vec::new();
             while let Ok(msg) = rx.try_recv() {
-                got.push(msg[0]);
+                got.push(msg.to_bytes()[0]);
             }
             assert_eq!(got.len(), 50, "reorder must not lose messages");
             let mut sorted = got.clone();
@@ -548,7 +553,7 @@ mod fault_tests {
         let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
-            let (tx, rx) = channel::<Bytes>();
+            let (tx, rx) = channel::<Frame>();
             let link = Link::new(sim2.clone(), test_model(), tx);
             link.set_fault_plan(Some(FaultPlan::drops(5, 1.0)));
             link.send(Bytes::from_static(b"lost")).unwrap();
@@ -556,7 +561,7 @@ mod fault_tests {
             link.set_fault_plan(None);
             link.send(Bytes::from_static(b"kept")).unwrap();
             sim2.sleep(Duration::from_millis(1)).await;
-            assert_eq!(&rx.try_recv().unwrap()[..], b"kept");
+            assert_eq!(&rx.try_recv().unwrap().to_bytes()[..], b"kept");
             assert!(rx.try_recv().is_err());
             assert_eq!(link.fault_stats().dropped, 1);
         });
@@ -566,6 +571,7 @@ mod fault_tests {
 #[cfg(test)]
 mod jitter_tests {
     use super::*;
+    use bytes::Bytes;
     use nbkv_simrt::channel;
     use std::time::Duration;
 
@@ -583,7 +589,7 @@ mod jitter_tests {
             }
             let mut last_arrival = SimTime::ZERO;
             for i in 0..50u8 {
-                let got = rx.recv().await.unwrap();
+                let got = rx.recv().await.unwrap().to_bytes();
                 assert_eq!(got[0], i, "FIFO violated at {i}");
                 assert!(sim2.now() >= last_arrival);
                 last_arrival = sim2.now();

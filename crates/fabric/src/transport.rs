@@ -8,10 +8,10 @@
 //! - IPoIB: per-message TCP-stack CPU plus a per-byte kernel copy on each
 //!   end — which is exactly why the paper's `IPoIB-Mem` baseline loses.
 
-use bytes::Bytes;
 use nbkv_simrt::{channel, Receiver, Sim};
 
 use crate::fault::FaultPlan;
+use crate::frame::Frame;
 use crate::link::{Disconnected, Link, SendTicket};
 use crate::profiles::FabricProfile;
 
@@ -38,7 +38,7 @@ pub struct TransportTx {
 pub struct TransportRx {
     sim: Sim,
     profile: FabricProfile,
-    rx: Receiver<Bytes>,
+    rx: Receiver<Frame>,
 }
 
 /// Create a connected transport pair using `profile` in both directions.
@@ -85,9 +85,10 @@ impl Transport {
 
 impl TransportTx {
     /// Send a message (never waits on the link; see [`Link::send`]),
-    /// charging the caller the profile's host-side send costs (descriptor
-    /// post; kernel copy for IPoIB).
-    pub async fn send(&self, payload: Bytes) -> Result<SendTicket, Disconnected> {
+    /// charging the caller the profile's host-side send costs for its
+    /// total length (descriptor post; kernel copy for IPoIB).
+    pub async fn send(&self, payload: impl Into<Frame>) -> Result<SendTicket, Disconnected> {
+        let payload = payload.into();
         charge_host(&self.sim, &self.profile, payload.len()).await;
         self.link.send(payload)
     }
@@ -107,7 +108,7 @@ impl TransportRx {
     /// Receive the next message, waiting in virtual time and charging
     /// host-side receive costs. `None` once the peer's send half is fully
     /// dropped.
-    pub async fn recv(&self) -> Option<Bytes> {
+    pub async fn recv(&self) -> Option<Frame> {
         let msg = self.rx.recv().await?;
         charge_host(&self.sim, &self.profile, msg.len()).await;
         Some(msg)
@@ -128,6 +129,7 @@ mod tests {
     use super::*;
     use crate::latency::LatencyModel;
     use crate::profiles::{fdr_rdma, ipoib, loopback};
+    use bytes::Bytes;
     use std::time::Duration;
 
     fn ping_pong_us(profile: FabricProfile, len: usize) -> u64 {
@@ -190,8 +192,8 @@ mod tests {
             a_tx.send(Bytes::from_static(b"one")).await.unwrap();
             a_tx2.send(Bytes::from_static(b"two")).await.unwrap();
             drop(b_tx);
-            assert_eq!(&b_rx.recv().await.unwrap()[..], b"one");
-            assert_eq!(&b_rx.recv().await.unwrap()[..], b"two");
+            assert_eq!(&b_rx.recv().await.unwrap().to_bytes()[..], b"one");
+            assert_eq!(&b_rx.recv().await.unwrap().to_bytes()[..], b"two");
         });
     }
 

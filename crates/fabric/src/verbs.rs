@@ -216,10 +216,19 @@ impl RemoteWindow {
 
     /// Checked read of the window contents.
     pub fn try_peek(&self, offset: usize, len: usize) -> Result<Bytes, WindowOutOfBounds> {
+        self.try_read(offset, len, Bytes::copy_from_slice)
+    }
+
+    /// Checked read of the window contents in place: `f` sees the span
+    /// without a copy.
+    pub fn try_read<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, WindowOutOfBounds> {
         self.check(offset, len)?;
-        Ok(Bytes::copy_from_slice(
-            &self.mem.borrow()[offset..offset + len],
-        ))
+        Ok(f(&self.mem.borrow()[offset..offset + len]))
     }
 
     /// Checked write into the window.
@@ -404,6 +413,8 @@ mod tests {
         assert_eq!(&w.try_peek(8, 8).unwrap()[..], b"12345678");
         // Empty spans at the boundary are fine.
         assert!(w.try_peek(16, 0).is_ok());
+        assert_eq!(w.try_read(8, 8, |b| b == b"12345678"), Ok(true));
+        assert!(w.try_read(9, 8, |_| ()).is_err());
         assert!(w.try_poke(16, b"").is_ok());
     }
 

@@ -142,18 +142,20 @@ impl PageCache {
             let page_start = page_idx * ps;
             let lo = offset.max(page_start);
             let hi = (offset + data.len() as u64).min(page_start + ps);
-            let partial = !(lo == page_start && hi == page_start + ps);
-            self.ensure_present(page_idx, partial).await?;
+            let whole = lo == page_start && hi == page_start + ps;
+            let dst_off = (lo - page_start) as usize;
+            let src = &data[(lo - offset) as usize..(hi - offset) as usize];
+            let built = self.ensure_present(page_idx, whole.then_some(src)).await?;
             {
-                // Copy the slice into the page and mark dirty.
+                // Copy the slice into the page (unless the page was just
+                // built from it) and mark dirty.
                 let mut pages = self.pages.borrow_mut();
                 let page = pages
                     .peek_mut(&page_idx)
                     .expect("page present after ensure_present");
-                let dst_off = (lo - page_start) as usize;
-                let src_off = (lo - offset) as usize;
-                let n = (hi - lo) as usize;
-                page.data[dst_off..dst_off + n].copy_from_slice(&data[src_off..src_off + n]);
+                if !built {
+                    page.data[dst_off..dst_off + src.len()].copy_from_slice(src);
+                }
                 if page.dirty_epoch == 0 {
                     self.dirty_bytes.set(self.dirty_bytes.get() + ps);
                     self.dirty.borrow_mut().insert(page_idx);
@@ -186,7 +188,7 @@ impl PageCache {
         let first = offset / ps;
         let last = (offset + len.max(1) as u64 - 1) / ps;
         for page_idx in first..=last {
-            self.ensure_present(page_idx, true).await?;
+            self.ensure_present(page_idx, None).await?;
             self.evict_for_capacity().await?;
         }
         self.charge(Charge::ReadExit, len).await;
@@ -244,29 +246,40 @@ impl PageCache {
         Ok(())
     }
 
-    /// Make `page_idx` resident. `load` controls whether absent pages are
-    /// read from the device (true for reads/partial writes) or created
-    /// zeroed (full-page overwrite).
-    async fn ensure_present(&self, page_idx: u64, load: bool) -> Result<(), DeviceError> {
+    /// Make `page_idx` resident. An absent page is built from `whole`
+    /// when the caller's write covers all of it (`whole` is the page's new
+    /// content); otherwise it is read from the device, or zero-filled over
+    /// a hole. Returns true if the page was built from `whole`.
+    async fn ensure_present(
+        &self,
+        page_idx: u64,
+        whole: Option<&[u8]>,
+    ) -> Result<bool, DeviceError> {
         if self.pages.borrow_mut().touch(&page_idx).is_some() {
             self.stats.borrow_mut().hits += 1;
-            return Ok(());
+            return Ok(false);
         }
         self.stats.borrow_mut().misses += 1;
         self.charge(Charge::PageMiss, PAGE_SIZE).await;
+        // The page may have been created by a concurrent caller while we
+        // paid the fault, or waited on the device below; never clobber
+        // newer content.
+        let resident = || self.pages.borrow_mut().touch(&page_idx).is_some();
+        if resident() {
+            return Ok(false);
+        }
         let off = page_idx * PAGE_SIZE as u64;
-        // Holes (never-written device ranges) need no read-modify-write.
-        let load = load && self.dev.has_data(off, PAGE_SIZE);
-        let data: Box<[u8]> = if load {
-            let bytes = self.dev.read(off, PAGE_SIZE).await?;
-            // The page may have been created by a concurrent writer while
-            // we waited on the device; never clobber newer content.
-            if self.pages.borrow_mut().touch(&page_idx).is_some() {
-                return Ok(());
+        let data: Box<[u8]> = match whole {
+            Some(src) => src.into(),
+            // Holes (never-written device ranges) need no read-modify-write.
+            None if self.dev.has_data(off, PAGE_SIZE) => {
+                let bytes = self.dev.read(off, PAGE_SIZE).await?;
+                if resident() {
+                    return Ok(false);
+                }
+                bytes[..].into()
             }
-            bytes.to_vec().into_boxed_slice()
-        } else {
-            vec![0u8; PAGE_SIZE].into_boxed_slice()
+            None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
         };
         self.pages.borrow_mut().insert(
             page_idx,
@@ -275,7 +288,7 @@ impl PageCache {
                 dirty_epoch: 0,
             },
         );
-        Ok(())
+        Ok(whole.is_some())
     }
 
     /// Evict LRU pages while over the budget; dirty victims are flushed
@@ -329,11 +342,12 @@ impl PageCache {
 
     /// Flush one contiguous run of dirty pages. Returns pages flushed.
     async fn flush_one_batch(&self) -> Result<usize, DeviceError> {
-        // Snapshot a contiguous run of dirty pages (ascending offset).
-        let run: Vec<(u64, Box<[u8]>, u64)> = {
+        // Snapshot a contiguous run of dirty pages (ascending offset) and
+        // copy their bytes into one device-write buffer.
+        let (run, buf) = {
             let dirty = self.dirty.borrow();
             let pages = self.pages.borrow();
-            let mut run = Vec::new();
+            let mut run: Vec<(u64, u64)> = Vec::new();
             let mut expect: Option<u64> = None;
             for &idx in dirty.iter() {
                 match expect {
@@ -341,25 +355,25 @@ impl PageCache {
                     _ => {}
                 }
                 let Some(p) = pages.peek(&idx) else { continue };
-                run.push((idx, p.data.clone(), p.dirty_epoch));
+                run.push((idx, p.dirty_epoch));
                 if run.len() >= WRITEBACK_RUN {
                     break;
                 }
                 expect = Some(idx + 1);
             }
-            run
+            let mut buf = Vec::with_capacity(run.len() * PAGE_SIZE);
+            for (idx, _) in &run {
+                buf.extend_from_slice(&pages.peek(idx).expect("run page is resident").data);
+            }
+            (run, buf)
         };
         if run.is_empty() {
             return Ok(0);
         }
         let base = run[0].0 * PAGE_SIZE as u64;
-        let mut buf = Vec::with_capacity(run.len() * PAGE_SIZE);
-        for (_, data, _) in &run {
-            buf.extend_from_slice(data);
-        }
         self.dev.write(base, &buf).await?;
         let mut flushed = 0;
-        for (idx, _, epoch) in run {
+        for (idx, epoch) in run {
             if self.mark_clean_if_unchanged(idx, epoch) {
                 flushed += 1;
             }
@@ -468,6 +482,50 @@ mod tests {
             assert_eq!(got[100], 0xBB, "{scheme:?}");
             assert_eq!(got[149], 0xBB, "{scheme:?}");
             assert_eq!(got[150], 0xAA, "{scheme:?}");
+        });
+    }
+
+    #[test]
+    fn concurrent_faults_on_one_hole_page_keep_both_writes() {
+        // Two partial writes to the same never-written page both miss and
+        // both pay the soft fault; the second to resume must find the page
+        // the first created, not replace it with a fresh zeroed one.
+        let host = HostModel {
+            fault: Duration::from_nanos(1_500),
+            ..HostModel::zero()
+        };
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let (cache, _dev) = cache_with(&sim2, IoScheme::Mmap, instant_device(), 8 << 20, host);
+            let c2 = Rc::clone(&cache);
+            let other = sim2.spawn(async move { c2.write(0, &[1u8; 100]).await });
+            cache.write(200, &[2u8; 100]).await.unwrap();
+            other.await.unwrap();
+            let got = cache.read(0, 300).await.unwrap();
+            assert_eq!(&got[..100], &[1u8; 100][..], "the later writer's bytes");
+            assert_eq!(&got[200..], &[2u8; 100][..], "the earlier writer's bytes");
+            assert_eq!(cache.stats().misses, 2, "both writers faulted");
+            assert_eq!(cache.dirty_bytes(), 64 << 10, "one dirty page");
+        });
+        sim.shutdown();
+    }
+
+    #[test]
+    fn full_page_writes_build_pages_from_the_data() {
+        for_each_scheme(|sim, scheme| async move {
+            let (cache, dev) =
+                cache_with(&sim, scheme, instant_device(), 8 << 20, HostModel::zero());
+            // Stale device bytes under a page that a write fully covers are
+            // never read back into it.
+            dev.write(64 << 10, &[0xAAu8; 64 << 10]).await.unwrap();
+            let data: Vec<u8> = (0..3 * (64 << 10)).map(|i| (i % 251) as u8).collect();
+            cache.write(0, &data).await.unwrap();
+            assert_eq!(dev.stats().bytes_read, 0, "{scheme:?}");
+            assert_eq!(&cache.read(0, data.len()).await.unwrap()[..], &data[..]);
+            cache.sync().await.unwrap();
+            assert_eq!(&dev.peek(0, data.len())[..], &data[..], "{scheme:?}");
+            assert_eq!(cache.stats().writeback_pages, 3, "{scheme:?}");
         });
     }
 
