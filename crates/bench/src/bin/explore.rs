@@ -142,7 +142,7 @@ fn main() {
         c.clients,
         c.device.name,
     );
-    let r = exp.run();
+    let (r, _) = exp.run();
 
     let mut t = Table::new(
         "explore",

@@ -1,6 +1,7 @@
 //! Experiment scaffolding shared by all figure harnesses.
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use nbkv_core::cluster::{build_cluster, schedule_crash, Cluster, ClusterConfig, CrashEvent};
 use nbkv_core::designs::Design;
@@ -84,54 +85,63 @@ impl LatencyExp {
         (self.data_bytes / self.value_len as u64).max(1) as usize
     }
 
-    /// Build, preload, run, and merge per-client reports.
-    pub fn run(&self) -> RunReport {
-        self.run_obs().0
-    }
-
-    /// Like [`run`](Self::run), but also snapshot every layer's counters
-    /// (server pipeline, store, slab I/O, clients, fabric links) into a
-    /// metrics registry before the cluster is torn down.
-    pub fn run_obs(&self) -> (RunReport, Registry) {
-        let sim = Sim::new();
+    /// Build, preload, run, and merge per-client reports; also snapshot
+    /// every layer's counters (server pipeline, store, slab I/O, clients,
+    /// fabric links) into a metrics registry before the cluster is torn
+    /// down (see [`on_cluster`]).
+    pub fn run(&self) -> (RunReport, Registry) {
         let mut cfg = self.cluster.clone();
         if self.batch > 1 {
             cfg.client.batch = Some(nbkv_core::BatchPolicy::default());
         }
-        let cluster: Cluster = build_cluster(&sim, &cfg);
-        let keys = self.keys();
-        let value_len = self.value_len;
+        let (crash, replicated) = (self.crash, cfg.replication.is_replicated());
+        on_cluster(&cfg, |sim, cluster| {
+            let (s, servers, clients) = (
+                sim.clone(),
+                cluster.servers.clone(),
+                cluster.clients.clone(),
+            );
+            self.measure(sim, cluster, move |t0| {
+                // Crash schedules are anchored to the measured phase.
+                if let Some(mut ev) = crash {
+                    ev.at += t0;
+                    if let Some(r) = &mut ev.restart_at {
+                        *r += t0;
+                    }
+                    schedule_crash(&s, &servers, &clients, ev, replicated);
+                }
+            })
+        })
+    }
+
+    /// Preload every key through the first client (not measured), call
+    /// `at_t0` with the virtual time the measured phase starts, then run
+    /// the workload on all clients concurrently and merge their reports.
+    pub fn measure(
+        &self,
+        sim: &Sim,
+        cluster: &Cluster,
+        at_t0: impl FnOnce(Duration) + 'static,
+    ) -> RunReport {
+        let (keys, value_len) = (self.keys(), self.value_len);
         let spec_template = WorkloadSpec {
             keys,
             value_len,
             pattern: AccessPattern::Zipf(0.99),
             mix: self.mix,
             ops: self.ops_per_client,
-            flavor: cfg.design.flavor(),
+            flavor: self.cluster.design.flavor(),
             window: self.window,
             seed: 42,
             miss_penalty: nbkv_workload::BackendDb::default_penalty(),
             recache_on_miss: true,
             batch: self.batch,
         };
-        let clients: Vec<_> = cluster.clients.iter().map(Rc::clone).collect();
-        let servers: Vec<_> = cluster.servers.iter().map(Rc::clone).collect();
-        let crash = self.crash;
-        let replicated = cfg.replication.is_replicated();
+        let clients = cluster.clients.clone();
         let sim2 = sim.clone();
-        let report = sim.run_until(async move {
-            // Preload through the first client (not measured).
+        sim.run_until(async move {
             preload(&clients[0], keys, value_len).await;
-            // Crash schedules are anchored to the measured phase.
-            if let Some(mut ev) = crash {
-                let t0 = std::time::Duration::from_nanos(sim2.now().as_nanos());
-                ev.at += t0;
-                if let Some(r) = &mut ev.restart_at {
-                    *r += t0;
-                }
-                schedule_crash(&sim2, &servers, &clients, ev, replicated);
-            }
-            // Measured phase: all clients run concurrently.
+            at_t0(Duration::from_nanos(sim2.now().as_nanos()));
             let tasks: Vec<_> = clients
                 .iter()
                 .enumerate()
@@ -143,15 +153,24 @@ impl LatencyExp {
                     async move { run_workload(&sim, &c, &spec).await }
                 })
                 .collect();
-            let reports = join_all(tasks).await;
-            RunReport::merge(&reports)
-        });
-        let registry = cluster_registry(&sim, &cluster);
-        // Break the world->task->server->Sim reference cycle so repeated
-        // experiments in one process release their memory.
-        sim.shutdown();
-        (report, registry)
+            RunReport::merge(&join_all(tasks).await)
+        })
     }
+}
+
+/// Build `cfg`'s cluster on a fresh simulation and hand both to `run`;
+/// then snapshot the cluster's counters into a registry and shut the
+/// simulation down. Every harness that builds a cluster goes through here,
+/// so every such case exports the same registry.
+pub fn on_cluster<T>(cfg: &ClusterConfig, run: impl FnOnce(&Sim, &Cluster) -> T) -> (T, Registry) {
+    let sim = Sim::new();
+    let cluster = build_cluster(&sim, cfg);
+    let out = run(&sim, &cluster);
+    let registry = cluster_registry(&sim, &cluster);
+    // Break the world->task->server->Sim reference cycle so repeated
+    // experiments in one process release their memory.
+    sim.shutdown();
+    (out, registry)
 }
 
 /// Snapshot a finished cluster's counters into a metrics registry: the
@@ -159,7 +178,7 @@ impl LatencyExp {
 /// the replication-lag gauge, breaker trips and the ops-per-batch
 /// histogram, which are not struct fields. Counters add across nodes;
 /// gauges take the largest.
-pub fn cluster_registry(sim: &Sim, cluster: &Cluster) -> Registry {
+fn cluster_registry(sim: &Sim, cluster: &Cluster) -> Registry {
     let mut reg = Registry::new();
     sim.stats().export("sim.", &mut reg);
     for s in &cluster.servers {
@@ -211,7 +230,7 @@ mod tests {
             ops_per_client: 200,
             ..LatencyExp::single(Design::RdmaMem, 16 << 20, 8 << 20)
         };
-        let report = exp.run();
+        let (report, _) = exp.run();
         assert_eq!(report.ops, 200);
         assert!(report.mean_latency_ns > 0);
         assert_eq!(report.misses, 0, "data fits in memory");
@@ -223,7 +242,7 @@ mod tests {
         exp.cluster.clients = 3;
         exp.ops_per_client = 100;
         exp.value_len = 8 << 10;
-        let report = exp.run();
+        let (report, _) = exp.run();
         assert_eq!(report.ops, 300);
         assert!(report.throughput_ops_per_sec() > 0.0);
     }
@@ -240,7 +259,7 @@ mod tests {
             ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 8 << 20)
         };
         exp.cluster.onesided = Some(OneSidedConfig::default());
-        let json = exp.run_obs().1.to_json().render_pretty();
+        let json = exp.run().1.to_json().render_pretty();
         for (prefix, names) in [
             ("sim.", &SimStats::NAMES[..]),
             ("server.", &ServerStats::NAMES),

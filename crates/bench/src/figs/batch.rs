@@ -14,11 +14,10 @@
 
 use nbkv_core::designs::Design;
 use nbkv_fabric::LinkStats;
-use nbkv_obs::Registry;
-use nbkv_workload::{OpMix, RunReport};
+use nbkv_workload::OpMix;
 
 use crate::exp::{scaled_bytes, scaled_ops, LatencyExp};
-use crate::manifest::Manifest;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 /// Batched issue group size (ops issued between doorbell rings).
@@ -41,20 +40,26 @@ fn exp(design: Design, batch: usize) -> LatencyExp {
     e
 }
 
-fn run_mode(m: &mut Manifest, design: Design, batch: usize) -> (RunReport, Registry) {
-    let label = if batch > 1 {
-        format!("{}/batched", design.label())
-    } else {
-        format!("{}/per-op", design.label())
+const CASES: [(Design, usize); 5] = [
+    (Design::HRdmaOptBlock, 0),
+    (Design::HRdmaOptNonBB, 0),
+    (Design::HRdmaOptNonBB, GROUP),
+    (Design::HRdmaOptNonBI, 0),
+    (Design::HRdmaOptNonBI, GROUP),
+];
+
+/// Per-op and batched issue for each design that can batch.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let case = |(d, batch): (Design, usize)| {
+        let mode = if batch > 1 { "batched" } else { "per-op" };
+        Case::latency(format!("{}/{mode}", d.label()), exp(d, batch))
     };
-    let (report, cluster_reg) = exp(design, batch).run_obs();
-    let reg = m.record_report(&label, &report);
-    reg.merge(&cluster_reg);
-    (report, cluster_reg)
+    CASES.map(case).into()
 }
 
-/// Regenerate the doorbell-batching comparison table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "batch",
         "Doorbell batching: per-op vs batched issue (512 B values, read-only, 4 servers)",
@@ -68,24 +73,16 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "kops/s",
         ],
     );
-    let cases: [(Design, usize); 5] = [
-        (Design::HRdmaOptBlock, 0),
-        (Design::HRdmaOptNonBB, 0),
-        (Design::HRdmaOptNonBB, GROUP),
-        (Design::HRdmaOptNonBI, 0),
-        (Design::HRdmaOptNonBI, GROUP),
-    ];
-    for (design, batch) in cases {
-        let (report, reg) = run_mode(m, design, batch);
+    for (&(design, batch), (_, o)) in CASES.iter().zip(res) {
+        let (report, reg) = (o.report(), &o.section);
         let ops_per_frame = reg
             .hist("client.ops_per_batch")
-            .map(|h| h.mean().to_string())
-            .unwrap_or_else(|| "1".to_string());
+            .map_or_else(|| "1".to_string(), |h| h.mean().to_string());
         // The preload is per-op blocking sets — exactly two fabric
         // messages per key — so subtracting it isolates the measured
         // phase's wire traffic.
         let preload_msgs = 2 * exp(design, batch).keys() as u64;
-        let measured_msgs = LinkStats::read(&reg, "fabric.")
+        let measured_msgs = LinkStats::read(reg, "fabric.")
             .messages
             .saturating_sub(preload_msgs);
         t.row(vec![
@@ -120,11 +117,11 @@ mod tests {
     use std::rc::Rc;
 
     use bytes::Bytes;
-    use nbkv_core::cluster::{build_cluster, ClusterConfig};
+    use nbkv_core::cluster::ClusterConfig;
     use nbkv_core::{BatchPolicy, Ring};
-    use nbkv_simrt::Sim;
 
     use super::*;
+    use crate::exp::on_cluster;
 
     const KEYS: usize = 64;
     const SERVERS: usize = 4;
@@ -137,56 +134,56 @@ mod tests {
     /// end-to-end latency and the request-frame count per server (delta
     /// over the measured phase, from the client->server link counters).
     fn run_get_multi(design: Design, batched: bool) -> (f64, Vec<u64>) {
-        let sim = Sim::new();
         let mut cfg = ClusterConfig::new(design, 64 << 20);
         cfg.servers = SERVERS;
         if batched {
             cfg.client.batch = Some(BatchPolicy::default());
         }
-        let cluster = build_cluster(&sim, &cfg);
-        let client = Rc::clone(&cluster.clients[0]);
+        let (out, _) = on_cluster(&cfg, |sim, cluster| {
+            let client = Rc::clone(&cluster.clients[0]);
 
-        let c = Rc::clone(&client);
-        sim.run_until(async move {
-            for i in 0..KEYS {
-                let done = c
-                    .set(key(i), Bytes::from(vec![b'v'; 512]), 0, None)
-                    .await
-                    .unwrap();
-                assert!(done.is_success());
-            }
-        });
-        // links[2*si] is client 0's request link to server si.
-        let before: Vec<u64> = (0..SERVERS)
-            .map(|si| cluster.links[2 * si].stats().messages)
-            .collect();
+            let c = Rc::clone(&client);
+            sim.run_until(async move {
+                for i in 0..KEYS {
+                    let done = c
+                        .set(key(i), Bytes::from(vec![b'v'; 512]), 0, None)
+                        .await
+                        .unwrap();
+                    assert!(done.is_success());
+                }
+            });
+            // links[2*si] is client 0's request link to server si.
+            let before: Vec<u64> = (0..SERVERS)
+                .map(|si| cluster.links[2 * si].stats().messages)
+                .collect();
 
-        let c = Rc::clone(&client);
-        let s = sim.clone();
-        let mean = sim.run_until(async move {
-            let keys: Vec<Bytes> = (0..KEYS).map(key).collect();
-            // The burst's end-to-end latency: the application asks for all
-            // 64 keys *now*, so each member is measured from the
-            // `get_multi` call — per-op issue serializes descriptor posts
-            // (one doorbell per op) and that delay is part of what the
-            // caller experiences.
-            let start = s.now();
-            let comps = c.get_multi(keys).await.unwrap();
-            assert_eq!(comps.len(), KEYS);
-            for comp in &comps {
-                assert!(comp.is_success(), "get_multi member failed: {comp:?}");
-            }
-            let total: u64 = comps
-                .iter()
-                .map(|comp| comp.completed_at.saturating_since(start).as_nanos() as u64)
-                .sum();
-            total as f64 / comps.len() as f64
+            let c = Rc::clone(&client);
+            let s = sim.clone();
+            let mean = sim.run_until(async move {
+                let keys: Vec<Bytes> = (0..KEYS).map(key).collect();
+                // The burst's end-to-end latency: the application asks for
+                // all 64 keys *now*, so each member is measured from the
+                // `get_multi` call — per-op issue serializes descriptor
+                // posts (one doorbell per op) and that delay is part of
+                // what the caller experiences.
+                let start = s.now();
+                let comps = c.get_multi(keys).await.unwrap();
+                assert_eq!(comps.len(), KEYS);
+                for comp in &comps {
+                    assert!(comp.is_success(), "get_multi member failed: {comp:?}");
+                }
+                let total: u64 = comps
+                    .iter()
+                    .map(|comp| comp.completed_at.saturating_since(start).as_nanos() as u64)
+                    .sum();
+                total as f64 / comps.len() as f64
+            });
+            let frames: Vec<u64> = (0..SERVERS)
+                .map(|si| cluster.links[2 * si].stats().messages - before[si])
+                .collect();
+            (mean, frames)
         });
-        let frames: Vec<u64> = (0..SERVERS)
-            .map(|si| cluster.links[2 * si].stats().messages - before[si])
-            .collect();
-        sim.shutdown();
-        (mean, frames)
+        out
     }
 
     /// The tentpole acceptance check, for both non-blocking designs: a
@@ -246,8 +243,8 @@ mod tests {
             e.ops_per_client = 600;
             e
         };
-        let (perop_report, perop_reg) = small(0).run_obs();
-        let (batched_report, batched_reg) = small(GROUP).run_obs();
+        let (perop_report, perop_reg) = small(0).run();
+        let (batched_report, batched_reg) = small(GROUP).run();
         assert_eq!(perop_report.ops, 600);
         assert_eq!(batched_report.ops, 600);
         // Both runs share the same per-op preload traffic; batching must

@@ -6,28 +6,35 @@
 //! into 1 GB of memory with a < 2 ms backend miss penalty.
 
 use nbkv_core::designs::Design;
-use nbkv_workload::RunReport;
 
-use crate::exp::{scaled_bytes, LatencyExp};
-use crate::manifest::Manifest;
+use crate::figs::{by_design, fit_panels};
+use crate::runner::{Case, Done, Figure};
 use crate::table::{ratio, us, us_f, Table};
 
-const DESIGNS: [Design; 3] = [Design::IpoibMem, Design::RdmaMem, Design::HRdmaDef];
+/// The pre-existing designs both panels compare (Fig 2 breaks them down).
+pub const DESIGNS: [Design; 3] = [Design::IpoibMem, Design::RdmaMem, Design::HRdmaDef];
 
-/// Run one Figure-1 case for a design.
-pub fn run_case(design: Design, fits: bool) -> RunReport {
-    let mem = scaled_bytes(1 << 30);
-    let (mem_bytes, data_bytes) = if fits {
-        // "All data fits": preload 1 GB with memory to spare.
-        (mem + mem / 2, mem)
-    } else {
-        // "Does not fit": 1.5 GB of data into 1 GB of memory.
-        (mem, mem + mem / 2)
-    };
-    LatencyExp::single(design, mem_bytes, data_bytes).run()
+/// Both panels.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    fit_panels(["fig1a", "fig1b"], &DESIGNS)
 }
 
-fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
+fn render(res: &[Done]) -> Vec<Table> {
+    let (fit, spill) = res.split_at(DESIGNS.len());
+    vec![
+        panel("fig1a", "Set/Get latency, data fits in memory", true, fit),
+        panel(
+            "fig1b",
+            "Set/Get latency, data does NOT fit (2 ms miss penalty)",
+            false,
+            spill,
+        ),
+    ]
+}
+
+fn panel(id: &str, title: &str, fits: bool, res: &[Done]) -> Table {
     let mut t = Table::new(
         id,
         title,
@@ -40,27 +47,24 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
             "miss-penalty share (us)",
         ],
     );
-    let mut lat: Vec<(Design, f64)> = Vec::new();
-    for design in DESIGNS {
-        let r = run_case(design, fits);
-        // The table cells derive from the manifest registry, not the raw
+    for (design, (_, o)) in DESIGNS.iter().zip(res) {
+        // The table cells derive from the manifest section, not the raw
         // report, so figure JSON and manifest cannot disagree.
-        let reg = m.record_report(&format!("{id}/{}", design.label()), &r);
-        let gets = (reg.counter("hits") + reg.counter("misses")).max(1);
-        lat.push((design, reg.counter("mean_latency_ns") as f64));
+        let reg = &o.section;
+        let gets = (reg.counter("hits") + reg.counter("misses")).max(1) as f64;
+        let pct = |name| format!("{:.1}", 100.0 * reg.counter(name) as f64 / gets);
         t.row(vec![
             design.label().to_string(),
             us(reg.counter("mean_latency_ns")),
             us(reg.counter("p99_latency_ns")),
-            format!("{:.1}", 100.0 * reg.counter("misses") as f64 / gets as f64),
-            format!(
-                "{:.1}",
-                100.0 * reg.counter("ssd_hits") as f64 / gets as f64
-            ),
-            us_f(r.breakdown.miss_penalty_ns),
+            pct("misses"),
+            pct("ssd_hits"),
+            us_f(o.report().breakdown.miss_penalty_ns),
         ]);
     }
-    let by = |d: Design| lat.iter().find(|(x, _)| *x == d).expect("ran").1;
+    let by = by_design(&DESIGNS, res, |o| {
+        o.section.counter("mean_latency_ns") as f64
+    });
     if fits {
         t.note(format!(
             "paper Fig 1(a): RDMA designs beat IPoIB-Mem when data fits; measured IPoIB/RDMA-Mem = {}",
@@ -77,17 +81,4 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
         ));
     }
     t
-}
-
-/// Regenerate both panels.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
-    vec![
-        case_table(m, "fig1a", "Set/Get latency, data fits in memory", true),
-        case_table(
-            m,
-            "fig1b",
-            "Set/Get latency, data does NOT fit (2 ms miss penalty)",
-            false,
-        ),
-    ]
 }

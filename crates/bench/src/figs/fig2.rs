@@ -1,15 +1,28 @@
 //! Figure 2 — six-stage time-wise breakdown of Set/Get latency for the
-//! pre-existing designs (the bottleneck analysis of Section III).
+//! pre-existing designs (the bottleneck analysis of Section III). The
+//! cases are Figure 1's, so `all` runs them once.
 
-use nbkv_core::designs::Design;
-
-use crate::figs::fig1::run_case;
-use crate::manifest::Manifest;
+use crate::figs::fig1::DESIGNS;
+use crate::figs::fit_panels;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us_f, Table};
 
-const DESIGNS: [Design; 3] = [Design::IpoibMem, Design::RdmaMem, Design::HRdmaDef];
+/// Both panels.
+pub const FIGURE: Figure = Figure(cases, render);
 
-fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
+fn cases() -> Vec<Case> {
+    fit_panels(["fig2a", "fig2b"], &DESIGNS)
+}
+
+fn render(res: &[Done]) -> Vec<Table> {
+    let (fit, spill) = res.split_at(DESIGNS.len());
+    vec![
+        panel("fig2a", "Stage breakdown, data fits in memory", true, fit),
+        panel("fig2b", "Stage breakdown, data does NOT fit", false, spill),
+    ]
+}
+
+fn panel(id: &str, title: &str, fits: bool, res: &[Done]) -> Table {
     let mut t = Table::new(
         id,
         title,
@@ -24,10 +37,8 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
             "total (us)",
         ],
     );
-    for design in DESIGNS {
-        let r = run_case(design, fits);
-        m.record_report(&format!("{id}/{}", design.label()), &r);
-        let b = r.breakdown;
+    for (design, (_, o)) in DESIGNS.iter().zip(res) {
+        let b = o.report().breakdown;
         t.row(vec![
             design.label().to_string(),
             us_f(b.slab_alloc_ns),
@@ -45,12 +56,4 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
         t.note("paper Fig 2(b): miss penalty dominates the in-memory designs; SSD I/O (slab alloc + check/load) dominates H-RDMA-Def.");
     }
     t
-}
-
-/// Regenerate both panels.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
-    vec![
-        case_table(m, "fig2a", "Stage breakdown, data fits in memory", true),
-        case_table(m, "fig2b", "Stage breakdown, data does NOT fit", false),
-    ]
 }

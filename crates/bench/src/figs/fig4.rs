@@ -1,11 +1,12 @@
 //! Figure 4 — synchronous eviction cost of the three I/O schemes across
 //! data sizes (the measurement behind the adaptive slab allocator).
 
+use nbkv_obs::Registry;
 use nbkv_simrt::Sim;
 use nbkv_storesim::{sata_ssd, HostModel, IoScheme, SlabIo, SlabIoConfig, SsdDevice};
 
-use crate::manifest::Manifest;
-use crate::table::Table;
+use crate::runner::{Case, Done, Figure};
+use crate::table::{us, Table};
 
 /// Cost of one synchronous write of `len` bytes through `scheme` (fresh
 /// simulation per measurement; cold caches).
@@ -36,33 +37,44 @@ pub const SIZES: [(&str, usize); 5] = [
     ("1 MiB", 1 << 20),
 ];
 
-/// Regenerate the scheme-vs-size sweep.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+/// One size's case: a cold synchronous write through each scheme, as
+/// `<scheme>_ns` counters (`regress_io` declares the same cases).
+pub fn case(label: String, len: usize) -> Case {
+    Case::own(label, move || {
+        let mut section = Registry::new();
+        for scheme in IoScheme::ALL {
+            let ns = sync_write_cost_ns(scheme, len);
+            section.set_counter(&format!("{}_ns", scheme.label()), ns);
+        }
+        (None, section)
+    })
+}
+
+/// The scheme-vs-size sweep.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    SIZES
+        .map(|(label, len)| case(format!("fig4/{label}"), len))
+        .into()
+}
+
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "fig4",
         "Synchronous eviction cost by I/O scheme (SATA SSD, us)",
         &["size", "direct (us)", "cached (us)", "mmap (us)", "best"],
     );
-    for (label, len) in SIZES {
-        let direct = sync_write_cost_ns(IoScheme::Direct, len);
-        let cached = sync_write_cost_ns(IoScheme::Cached, len);
-        let mmap = sync_write_cost_ns(IoScheme::Mmap, len);
-        let reg = m.section(&format!("fig4/{label}"));
-        reg.set_counter("direct_ns", direct);
-        reg.set_counter("cached_ns", cached);
-        reg.set_counter("mmap_ns", mmap);
-        let best = [(direct, "direct"), (cached, "cached"), (mmap, "mmap")]
+    for ((label, _), (_, o)) in SIZES.iter().zip(res) {
+        let ns = |scheme: IoScheme| o.section.counter(&format!("{}_ns", scheme.label()));
+        let best = IoScheme::ALL
             .into_iter()
-            .min_by_key(|(ns, _)| *ns)
-            .map(|(_, n)| n)
+            .min_by_key(|&s| ns(s))
             .expect("nonempty");
-        t.row(vec![
-            label.to_string(),
-            crate::table::us(direct),
-            crate::table::us(cached),
-            crate::table::us(mmap),
-            best.to_string(),
-        ]);
+        let mut row = vec![label.to_string()];
+        row.extend(IoScheme::ALL.map(|s| us(ns(s))));
+        row.push(best.label().to_string());
+        t.row(row);
     }
     t.note("paper Fig 4: direct I/O is worst everywhere; mmap wins small sizes, cached I/O wins large sizes — the rule encoded in the adaptive slab allocator (Fig 5).");
     vec![t]

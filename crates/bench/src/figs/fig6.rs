@@ -3,24 +3,27 @@
 //! fit, near-RDMA-Mem latency otherwise).
 
 use nbkv_core::designs::Design;
-use nbkv_workload::RunReport;
 
-use crate::exp::{scaled_bytes, LatencyExp};
-use crate::manifest::Manifest;
+use crate::figs::{by_design, fit_panels};
+use crate::runner::{Case, Done, Figure};
 use crate::table::{ratio, us, us_f, Table};
 
-/// Run one Figure-6 case.
-pub fn run_case(design: Design, fits: bool) -> RunReport {
-    let mem = scaled_bytes(1 << 30);
-    let (mem_bytes, data_bytes) = if fits {
-        (mem + mem / 2, mem)
-    } else {
-        (mem, mem + mem / 2)
-    };
-    LatencyExp::single(design, mem_bytes, data_bytes).run()
+/// Both panels; the pre-existing designs' cases are Figure 1's.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    fit_panels(["fig6a", "fig6b"], &Design::ALL)
 }
 
-fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
+fn render(res: &[Done]) -> Vec<Table> {
+    let (fit, spill) = res.split_at(Design::ALL.len());
+    vec![
+        panel("fig6a", "All designs, data fits in memory", true, fit),
+        panel("fig6b", "All designs, data does NOT fit", false, spill),
+    ]
+}
+
+fn panel(id: &str, title: &str, fits: bool, res: &[Done]) -> Table {
     let mut t = Table::new(
         id,
         title,
@@ -35,12 +38,9 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
             "miss penalty",
         ],
     );
-    let mut lat: Vec<(Design, f64)> = Vec::new();
-    for design in Design::ALL {
-        let r = run_case(design, fits);
-        m.record_report(&format!("{id}/{}", design.label()), &r);
+    for (design, (_, o)) in Design::ALL.iter().zip(res) {
+        let r = o.report();
         let b = r.breakdown;
-        lat.push((design, r.mean_latency_ns as f64));
         t.row(vec![
             design.label().to_string(),
             us(r.mean_latency_ns),
@@ -52,7 +52,7 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
             us_f(b.miss_penalty_ns),
         ]);
     }
-    let by = |d: Design| lat.iter().find(|(x, _)| *x == d).expect("ran").1;
+    let by = by_design(&Design::ALL, res, |o| o.report().mean_latency_ns as f64);
     if fits {
         t.note(format!(
             "paper Fig 6(a): NonB-i/b reach in-memory RDMA speed; measured NonB-i vs RDMA-Mem = {} (>=1x means as fast or faster)",
@@ -78,12 +78,4 @@ fn case_table(m: &mut Manifest, id: &str, title: &str, fits: bool) -> Table {
         ));
     }
     t
-}
-
-/// Regenerate both panels.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
-    vec![
-        case_table(m, "fig6a", "All designs, data fits in memory", true),
-        case_table(m, "fig6b", "All designs, data does NOT fit", false),
-    ]
 }

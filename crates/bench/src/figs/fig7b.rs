@@ -2,10 +2,9 @@
 //! server, data larger than memory).
 
 use nbkv_core::designs::Design;
-use nbkv_workload::RunReport;
 
-use crate::exp::{scaled_bytes, LatencyExp};
-use crate::manifest::Manifest;
+use crate::figs::single;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 const DESIGNS: [Design; 4] = [
@@ -15,21 +14,29 @@ const DESIGNS: [Design; 4] = [
     Design::HRdmaOptNonBI,
 ];
 
-/// Run one (design, value size) cell.
-pub fn cell_report(design: Design, value_len: usize) -> RunReport {
-    let mem = scaled_bytes(1 << 30);
-    let mut exp = LatencyExp::single(design, mem, mem + mem / 2);
-    exp.value_len = value_len;
-    exp.run()
+const SIZES: [(&str, usize); 4] = [
+    ("4 KiB", 4 << 10),
+    ("16 KiB", 16 << 10),
+    ("64 KiB", 64 << 10),
+    ("128 KiB", 128 << 10),
+];
+
+/// One case per (value size, design) cell.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for (label, len) in SIZES {
+        for d in DESIGNS {
+            let mut exp = single(d, false);
+            exp.value_len = len;
+            cases.push(Case::latency(format!("fig7b/{label}/{}", d.label()), exp));
+        }
+    }
+    cases
 }
 
-/// Average latency for one (design, value size) cell.
-pub fn cell(design: Design, value_len: usize) -> u64 {
-    cell_report(design, value_len).mean_latency_ns
-}
-
-/// Regenerate the size sweep.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "fig7b",
         "Avg Set/Get latency (us) vs key-value size, data does NOT fit",
@@ -42,29 +49,16 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "NonB-i gain vs Opt-Block %",
         ],
     );
-    for (label, len) in [
-        ("4 KiB", 4 << 10),
-        ("16 KiB", 16 << 10),
-        ("64 KiB", 64 << 10),
-        ("128 KiB", 128 << 10),
-    ] {
-        let cells: Vec<u64> = DESIGNS
+    for ((label, _), row) in SIZES.iter().zip(res.chunks(DESIGNS.len())) {
+        let cells: Vec<u64> = row
             .iter()
-            .map(|&d| {
-                let r = cell_report(d, len);
-                m.record_report(&format!("fig7b/{label}/{}", d.label()), &r);
-                r.mean_latency_ns
-            })
+            .map(|(_, o)| o.report().mean_latency_ns)
             .collect();
         let gain = 100.0 * (1.0 - cells[3] as f64 / cells[1].max(1) as f64);
-        t.row(vec![
-            label.to_string(),
-            us(cells[0]),
-            us(cells[1]),
-            us(cells[2]),
-            us(cells[3]),
-            format!("{gain:.0}"),
-        ]);
+        let mut row = vec![label.to_string()];
+        row.extend(cells.iter().map(|&ns| us(ns)));
+        row.push(format!("{gain:.0}"));
+        t.row(row);
     }
     t.note("paper Fig 7(b): NonB-i/b improve 65-89% over the blocking designs across sizes.");
     vec![t]

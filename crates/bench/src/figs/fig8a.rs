@@ -2,11 +2,11 @@
 //! write-heavy mixes (single client/server, data larger than memory).
 
 use nbkv_core::designs::Design;
-use nbkv_storesim::DeviceProfile;
-use nbkv_workload::{OpMix, RunReport};
+use nbkv_storesim::{nvme_p3700, sata_ssd};
+use nbkv_workload::OpMix;
 
-use crate::exp::{scaled_bytes, LatencyExp};
-use crate::manifest::Manifest;
+use crate::figs::single;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 const DESIGNS: [Design; 4] = [
@@ -16,22 +16,26 @@ const DESIGNS: [Design; 4] = [
     Design::HRdmaOptNonBI,
 ];
 
-/// Run one (design, device, mix) cell.
-pub fn cell_report(design: Design, device: DeviceProfile, mix: OpMix) -> RunReport {
-    let mem = scaled_bytes(1 << 30);
-    let mut exp = LatencyExp::single(design, mem, mem + mem / 2);
-    exp.cluster.device = device;
-    exp.mix = mix;
-    exp.run()
+/// Per design, one case per (device, mix) cell, in column order.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for design in DESIGNS {
+        for (dev_label, device) in [("sata", sata_ssd()), ("nvme", nvme_p3700())] {
+            for (mix_label, mix) in [("ro", OpMix::READ_ONLY), ("wh", OpMix::WRITE_HEAVY)] {
+                let mut exp = single(design, false);
+                exp.cluster.device = device;
+                exp.mix = mix;
+                let label = format!("fig8a/{dev_label}/{mix_label}/{}", design.label());
+                cases.push(Case::latency(label, exp));
+            }
+        }
+    }
+    cases
 }
 
-/// One (design, device, mix) cell: average latency in ns.
-pub fn cell(design: Design, device: DeviceProfile, mix: OpMix) -> u64 {
-    cell_report(design, device, mix).mean_latency_ns
-}
-
-/// Regenerate the SATA vs NVMe comparison.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "fig8a",
         "Avg Set/Get latency (us): SATA vs NVMe SSD, read-only and write-heavy",
@@ -43,50 +47,30 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "NVMe write-heavy",
         ],
     );
-    let mut sata_wh: Vec<(Design, u64)> = Vec::new();
-    let mut nvme_wh: Vec<(Design, u64)> = Vec::new();
-    for design in DESIGNS {
-        let mut cell_rec = |dev_label: &str, device, mix_label: &str, mix| -> u64 {
-            let r = cell_report(design, device, mix);
-            m.record_report(
-                &format!("fig8a/{dev_label}/{mix_label}/{}", design.label()),
-                &r,
-            );
-            r.mean_latency_ns
-        };
-        let s_ro = cell_rec("sata", nbkv_storesim::sata_ssd(), "ro", OpMix::READ_ONLY);
-        let s_wh = cell_rec("sata", nbkv_storesim::sata_ssd(), "wh", OpMix::WRITE_HEAVY);
-        let n_ro = cell_rec("nvme", nbkv_storesim::nvme_p3700(), "ro", OpMix::READ_ONLY);
-        let n_wh = cell_rec(
-            "nvme",
-            nbkv_storesim::nvme_p3700(),
-            "wh",
-            OpMix::WRITE_HEAVY,
-        );
-        sata_wh.push((design, s_wh));
-        nvme_wh.push((design, n_wh));
-        t.row(vec![
-            design.label().to_string(),
-            us(s_ro),
-            us(s_wh),
-            us(n_ro),
-            us(n_wh),
-        ]);
+    let cells: Vec<[u64; 4]> = res
+        .chunks(4)
+        .map(|row| [0, 1, 2, 3].map(|i| row[i].1.report().mean_latency_ns))
+        .collect();
+    for (design, row) in DESIGNS.iter().zip(&cells) {
+        let mut cols = vec![design.label().to_string()];
+        cols.extend(row.map(us));
+        t.row(cols);
     }
-    let imp = |v: &[(Design, u64)], from: Design, to: Design| -> f64 {
-        let f = v.iter().find(|(d, _)| *d == from).expect("ran").1 as f64;
-        let t = v.iter().find(|(d, _)| *d == to).expect("ran").1 as f64;
-        100.0 * (1.0 - t / f)
+    // Write-heavy improvement from `from` to `to` on a device (column 1 is
+    // SATA's write-heavy cell, column 3 NVMe's).
+    let imp = |col: usize, from: Design, to: Design| -> f64 {
+        let at = |d: Design| cells[DESIGNS.iter().position(|&x| x == d).expect("ran")][col];
+        100.0 * (1.0 - at(to) as f64 / at(from) as f64)
     };
     t.note(format!(
         "paper: Opt-Block improves 54-83% over Def; measured (write-heavy) SATA {:.0}%, NVMe {:.0}%",
-        imp(&sata_wh, Design::HRdmaDef, Design::HRdmaOptBlock),
-        imp(&nvme_wh, Design::HRdmaDef, Design::HRdmaOptBlock),
+        imp(1, Design::HRdmaDef, Design::HRdmaOptBlock),
+        imp(3, Design::HRdmaDef, Design::HRdmaOptBlock),
     ));
     t.note(format!(
         "paper: NonB-b/i improve 48-80% over Opt-Block, larger gains on SATA than NVMe; measured (write-heavy) SATA {:.0}%, NVMe {:.0}%",
-        imp(&sata_wh, Design::HRdmaOptBlock, Design::HRdmaOptNonBI),
-        imp(&nvme_wh, Design::HRdmaOptBlock, Design::HRdmaOptNonBI),
+        imp(1, Design::HRdmaOptBlock, Design::HRdmaOptNonBI),
+        imp(3, Design::HRdmaOptBlock, Design::HRdmaOptNonBI),
     ));
     vec![t]
 }

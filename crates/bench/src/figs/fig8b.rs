@@ -6,52 +6,71 @@
 
 use std::rc::Rc;
 
-use nbkv_core::cluster::{build_cluster, ClusterConfig};
+use nbkv_core::cluster::ClusterConfig;
 use nbkv_core::designs::Design;
-use nbkv_core::proto::ApiFlavor;
-use nbkv_simrt::Sim;
-use nbkv_storesim::DeviceProfile;
-use nbkv_workload::{run_bursty, BurstReport, BurstSpec};
+use nbkv_storesim::{nvme_p3700, sata_ssd, DeviceProfile};
+use nbkv_workload::{run_bursty, BurstSpec};
 
-use crate::exp::scaled_bytes;
-use crate::manifest::Manifest;
+use crate::exp::{on_cluster, scaled_bytes};
+use crate::runner::{Case, Done, Figure, Measured};
 use crate::table::{us, Table};
 
-/// Run the bursty workload for one (design, device, block size) cell.
-pub fn run_cell(design: Design, device: DeviceProfile, block_bytes: usize) -> BurstReport {
+/// The bursty workload for one (design, device, block size) cell; its
+/// section adds the block counters to the cluster's registry.
+fn cell(design: Design, device: DeviceProfile, block_bytes: usize) -> Measured {
     let agg_mem = scaled_bytes(1 << 30);
     let total = (4 * agg_mem / block_bytes as u64).max(2) * block_bytes as u64;
-    let sim = Sim::new();
     let mut cfg = ClusterConfig::new(design, agg_mem / 4);
     cfg.servers = 4;
     cfg.device = device;
     cfg.ssd_capacity = 4 * agg_mem;
-    let cluster = build_cluster(&sim, &cfg);
-    let client = Rc::clone(&cluster.clients[0]);
-    let sim2 = sim.clone();
-    let report = sim.run_until(async move {
-        let spec = BurstSpec {
-            block_bytes,
-            chunk_bytes: 256 << 10,
-            total_bytes: total,
-            flavor: design.flavor(),
-        };
-        run_bursty(&sim2, &client, &spec).await
+    let (r, mut section) = on_cluster(&cfg, |sim, cluster| {
+        let client = Rc::clone(&cluster.clients[0]);
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let spec = BurstSpec {
+                block_bytes,
+                chunk_bytes: 256 << 10,
+                total_bytes: total,
+                flavor: design.flavor(),
+            };
+            run_bursty(&sim2, &client, &spec).await
+        })
     });
-    sim.shutdown();
-    report
+    section.set_counter("blocks", r.blocks as u64);
+    section.set_counter("mean_write_block_ns", r.mean_write_block_ns);
+    section.set_counter("mean_read_block_ns", r.mean_read_block_ns);
+    section.set_counter("elapsed_ns", r.elapsed_ns);
+    (None, section)
 }
 
-fn record_burst(m: &mut Manifest, label: &str, r: &BurstReport) {
-    let reg = m.section(label);
-    reg.set_counter("blocks", r.blocks as u64);
-    reg.set_counter("mean_write_block_ns", r.mean_write_block_ns);
-    reg.set_counter("mean_read_block_ns", r.mean_read_block_ns);
-    reg.set_counter("elapsed_ns", r.elapsed_ns);
+const DEVICES: [&str; 2] = ["SATA", "NVMe"];
+const BLOCKS: [(&str, usize); 2] = [("2 MiB", 2 << 20), ("16 MiB", 16 << 20)];
+const DESIGNS: [(&str, Design); 2] = [
+    ("Opt-Block", Design::HRdmaOptBlock),
+    ("NonB-i", Design::HRdmaOptNonBI),
+];
+
+/// Per (device, block size), the blocking and the non-blocking cell.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for (dev_label, device) in DEVICES.into_iter().zip([sata_ssd(), nvme_p3700()]) {
+        for (blk_label, block) in BLOCKS {
+            for (label, design) in DESIGNS {
+                let run = move || cell(design, device, block);
+                cases.push(Case::own(
+                    format!("fig8b/{dev_label}/{blk_label}/{label}"),
+                    run,
+                ));
+            }
+        }
+    }
+    cases
 }
 
-/// Regenerate the bursty I/O comparison.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "fig8b",
         "Bursty I/O: mean block write+read latency (us), 256 KiB chunks, 4 servers",
@@ -65,36 +84,25 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "NonB-i gain %",
         ],
     );
-    for (dev_label, device) in [
-        ("SATA", nbkv_storesim::sata_ssd()),
-        ("NVMe", nbkv_storesim::nvme_p3700()),
-    ] {
-        for (blk_label, block) in [("2 MiB", 2 << 20), ("16 MiB", 16 << 20)] {
-            let blocking = run_cell(Design::HRdmaOptBlock, device, block);
-            let nonb = run_cell(Design::HRdmaOptNonBI, device, block);
-            record_burst(
-                m,
-                &format!("fig8b/{dev_label}/{blk_label}/Opt-Block"),
-                &blocking,
-            );
-            record_burst(m, &format!("fig8b/{dev_label}/{blk_label}/NonB-i"), &nonb);
-            let b_total = blocking.mean_write_block_ns + blocking.mean_read_block_ns;
-            let n_total = nonb.mean_write_block_ns + nonb.mean_read_block_ns;
-            let gain = 100.0 * (1.0 - n_total as f64 / b_total.max(1) as f64);
-            t.row(vec![
-                dev_label.to_string(),
-                blk_label.to_string(),
-                us(blocking.mean_write_block_ns),
-                us(nonb.mean_write_block_ns),
-                us(blocking.mean_read_block_ns),
-                us(nonb.mean_read_block_ns),
-                format!("{gain:.0}"),
-            ]);
-        }
+    let cells = DEVICES
+        .iter()
+        .flat_map(|&dev| BLOCKS.map(|(blk, _)| (dev, blk)));
+    for ((dev_label, blk_label), pair) in cells.zip(res.chunks(2)) {
+        let write = |i: usize| pair[i].1.section.counter("mean_write_block_ns");
+        let read = |i: usize| pair[i].1.section.counter("mean_read_block_ns");
+        let b_total = write(0) + read(0);
+        let n_total = write(1) + read(1);
+        let gain = 100.0 * (1.0 - n_total as f64 / b_total.max(1) as f64);
+        t.row(vec![
+            dev_label.to_string(),
+            blk_label.to_string(),
+            us(write(0)),
+            us(write(1)),
+            us(read(0)),
+            us(read(1)),
+            format!("{gain:.0}"),
+        ]);
     }
     t.note("paper Fig 8(b): NonB-i improves block access latency 79-85% over Opt-Block on both devices, with larger blocks benefiting more (more operations to overlap).");
     vec![t]
 }
-
-/// `ApiFlavor` re-export used by example code referencing this module.
-pub type Flavor = ApiFlavor;

@@ -11,10 +11,9 @@
 //! non-blocking designs exist to create.
 
 use nbkv_core::designs::Design;
-use nbkv_workload::RunReport;
 
-use crate::exp::{scaled_bytes, LatencyExp};
-use crate::manifest::Manifest;
+use crate::figs::single;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 const DESIGNS: [Design; 3] = [
@@ -23,18 +22,16 @@ const DESIGNS: [Design; 3] = [
     Design::HRdmaOptNonBI,
 ];
 
-/// Run one phase-breakdown case (hybrid server, data > memory) and record
-/// both the workload rollup and the cluster counters into the manifest.
-pub fn run_design(m: &mut Manifest, design: Design) -> RunReport {
-    let mem = scaled_bytes(1 << 30);
-    let (report, cluster_reg) = LatencyExp::single(design, mem, mem + mem / 2).run_obs();
-    let reg = m.record_report(design.label(), &report);
-    reg.merge(&cluster_reg);
-    report
+/// One case per design (hybrid server, data > memory): Figure 6(b)'s.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    DESIGNS
+        .map(|d| Case::latency(d.label(), single(d, false)))
+        .into()
 }
 
-/// Regenerate the phase-breakdown table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "phases",
         "Request-lifecycle phase breakdown (us, p50), data does NOT fit in memory",
@@ -50,9 +47,8 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "evict-overlap ppm",
         ],
     );
-    for design in DESIGNS {
-        let r = run_design(m, design);
-        let p = &r.phases;
+    for (design, (_, o)) in DESIGNS.iter().zip(res) {
+        let p = &o.report().phases;
         t.row(vec![
             design.label().to_string(),
             us(p.comm_in.p50()),
@@ -81,6 +77,7 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::LatencyExp;
 
     /// The acceptance check for the observability tentpole: the
     /// non-blocking design's rollup shows a non-zero eviction-overlap
@@ -97,7 +94,7 @@ mod tests {
             exp.ops_per_client = 600;
             exp
         };
-        let (nonb, _) = small(Design::HRdmaOptNonBI).run_obs();
+        let (nonb, _) = small(Design::HRdmaOptNonBI).run();
         assert!(nonb.phases.ops > 0, "timelines must be recorded");
         assert!(
             nonb.phases.eviction_overlap_ppm() > 0,
@@ -106,7 +103,7 @@ mod tests {
         assert!(nonb.phases.store.sum() > 0);
         assert!(nonb.phases.comm_in.sum() > 0);
 
-        let (block, _) = small(Design::HRdmaOptBlock).run_obs();
+        let (block, _) = small(Design::HRdmaOptBlock).run();
         assert!(
             block.phases.eviction_overlap_ppm() * 10 < nonb.phases.eviction_overlap_ppm(),
             "blocking design must show far less eviction overlap ({} vs {})",

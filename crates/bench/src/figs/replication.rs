@@ -23,11 +23,10 @@ use nbkv_core::client::ClientStats;
 use nbkv_core::cluster::CrashEvent;
 use nbkv_core::designs::Design;
 use nbkv_core::{ReadPolicy, ReplicationConfig, ResiliencePolicy};
-use nbkv_obs::Registry;
-use nbkv_workload::{OpMix, RunReport};
+use nbkv_workload::OpMix;
 
 use crate::exp::{scaled_ops, LatencyExp};
-use crate::manifest::Manifest;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 /// 90% reads: the read-scale-out half of the story.
@@ -82,7 +81,7 @@ pub fn failover_resilience() -> ResiliencePolicy {
 
 /// The scripted failover: crash server 0 a third of the way into the
 /// measured phase, warm-restart it two thirds in (times are anchored to
-/// the end of the preload by [`LatencyExp::run_obs`]).
+/// the end of the preload by [`LatencyExp::run`]).
 pub fn failover_crash(ops_per_client: usize) -> CrashEvent {
     // This shape sustains ~5-6 aggregate ops/us at window 64; estimate
     // the run optimistically fast so the crash always lands mid-run even
@@ -107,15 +106,45 @@ pub fn small(mix: OpMix, rc: ReplicationConfig) -> LatencyExp {
     e
 }
 
-fn run_case(m: &mut Manifest, label: &str, e: &LatencyExp) -> (RunReport, Registry) {
-    let (report, cluster_reg) = e.run_obs();
-    let reg = m.record_report(label, &report);
-    reg.merge(&cluster_reg);
-    (report, cluster_reg)
+/// Each row: the mix, the replication configuration, and whether the
+/// primary crashes mid-run (`regress_replication` runs the same rows).
+pub fn rows() -> [(OpMix, ReplicationConfig, bool); 5] {
+    let (rf1, rf2) = (ReplicationConfig::disabled(), ReplicationConfig::default());
+    let spread = ReplicationConfig {
+        rf: 2,
+        read_policy: ReadPolicy::SpreadReplicas,
+    };
+    [
+        (OpMix::WRITE_HEAVY, rf1, false),
+        (OpMix::WRITE_HEAVY, rf2, false),
+        (READ_HEAVY, rf2, false),
+        (READ_HEAVY, spread, false),
+        (OpMix::WRITE_HEAVY, rf2, true),
+    ]
 }
 
-/// Regenerate the replication comparison table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+/// `e` with server 0 crashing mid-run, when `crash`.
+pub fn with_crash(mut e: LatencyExp, crash: bool) -> LatencyExp {
+    if crash {
+        e.crash = Some(failover_crash(e.ops_per_client));
+        e.cluster.client.resilience = failover_resilience();
+    }
+    e
+}
+
+/// One case per row.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let case = |(mix, rc, crash): (OpMix, ReplicationConfig, bool)| {
+        let failover = if crash { "/failover" } else { "" };
+        let label = format!("{}/{}{failover}", mix.label(), policy_label(rc));
+        Case::latency(label, with_crash(exp(mix, rc), crash))
+    };
+    rows().map(case).into()
+}
+
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "replication",
         "Primary-replica replication: RF cost, read scale-out, failover \
@@ -132,36 +161,13 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "failed",
         ],
     );
-    let rf1 = ReplicationConfig::disabled();
-    let rf2 = ReplicationConfig::default();
-    let spread = ReplicationConfig {
-        rf: 2,
-        read_policy: ReadPolicy::SpreadReplicas,
-    };
-    let cases: Vec<(OpMix, ReplicationConfig, bool)> = vec![
-        (OpMix::WRITE_HEAVY, rf1, false),
-        (OpMix::WRITE_HEAVY, rf2, false),
-        (READ_HEAVY, rf2, false),
-        (READ_HEAVY, spread, false),
-        (OpMix::WRITE_HEAVY, rf2, true),
-    ];
-    for (mix, rc, crash) in cases {
-        let mut e = exp(mix, rc);
-        let mut label = format!("{}/{}", mix.label(), policy_label(rc));
-        if crash {
-            e.crash = Some(failover_crash(e.ops_per_client));
-            e.cluster.client.resilience = failover_resilience();
-            label.push_str("/failover");
-        }
-        let (report, reg) = run_case(m, &label, &e);
-        let client = ClientStats::read(&reg, "client.");
+    for ((mix, rc, crash), (_, o)) in rows().into_iter().zip(res) {
+        let (report, reg) = (o.report(), &o.section);
+        let client = ClientStats::read(reg, "client.");
+        let crashed = if crash { " + crash" } else { "" };
         t.row(vec![
             mix.label(),
-            if crash {
-                format!("{} + crash", policy_label(rc))
-            } else {
-                policy_label(rc)
-            },
+            format!("{}{crashed}", policy_label(rc)),
             format!("{:.0}", report.throughput_ops_per_sec() / 1e3),
             format!("{:.0}", report.goodput_ops_per_sec() / 1e3),
             us(report.phases.e2e.p99()),
@@ -198,8 +204,8 @@ mod tests {
     /// actually replicating (every applied delta acked, zero loss).
     #[test]
     fn rf2_write_throughput_within_10pct_of_rf1() {
-        let (r1, _) = small(OpMix::WRITE_HEAVY, ReplicationConfig::disabled()).run_obs();
-        let (r2, reg2) = small(OpMix::WRITE_HEAVY, ReplicationConfig::default()).run_obs();
+        let (r1, _) = small(OpMix::WRITE_HEAVY, ReplicationConfig::disabled()).run();
+        let (r2, reg2) = small(OpMix::WRITE_HEAVY, ReplicationConfig::default()).run();
         assert_eq!(r1.ops, 600 * CLIENTS);
         assert_eq!(r2.ops, 600 * CLIENTS);
         assert_eq!(r1.failed_ops, 0);
@@ -228,12 +234,12 @@ mod tests {
     /// by at least 1.2x, and the win must come from replica reads.
     #[test]
     fn spread_reads_beat_primary_reads_on_hot_keys() {
-        let (rp, rp_reg) = small(READ_HEAVY, ReplicationConfig::default()).run_obs();
+        let (rp, rp_reg) = small(READ_HEAVY, ReplicationConfig::default()).run();
         let spread = ReplicationConfig {
             rf: 2,
             read_policy: ReadPolicy::SpreadReplicas,
         };
-        let (rs, rs_reg) = small(READ_HEAVY, spread).run_obs();
+        let (rs, rs_reg) = small(READ_HEAVY, spread).run();
         assert_eq!(rp.failed_ops, 0);
         assert_eq!(rs.failed_ops, 0);
         assert_eq!(rp_reg.counter("client.replica_reads"), 0);
@@ -256,10 +262,11 @@ mod tests {
     /// and the run completes every op.
     #[test]
     fn failover_row_promotes_and_recovers() {
-        let mut e = small(OpMix::WRITE_HEAVY, ReplicationConfig::default());
-        e.crash = Some(failover_crash(e.ops_per_client));
-        e.cluster.client.resilience = failover_resilience();
-        let (report, reg) = e.run_obs();
+        let e = with_crash(
+            small(OpMix::WRITE_HEAVY, ReplicationConfig::default()),
+            true,
+        );
+        let (report, reg) = e.run();
         assert_eq!(report.ops, 600 * CLIENTS);
         assert!(reg.counter("client.promotions") > 0, "no failover happened");
         // Every client can lose at most its in-flight window to the crash

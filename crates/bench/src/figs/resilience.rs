@@ -18,16 +18,13 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use nbkv_core::cluster::{build_cluster, ClusterConfig};
 use nbkv_core::designs::Design;
 use nbkv_core::server::StoreStats;
 use nbkv_core::ResiliencePolicy;
 use nbkv_fabric::FaultPlan;
-use nbkv_simrt::{join_all, Sim};
-use nbkv_workload::{preload, run_workload, AccessPattern, OpMix, RunReport, WorkloadSpec};
 
-use crate::exp::cluster_registry;
-use crate::manifest::Manifest;
+use crate::exp::{on_cluster, LatencyExp};
+use crate::runner::{Case, Done, Figure, Measured};
 use crate::table::{us, Table};
 
 const SERVERS: usize = 2;
@@ -43,21 +40,21 @@ const DOWN_UNTIL: Duration = Duration::from_millis(70);
 const CRASH_AT: Duration = Duration::from_millis(100);
 const RESTART_AT: Duration = Duration::from_millis(150);
 
-/// What one chaos run measured, beyond the workload report.
-struct ChaosOutcome {
-    report: RunReport,
-    msgs_lost: u64,
-    registry: nbkv_obs::Registry,
-}
-
 /// Decorrelate per-link seeds from a base seed (splitmix-style mix).
 fn mix_seed(base: u64, idx: u64) -> u64 {
     nbkv_simrt::mix64(base ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-fn run_design(design: Design, seed: u64) -> ChaosOutcome {
-    let sim = Sim::new();
-    let mut cfg = ClusterConfig::new(design, MEM_PER_SERVER);
+/// One chaos run; its section adds the messages the fabric lost
+/// (`msgs_lost`) to the cluster's registry.
+fn run_design(design: Design, seed: u64) -> Measured {
+    let mut exp = LatencyExp {
+        value_len: VALUE_LEN,
+        ops_per_client: OPS_PER_CLIENT,
+        window: 32,
+        ..LatencyExp::single(design, MEM_PER_SERVER, DATA_BYTES)
+    };
+    let cfg = &mut exp.cluster;
     cfg.servers = SERVERS;
     cfg.clients = CLIENTS;
     cfg.ssd_capacity = 16 * MEM_PER_SERVER;
@@ -67,67 +64,41 @@ fn run_design(design: Design, seed: u64) -> ChaosOutcome {
         backoff_cap: Duration::from_millis(2),
         ..ResiliencePolicy::default()
     };
-    let cluster = build_cluster(&sim, &cfg);
-
-    let keys = (DATA_BYTES / VALUE_LEN as u64) as usize;
-    let spec_template = WorkloadSpec {
-        keys,
-        value_len: VALUE_LEN,
-        pattern: AccessPattern::Zipf(0.99),
-        mix: OpMix::WRITE_HEAVY,
-        ops: OPS_PER_CLIENT,
-        flavor: design.flavor(),
-        window: 32,
-        seed: 42,
-        miss_penalty: nbkv_workload::BackendDb::default_penalty(),
-        recache_on_miss: true,
-        batch: 0,
-    };
-
-    let clients: Vec<_> = cluster.clients.iter().map(Rc::clone).collect();
-    let links = cluster.links.clone();
-    let crash_target = Rc::clone(&cluster.servers[0]);
-    let sim2 = sim.clone();
-    let report = sim.run_until(async move {
+    let ((report, msgs_lost), mut section) = on_cluster(&exp.cluster, |sim, cluster| {
+        let links = cluster.links.clone();
+        let crash_target = Rc::clone(&cluster.servers[0]);
+        let s = sim.clone();
         // Preload on a quiet fabric; the fault schedule starts afterwards.
-        preload(&clients[0], keys, VALUE_LEN).await;
-        let t0 = Duration::from_nanos(sim2.now().as_nanos());
-        for (i, link) in links.iter().enumerate() {
-            let plan = FaultPlan::drops(mix_seed(seed, i as u64), DROP_PROB)
-                .with_down_window(t0 + DOWN_FROM, t0 + DOWN_UNTIL);
-            link.set_fault_plan(Some(plan));
-        }
-        let s = sim2.clone();
-        sim2.spawn(async move {
-            s.sleep(CRASH_AT).await;
-            crash_target.crash();
-            s.sleep(RESTART_AT - CRASH_AT).await;
-            crash_target.restart().await;
+        let report = exp.measure(sim, cluster, move |t0| {
+            for (i, link) in links.iter().enumerate() {
+                let plan = FaultPlan::drops(mix_seed(seed, i as u64), DROP_PROB)
+                    .with_down_window(t0 + DOWN_FROM, t0 + DOWN_UNTIL);
+                link.set_fault_plan(Some(plan));
+            }
+            let s2 = s.clone();
+            s.spawn(async move {
+                s2.sleep(CRASH_AT).await;
+                crash_target.crash();
+                s2.sleep(RESTART_AT - CRASH_AT).await;
+                crash_target.restart().await;
+            });
         });
-        let tasks: Vec<_> = clients
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let c = Rc::clone(c);
-                let sim = sim2.clone();
-                let mut spec = spec_template;
-                spec.seed = 42 + i as u64 * 1001;
-                async move { run_workload(&sim, &c, &spec).await }
-            })
-            .collect();
-        RunReport::merge(&join_all(tasks).await)
+        (report, cluster.fabric_fault_stats().total_lost())
     });
-    let outcome = ChaosOutcome {
-        report,
-        msgs_lost: cluster.fabric_fault_stats().total_lost(),
-        registry: cluster_registry(&sim, &cluster),
-    };
-    sim.shutdown();
-    outcome
+    section.set_counter("msgs_lost", msgs_lost);
+    (Some(report), section)
 }
 
-/// Regenerate the chaos goodput table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+/// One chaos case per design.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    Design::ALL
+        .map(|d| Case::own(d.label(), move || run_design(d, 0xC4A0_5EED)))
+        .into()
+}
+
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "resilience",
         "Goodput and p99 under chaos (1% drop, 50 ms link outage, server crash + warm restart)",
@@ -142,22 +113,18 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "recovered items",
         ],
     );
-    for design in Design::ALL {
-        let o = run_design(design, 0xC4A0_5EED);
-        let reg = m.record_report(design.label(), &o.report);
-        reg.merge(&o.registry);
+    for (label, o) in res {
+        let r = o.report();
         // Only server 0 crashes, so the cluster sum is its recovery.
-        let recovered = StoreStats::read(&o.registry, "store.").recovered_items;
-        let trips = o.registry.counter("client.breaker_trips");
-        reg.set_counter("msgs_lost", o.msgs_lost);
+        let recovered = StoreStats::read(&o.section, "store.").recovered_items;
         t.row(vec![
-            design.label().to_string(),
-            format!("{:.0}", o.report.goodput_ops_per_sec()),
-            us(o.report.p99_latency_ns),
-            o.report.failed_ops.to_string(),
-            o.report.timed_out_ops.to_string(),
-            o.msgs_lost.to_string(),
-            trips.to_string(),
+            label.clone(),
+            format!("{:.0}", r.goodput_ops_per_sec()),
+            us(r.p99_latency_ns),
+            r.failed_ops.to_string(),
+            r.timed_out_ops.to_string(),
+            o.section.counter("msgs_lost").to_string(),
+            o.section.counter("client.breaker_trips").to_string(),
             recovered.to_string(),
         ]);
     }

@@ -3,13 +3,15 @@
 //! paper's Figure 7(c) scalability story).
 
 use nbkv_core::designs::Design;
-use nbkv_workload::RunReport;
 
 use crate::exp::{scaled_bytes, scaled_ops, LatencyExp};
-use crate::manifest::Manifest;
+use crate::runner::{Case, Done, Figure};
 use crate::table::Table;
 
-fn run_point(design: Design, servers: usize) -> RunReport {
+const SERVERS: [usize; 4] = [1, 2, 4, 8];
+const DESIGNS: [Design; 2] = [Design::HRdmaOptBlock, Design::HRdmaOptNonBI];
+
+fn point(design: Design, servers: usize) -> LatencyExp {
     let agg_mem = scaled_bytes(1 << 30);
     let mut e = LatencyExp::single(design, (agg_mem / servers as u64).max(2 << 20), 2 * agg_mem);
     e.cluster.servers = servers;
@@ -18,11 +20,21 @@ fn run_point(design: Design, servers: usize) -> RunReport {
     e.value_len = 8 << 10;
     e.ops_per_client = scaled_ops(1000).max(200) / 4;
     e.window = 32;
-    e.run()
+    e
 }
 
-/// Regenerate the server-count scaling table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+/// Per server count, one case per design.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let case = |d: Design, n| Case::latency(format!("s{n}/{}", d.label()), point(d, n));
+    SERVERS
+        .iter()
+        .flat_map(|&n| DESIGNS.map(|d| case(d, n)))
+        .collect()
+}
+
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "scaling",
         "Aggregated throughput (ops/s) vs server count, 32 clients, 8 KiB kv",
@@ -34,20 +46,9 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
         ],
     );
     let mut base_nonb = 0.0;
-    for servers in [1usize, 2, 4, 8] {
-        let block_r = run_point(Design::HRdmaOptBlock, servers);
-        let nonb_r = run_point(Design::HRdmaOptNonBI, servers);
-        m.record_report(
-            &format!("s{servers}/{}", Design::HRdmaOptBlock.label()),
-            &block_r,
-        );
-        m.record_report(
-            &format!("s{servers}/{}", Design::HRdmaOptNonBI.label()),
-            &nonb_r,
-        );
-        let block = block_r.throughput_ops_per_sec();
-        let nonb = nonb_r.throughput_ops_per_sec();
-        if servers == 1 {
+    for (servers, pair) in SERVERS.iter().zip(res.chunks(2)) {
+        let [block, nonb] = [0, 1].map(|i| pair[i].1.report().throughput_ops_per_sec());
+        if *servers == 1 {
             base_nonb = nonb;
         }
         t.row(vec![

@@ -8,10 +8,10 @@ use std::time::Duration;
 
 use nbkv_core::cluster::ClusterConfig;
 use nbkv_core::designs::Design;
-use nbkv_storesim::DeviceProfile;
 
-use crate::exp::{scaled_bytes, scaled_ops, LatencyExp};
-use crate::manifest::Manifest;
+use crate::exp::scaled_ops;
+use crate::figs::single;
+use crate::runner::{Case, Done, Figure};
 use crate::table::{us, Table};
 
 const DESIGNS: [Design; 3] = [
@@ -20,35 +20,58 @@ const DESIGNS: [Design; 3] = [
     Design::HRdmaOptNonBI,
 ];
 
-fn mean_latency_ns(design: Design, mutate: &dyn Fn(&mut ClusterConfig)) -> u64 {
-    let mem = scaled_bytes(1 << 30);
-    let mut e = LatencyExp::single(design, mem, mem + mem / 2);
-    e.ops_per_client = scaled_ops(2000);
-    mutate(&mut e.cluster);
-    e.run().mean_latency_ns
+/// A table row: a knob setting and how it changes the cluster.
+type Knob = (&'static str, fn(&mut ClusterConfig));
+
+const KNOBS: [Knob; 8] = [
+    ("baseline", |_| {}),
+    // Network jitter on every link.
+    ("link jitter 5us", |cfg| jitter(cfg, 5)),
+    ("link jitter 20us", |cfg| jitter(cfg, 20)),
+    // Flash garbage collection enabled (heavy: 1 ms stall per 16 MiB).
+    ("SSD GC 1ms/16MiB", |cfg| {
+        cfg.device = cfg.device.with_gc(16 << 20, Duration::from_millis(1))
+    }),
+    // Sync-write penalty halved / doubled.
+    ("sync penalty x2 (8x)", |cfg| {
+        cfg.device.sync_write_multiplier = 8.0
+    }),
+    ("sync penalty off (1x)", |cfg| {
+        cfg.device.sync_write_multiplier = 1.0
+    }),
+    // OS cache small and large.
+    ("os cache = 1x mem", |cfg| {
+        cfg.os_cache_bytes = cfg.server_mem_bytes
+    }),
+    ("os cache = 16x mem", |cfg| {
+        cfg.os_cache_bytes = 16 * cfg.server_mem_bytes
+    }),
+];
+
+fn jitter(cfg: &mut ClusterConfig, us: u64) {
+    let mut profile = cfg.design.fabric_profile();
+    profile.link = profile.link.with_jitter(Duration::from_micros(us));
+    cfg.fabric_override = Some(profile);
 }
 
-fn sweep(t: &mut Table, m: &mut Manifest, label: &str, mutate: &dyn Fn(&mut ClusterConfig)) {
-    let cells: Vec<u64> = DESIGNS
-        .iter()
-        .map(|&d| mean_latency_ns(d, mutate))
-        .collect();
-    let reg = m.section(label);
-    for (d, ns) in DESIGNS.iter().zip(&cells) {
-        reg.set_counter(&format!("{}_mean_latency_ns", d.label()), *ns);
+/// Per knob setting, one case per design (data > memory), labelled
+/// `<setting>/<design>`.
+pub const FIGURE: Figure = Figure(cases, render);
+
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for (label, mutate) in KNOBS {
+        for d in DESIGNS {
+            let mut e = single(d, false);
+            e.ops_per_client = scaled_ops(2000);
+            mutate(&mut e.cluster);
+            cases.push(Case::latency(format!("{label}/{}", d.label()), e));
+        }
     }
-    let ordering_holds = cells[0] > cells[1] && cells[1] > cells[2];
-    t.row(vec![
-        label.to_string(),
-        us(cells[0]),
-        us(cells[1]),
-        us(cells[2]),
-        if ordering_holds { "yes" } else { "NO" }.to_string(),
-    ]);
+    cases
 }
 
-/// Regenerate the calibration-knob sensitivity table.
-pub fn run(m: &mut Manifest) -> Vec<Table> {
+fn render(res: &[Done]) -> Vec<Table> {
     let mut t = Table::new(
         "sensitivity",
         "Headline ordering under calibration-knob sweeps (avg latency, us; data > memory)",
@@ -60,50 +83,17 @@ pub fn run(m: &mut Manifest) -> Vec<Table> {
             "Def > Opt > NonB ?",
         ],
     );
-
-    sweep(&mut t, m, "baseline", &|_| {});
-
-    // Network jitter on every link.
-    for jitter_us in [5u64, 20] {
-        sweep(
-            &mut t,
-            m,
-            &format!("link jitter {jitter_us}us"),
-            &move |cfg| {
-                let mut profile = cfg.design.fabric_profile();
-                profile.link = profile.link.with_jitter(Duration::from_micros(jitter_us));
-                cfg.fabric_override = Some(profile);
-            },
-        );
+    for ((label, _), row) in KNOBS.iter().zip(res.chunks(DESIGNS.len())) {
+        let cells: Vec<u64> = row
+            .iter()
+            .map(|(_, o)| o.report().mean_latency_ns)
+            .collect();
+        let ordering_holds = cells[0] > cells[1] && cells[1] > cells[2];
+        let mut row = vec![label.to_string()];
+        row.extend(cells.iter().map(|&ns| us(ns)));
+        row.push(if ordering_holds { "yes" } else { "NO" }.to_string());
+        t.row(row);
     }
-
-    // Flash garbage collection enabled (heavy: 1 ms stall per 16 MiB).
-    sweep(&mut t, m, "SSD GC 1ms/16MiB", &|cfg| {
-        cfg.device = cfg.device.with_gc(16 << 20, Duration::from_millis(1));
-    });
-
-    // Sync-write penalty halved / doubled.
-    sweep(&mut t, m, "sync penalty x2 (8x)", &|cfg| {
-        cfg.device = DeviceProfile {
-            sync_write_multiplier: 8.0,
-            ..cfg.device
-        };
-    });
-    sweep(&mut t, m, "sync penalty off (1x)", &|cfg| {
-        cfg.device = DeviceProfile {
-            sync_write_multiplier: 1.0,
-            ..cfg.device
-        };
-    });
-
-    // OS cache small and large.
-    sweep(&mut t, m, "os cache = 1x mem", &|cfg| {
-        cfg.os_cache_bytes = cfg.server_mem_bytes;
-    });
-    sweep(&mut t, m, "os cache = 16x mem", &|cfg| {
-        cfg.os_cache_bytes = 16 * cfg.server_mem_bytes;
-    });
-
     t.note("the paper's ordering must hold in every row; magnitudes legitimately shift with the knobs.");
     vec![t]
 }

@@ -2,12 +2,14 @@
 
 use nbkv_core::designs::Design;
 
-use crate::manifest::Manifest;
+use crate::runner::Figure;
 use crate::table::Table;
 
-/// Regenerate Table I as implemented by this reproduction. Table I is a
-/// feature matrix with nothing measured, so the manifest stays empty.
-pub fn run(_m: &mut Manifest) -> Vec<Table> {
+/// Table I as implemented by this reproduction. Table I is a feature
+/// matrix with nothing measured: no cases, and the manifest stays empty.
+pub const FIGURE: Figure = Figure(Vec::new, |_| vec![render()]);
+
+fn render() -> Table {
     let mut t = Table::new(
         "table1",
         "Design comparison with existing work (as implemented)",
@@ -25,60 +27,41 @@ pub fn run(_m: &mut Manifest) -> Vec<Table> {
         Design::HRdmaDef,
         Design::HRdmaOptNonBI,
     ];
-    let yn = |b: bool| if b { "Y" } else { "N" }.to_string();
-    t.row(
-        std::iter::once("RDMA-based communication".to_string())
-            .chain(
-                designs
-                    .iter()
-                    .map(|d| yn(d.fabric_profile().name.starts_with("rdma"))),
-            )
-            .collect(),
-    );
-    t.row(
-        std::iter::once("Hybrid memory with SSD".to_string())
-            .chain(designs.iter().map(|d| yn(d.is_hybrid())))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("Adaptive I/O enhancements".to_string())
-            .chain(designs.iter().map(|d| {
-                yn(matches!(
-                    d,
-                    Design::HRdmaOptBlock | Design::HRdmaOptNonBB | Design::HRdmaOptNonBI
-                ))
-            }))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("NVMe-SSD support".to_string())
-            .chain(designs.iter().map(|d| {
-                // The paper evaluates NVMe only with its own optimized
-                // designs (Table I row 4).
-                yn(matches!(
-                    d,
-                    Design::HRdmaOptBlock | Design::HRdmaOptNonBB | Design::HRdmaOptNonBI
-                ))
-            }))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("Non-blocking API extensions".to_string())
-            .chain(designs.iter().map(|d| yn(d.flavor().is_nonblocking())))
-            .collect(),
-    );
+    let optimized = |d: Design| {
+        matches!(
+            d,
+            Design::HRdmaOptBlock | Design::HRdmaOptNonBB | Design::HRdmaOptNonBI
+        )
+    };
+    let features: [(&str, &dyn Fn(Design) -> bool); 5] = [
+        ("RDMA-based communication", &|d| {
+            d.fabric_profile().name.starts_with("rdma")
+        }),
+        ("Hybrid memory with SSD", &|d| d.is_hybrid()),
+        ("Adaptive I/O enhancements", &optimized),
+        // The paper evaluates NVMe only with its own optimized designs
+        // (Table I row 4).
+        ("NVMe-SSD support", &optimized),
+        ("Non-blocking API extensions", &|d| {
+            d.flavor().is_nonblocking()
+        }),
+    ];
+    for (feature, has) in features {
+        let mut row = vec![feature.to_string()];
+        row.extend(designs.map(|d| if has(d) { "Y" } else { "N" }.to_string()));
+        t.row(row);
+    }
     t.note(
         "Paper Table I: only 'This Paper' has adaptive I/O, NVMe support, and non-blocking APIs.",
     );
-    vec![t]
+    t
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table1_shape() {
-        let mut m = crate::manifest::Manifest::new_fixed("table1-test", 1.0, 42);
-        let t = &super::run(&mut m)[0];
+        let t = &super::render();
         assert_eq!(t.rows.len(), 5);
         // The Opt column is all-Y.
         for r in &t.rows {

@@ -27,10 +27,11 @@ pub mod exp;
 pub mod figs;
 pub mod manifest;
 pub mod regress;
+pub mod runner;
 pub mod table;
 
-use figs::Figure;
 use manifest::Manifest;
+use runner::{Figure, Runner};
 
 /// What one `nbkv-bench` id runs.
 pub enum Target {
@@ -61,7 +62,7 @@ pub fn resolve(id: &str) -> Option<Target> {
             .iter()
             .chain(&figs::EXTRA)
             .find(|&&(name, _)| name == id)
-            .map(|&(name, run)| Target::Figure(name, run)),
+            .map(|&(name, fig)| Target::Figure(name, fig)),
     }
 }
 
@@ -84,31 +85,34 @@ pub fn parse_args(args: &[String]) -> Result<Target, String> {
 
 impl Target {
     /// Print every table, and write the figure JSON and run manifest(s).
+    /// One [`Runner`] serves the whole invocation, so a case that several
+    /// figures declare runs once.
     pub fn run(self) {
+        let mut runner = Runner::default();
         match self {
-            Target::Figure(id, run) => {
+            Target::Figure(id, fig) => {
                 figs::banner(id);
-                emit(Manifest::new(id), run);
+                emit(&mut runner, Manifest::new(id), fig);
             }
             Target::All => {
                 figs::banner("all");
-                for (id, run) in figs::ALL {
+                for (id, fig) in figs::ALL {
                     eprintln!("[all] running {id} ...");
-                    emit(Manifest::new(id), run);
+                    emit(&mut runner, Manifest::new(id), fig);
                 }
             }
             Target::Regress => {
-                for (id, run) in regress::SETS {
+                for (id, fig) in regress::SETS {
                     figs::banner(id);
-                    emit(Manifest::new_fixed(id, 1.0, 42), run);
+                    emit(&mut runner, Manifest::new_fixed(id, 1.0, 42), fig);
                 }
             }
         }
     }
 }
 
-fn emit(mut m: Manifest, run: Figure) {
-    for t in run(&mut m) {
+fn emit(runner: &mut Runner, mut m: Manifest, fig: Figure) {
+    for t in runner.figure(fig, &mut m) {
         t.emit();
     }
     m.emit();

@@ -97,23 +97,10 @@ impl Manifest {
         }
     }
 
-    /// The metric section for `label`, created on first use. Sections
-    /// keep their insertion order in the rendered JSON.
-    pub fn section(&mut self, label: &str) -> &mut Registry {
-        if let Some(i) = self.sections.iter().position(|(l, _)| l == label) {
-            return &mut self.sections[i].1;
-        }
-        self.sections.push((label.to_string(), Registry::new()));
-        &mut self.sections.last_mut().expect("just pushed").1
-    }
-
-    /// Record a workload report into section `label` (counters plus the
-    /// per-phase lifecycle histograms), returning the section so callers
-    /// can add bench-specific metrics.
-    pub fn record_report(&mut self, label: &str, r: &RunReport) -> &mut Registry {
-        let reg = self.section(label);
-        record_report(reg, r);
-        reg
+    /// Append the metric section `label`; sections keep their insertion
+    /// order in the rendered JSON.
+    pub fn push(&mut self, label: impl Into<String>, section: Registry) {
+        self.sections.push((label.into(), section));
     }
 
     /// Deterministic JSON. `git_describe` renders on its own line so the
@@ -186,14 +173,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sections_keep_insertion_order_and_accumulate() {
+    fn sections_keep_insertion_order() {
         let mut m = Manifest::new_fixed("figx", 0.25, 42);
-        m.section("H-RDMA-Opt-NonB-i").inc("ops", 10);
-        m.section("IPoIB-Mem").inc("ops", 5);
-        m.section("H-RDMA-Opt-NonB-i").inc("ops", 1);
+        let ops = |n| {
+            let mut r = Registry::new();
+            r.inc("ops", n);
+            r
+        };
+        m.push("IPoIB-Mem", ops(5));
+        m.push("H-RDMA-Opt-NonB-i", ops(11));
         assert_eq!(m.sections.len(), 2);
         let s = m.render();
-        assert!(s.find("H-RDMA-Opt-NonB-i").unwrap() < s.find("IPoIB-Mem").unwrap());
+        assert!(s.find("IPoIB-Mem").unwrap() < s.find("H-RDMA-Opt-NonB-i").unwrap());
         assert!(s.contains("\"ops\": 11"));
     }
 
@@ -216,9 +207,10 @@ mod tests {
     fn rendering_is_byte_deterministic() {
         let build = || {
             let mut m = Manifest::new_fixed("d", 0.25, 42);
-            let r = m.section("case");
+            let mut r = Registry::new();
             r.inc("a", 1);
             r.observe("lat", 999);
+            m.push("case", r);
             m.render()
         };
         assert_eq!(build(), build());

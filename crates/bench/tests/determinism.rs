@@ -1,20 +1,23 @@
-//! The regression gate's foundation: the same experiment run twice in the
-//! same tree must render a byte-identical manifest. Virtual time, seeded
-//! RNGs, and ordered-map registries leave no room for drift — if this
-//! test fails, `scripts/regress.sh` cannot work.
+//! The regression gate's foundation: the same cases run twice in the same
+//! tree must render a byte-identical manifest. Virtual time, seeded RNGs,
+//! and ordered-map registries leave no room for drift — if this test
+//! fails, `scripts/regress.sh` cannot work. The cases go through the one
+//! case runner, so its memo is checked here too: a repeated experiment runs
+//! once and records the section a fresh run records.
+
+use std::rc::Rc;
 
 use nbkv_bench::exp::LatencyExp;
-use nbkv_bench::manifest::Manifest;
+use nbkv_bench::manifest::{record_report, Manifest};
+use nbkv_bench::runner::{Case, Figure, Runner};
 use nbkv_core::designs::Design;
 
-fn render_once() -> String {
-    let mut m = Manifest::new_fixed("determinism-test", 1.0, 42);
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
     for design in [Design::RdmaMem, Design::HRdmaOptNonBI] {
         let mut exp = LatencyExp::single(design, 8 << 20, 12 << 20);
         exp.ops_per_client = 300;
-        let (r, cluster_reg) = exp.run_obs();
-        let reg = m.record_report(design.label(), &r);
-        reg.merge(&cluster_reg);
+        cases.push(Case::latency(design.label(), exp));
     }
     // A batched run: frame coalescing, flush deadlines, and response
     // waves must replay bit-for-bit too.
@@ -23,9 +26,7 @@ fn render_once() -> String {
     exp.cluster.servers = 2;
     exp.value_len = 512;
     exp.batch = 32;
-    let (r, cluster_reg) = exp.run_obs();
-    let reg = m.record_report("batched", &r);
-    reg.merge(&cluster_reg);
+    cases.push(Case::latency("batched", exp));
     // An adaptive one-sided run: lease fetches, chained RDMA reads,
     // seqlock validation, and EWMA-driven mode flips must replay
     // bit-for-bit too.
@@ -34,22 +35,23 @@ fn render_once() -> String {
     exp.value_len = 1 << 10;
     exp.mix = nbkv_workload::OpMix { read_pct: 90 };
     exp.cluster.client.direct = nbkv_core::DirectPolicy::Adaptive;
-    let (r, cluster_reg) = exp.run_obs();
-    let reg = m.record_report("onesided", &r);
-    reg.merge(&cluster_reg);
+    cases.push(Case::latency("onesided", exp));
     // A replicated run with a scripted mid-run crash and warm restart:
     // replication doorbells, retransmits, breaker-driven failover
     // promotions, and the catch-up demotion must replay bit-for-bit too.
     let mix = nbkv_workload::OpMix { read_pct: 50 };
-    let mut exp =
-        nbkv_bench::figs::replication::small(mix, nbkv_core::ReplicationConfig::default());
-    exp.crash = Some(nbkv_bench::figs::replication::failover_crash(
-        exp.ops_per_client,
-    ));
-    exp.cluster.client.resilience = nbkv_bench::figs::replication::failover_resilience();
-    let (r, cluster_reg) = exp.run_obs();
-    let reg = m.record_report("replicated-crash", &r);
-    reg.merge(&cluster_reg);
+    let exp = nbkv_bench::figs::replication::with_crash(
+        nbkv_bench::figs::replication::small(mix, nbkv_core::ReplicationConfig::default()),
+        true,
+    );
+    cases.push(Case::latency("replicated-crash", exp));
+    cases
+}
+
+fn render_once() -> String {
+    let mut m = Manifest::new_fixed("determinism-test", 1.0, 42);
+    let fig = Figure(cases, |_| Vec::new());
+    Runner::default().figure(fig, &mut m);
     m.render()
 }
 
@@ -84,4 +86,27 @@ fn manifests_are_byte_identical_across_runs() {
         a.contains("server.repl_sent") && a.contains("client.promotions"),
         "manifest must include the replicated run's replication counters"
     );
+}
+
+#[test]
+fn a_repeated_experiment_runs_once_and_records_a_fresh_runs_section() {
+    let exp = |design| {
+        let mut e = LatencyExp::single(design, 8 << 20, 4 << 20);
+        e.ops_per_client = 200;
+        e
+    };
+    let mut runner = Runner::default();
+    let done = runner.run(vec![
+        Case::latency("first", exp(Design::RdmaMem)),
+        Case::latency("other", exp(Design::HRdmaOptNonBI)),
+        Case::latency("again", exp(Design::RdmaMem)),
+    ]);
+    let labels: Vec<&str> = done.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["first", "other", "again"]);
+    assert!(Rc::ptr_eq(&done[0].1, &done[2].1), "the repeat ran again");
+
+    let (report, mut fresh) = exp(Design::RdmaMem).run();
+    record_report(&mut fresh, &report);
+    assert_eq!(done[2].1.section, fresh);
+    assert_ne!(done[1].1.section, fresh);
 }
