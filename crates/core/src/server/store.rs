@@ -1277,8 +1277,12 @@ impl HybridStore {
         }
 
         if ssd.write(scheme, base, &page_buf).await.is_err() {
-            // Treat a failed flush like a full SSD: drop the items.
+            // Treat a failed flush like a full SSD: drop the items, and
+            // give the reserved extent back for the next flush.
             self.stats.borrow_mut().flush_errors += 1;
+            self.ssd_free_shared
+                .borrow_mut()
+                .push((base, page_buf.len() as u32));
             self.abandon_flush(class, page, &captured);
             return true;
         }
@@ -2338,6 +2342,37 @@ mod tests {
             assert_eq!(g.value.unwrap(), newer);
             // The items the flush still owned are gone.
             assert_eq!(store.get(&key(1)).await.status, OpStatus::Miss);
+        });
+    }
+
+    /// A flush whose device write fails gives its reserved extent back: an
+    /// SSD of exactly four pages still takes four more page flushes.
+    #[test]
+    fn failed_flush_returns_its_extent() {
+        let sim = Sim::new();
+        let mut cfg = StoreConfig::hybrid(1 << 20, 4 << 20);
+        cfg.io_policy = IoPolicy::Direct;
+        cfg.promote = PromotePolicy::Never;
+        let store = make_store(&sim, cfg, true);
+        let per_page = big_items_per_page(&store);
+        sim.run_until(async move {
+            for i in 0..per_page {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            let dev = store.slab_io().expect("hybrid").device();
+            dev.set_fault_plan(Some(SsdFaultPlan::errors(1, 1.0)));
+            // This set flushes the full page; its device write fails.
+            store.set(key(per_page), val(0, 64 << 10), 0, 0).await;
+            dev.set_fault_plan(None);
+            let st = store.stats();
+            assert_eq!((st.flush_errors, st.flushed_pages), (1, 0), "{st:?}");
+            // Four more pages of items: every one of their flushes lands.
+            for i in per_page + 1..=5 * per_page {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            let after = store.stats();
+            assert_eq!(after.flushed_pages, 4, "{after:?}");
+            assert_eq!(after.ssd_full_drops, st.ssd_full_drops, "{after:?}");
         });
     }
 }
