@@ -1,6 +1,6 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! - adaptive slab I/O vs each fixed scheme;
+//! - adaptive slab I/O vs synchronous direct I/O;
 //! - the decoupled server pipeline on vs off under non-blocking clients;
 //! - promotion policy (never vs if-free);
 //! - OS page-cache size (what the paper's big-RAM nodes contribute).
@@ -14,107 +14,60 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use std::rc::Rc;
 
-use nbkv_core::cluster::{build_cluster, ClusterConfig};
-use nbkv_core::designs::Design;
-use nbkv_core::server::{IoPolicy, PromotePolicy};
+use nbkv_bench::exp::LatencyExp;
+use nbkv_core::client::Client;
+use nbkv_core::cluster::Cluster;
+use nbkv_core::designs::{Design, SpecParams};
+use nbkv_core::server::{IoPolicy, PromotePolicy, Server};
+use nbkv_fabric::Fabric;
 use nbkv_simrt::Sim;
-use nbkv_workload::{preload, run_workload, AccessPattern, OpMix, WorkloadSpec};
+use nbkv_storesim::{SlabIo, SlabIoConfig, SsdDevice};
 
 const MEM: u64 = 8 << 20;
 const VALUE: usize = 16 << 10;
 
-fn run_with(mutate: impl Fn(&mut ClusterConfig), design: Design) -> u64 {
-    let sim = Sim::new();
-    let mut cfg = ClusterConfig::new(design, MEM);
-    mutate(&mut cfg);
-    let cluster = build_cluster(&sim, &cfg);
-    let client = Rc::clone(&cluster.clients[0]);
-    let sim2 = sim.clone();
-    let out = sim.run_until(async move {
-        let keys = ((MEM + MEM / 2) / VALUE as u64) as usize;
-        preload(&client, keys, VALUE).await;
-        let spec = WorkloadSpec {
-            keys,
-            value_len: VALUE,
-            pattern: AccessPattern::Zipf(0.99),
-            mix: OpMix::WRITE_HEAVY,
-            ops: 200,
-            flavor: design.flavor(),
-            window: 32,
-            seed: 5,
-            miss_penalty: std::time::Duration::from_millis(2),
-            recache_on_miss: true,
-            batch: 0,
-        };
-        run_workload(&sim2, &client, &spec).await.mean_latency_ns
-    });
-    sim.shutdown();
-    out
+/// The ablations' experiment: `design` on 8 MiB of RAM with 12 MiB of
+/// 16 KiB values, 200 write-heavy ops through a 32-deep window.
+fn exp(design: Design) -> LatencyExp {
+    LatencyExp {
+        value_len: VALUE,
+        ops_per_client: 200,
+        window: 32,
+        ..LatencyExp::single(design, MEM, MEM + MEM / 2)
+    }
 }
 
-/// Build a cluster whose server config is post-processed. Mirrors
-/// `build_cluster` but lets the ablation override store knobs that the
-/// design factory fixes.
+/// Run the ablation experiment on a one-server cluster built by hand, so
+/// the store knobs the design factory fixes can be overridden.
 fn run_store_ablation(io: IoPolicy, promote: PromotePolicy, pipeline: bool) -> u64 {
-    run_store_ablation_full(io, promote, pipeline, false)
-}
-
-fn run_store_ablation_full(
-    io: IoPolicy,
-    promote: PromotePolicy,
-    pipeline: bool,
-    async_flush: bool,
-) -> u64 {
-    use nbkv_core::server::Server;
-    use nbkv_fabric::Fabric;
-    use nbkv_storesim::{SlabIo, SlabIoConfig, SsdDevice};
-
-    let design = Design::HRdmaOptNonBI;
+    let exp = exp(Design::HRdmaOptNonBI);
+    let c = &exp.cluster;
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim, design.fabric_profile());
-    let mut server_cfg = design.server_config(nbkv_core::designs::SpecParams {
-        mem_bytes: MEM,
-        ssd_capacity: 16 * MEM,
-        costs: nbkv_core::costs::CpuCosts::default_costs(),
+    let fabric = Fabric::new(&sim, c.design.fabric_profile());
+    let mut server_cfg = c.design.server_config(SpecParams {
+        mem_bytes: c.server_mem_bytes,
+        ssd_capacity: c.ssd_capacity,
+        costs: c.costs,
     });
     server_cfg.store.io_policy = io;
     server_cfg.store.promote = promote;
-    server_cfg.store.async_flush = async_flush;
     server_cfg.pipeline = pipeline;
-    let dev = SsdDevice::new(&sim, nbkv_storesim::sata_ssd());
-    let ssd = SlabIo::new(
-        &sim,
-        dev,
-        SlabIoConfig {
-            cache_bytes: 8 * MEM,
-            mmap_resident_bytes: 8 * MEM,
-            host: nbkv_storesim::HostModel::default_host(),
-        },
-    );
+    let dev = SsdDevice::new(&sim, c.device);
+    let io_cfg = SlabIoConfig {
+        cache_bytes: c.os_cache_bytes,
+        host: c.host,
+    };
+    let ssd = SlabIo::new(&sim, Rc::clone(&dev), io_cfg);
     let server = Server::new(&sim, server_cfg, Some(ssd));
     let (client_side, server_side) = fabric.connect();
     server.accept(server_side);
-    let client = nbkv_core::client::Client::new(&sim, vec![client_side], Default::default());
-
-    let sim2 = sim.clone();
-    let out = sim.run_until(async move {
-        let keys = ((MEM + MEM / 2) / VALUE as u64) as usize;
-        preload(&client, keys, VALUE).await;
-        let spec = WorkloadSpec {
-            keys,
-            value_len: VALUE,
-            pattern: AccessPattern::Zipf(0.99),
-            mix: OpMix::WRITE_HEAVY,
-            ops: 200,
-            flavor: design.flavor(),
-            window: 32,
-            seed: 5,
-            miss_penalty: std::time::Duration::from_millis(2),
-            recache_on_miss: true,
-            batch: 0,
-        };
-        run_workload(&sim2, &client, &spec).await.mean_latency_ns
-    });
+    let cluster = Cluster {
+        servers: vec![server],
+        clients: vec![Client::new(&sim, vec![client_side], c.client)],
+        devices: vec![dev],
+        links: Vec::new(),
+    };
+    let out = exp.measure(&sim, &cluster, |_| {}).mean_latency_ns;
     sim.shutdown();
     out
 }
@@ -124,9 +77,7 @@ fn ablate_io_policy(c: &mut Criterion) {
     g.sample_size(10);
     let policies = [
         ("direct", IoPolicy::Direct),
-        ("cached", IoPolicy::Cached),
-        ("mmap", IoPolicy::Mmap),
-        ("adaptive", IoPolicy::adaptive_default()),
+        ("adaptive", IoPolicy::Adaptive),
     ];
     for (label, policy) in policies {
         g.bench_with_input(BenchmarkId::from_parameter(label), &policy, |b, &policy| {
@@ -144,13 +95,7 @@ fn ablate_pipeline(c: &mut Criterion) {
             BenchmarkId::from_parameter(label),
             &pipeline,
             |b, &pipeline| {
-                b.iter(|| {
-                    run_store_ablation(
-                        IoPolicy::adaptive_default(),
-                        PromotePolicy::IfFree,
-                        pipeline,
-                    )
-                })
+                b.iter(|| run_store_ablation(IoPolicy::Adaptive, PromotePolicy::IfFree, pipeline))
             },
         );
     }
@@ -167,9 +112,7 @@ fn ablate_promotion(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(label),
             &promote,
-            |b, &promote| {
-                b.iter(|| run_store_ablation(IoPolicy::adaptive_default(), promote, true))
-            },
+            |b, &promote| b.iter(|| run_store_ablation(IoPolicy::Adaptive, promote, true)),
         );
     }
     g.finish();
@@ -181,31 +124,11 @@ fn ablate_os_cache(c: &mut Criterion) {
     for mult in [0u64, 1, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(mult), &mult, |b, &mult| {
             b.iter(|| {
-                run_with(
-                    |cfg| cfg.os_cache_bytes = (mult * MEM).max(2 << 20),
-                    Design::HRdmaOptBlock,
-                )
+                let mut exp = exp(Design::HRdmaOptBlock);
+                exp.cluster.os_cache_bytes = (mult * MEM).max(2 << 20);
+                exp.run().0.mean_latency_ns
             })
         });
-    }
-    g.finish();
-}
-
-fn ablate_async_flush(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_async_flush");
-    g.sample_size(10);
-    for (label, async_flush) in [("sync", false), ("async", true)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &async_flush,
-            |b, &af| {
-                // Direct I/O is where the synchronous flush hurts the most —
-                // the paper's future-work extension hides it.
-                b.iter(|| {
-                    run_store_ablation_full(IoPolicy::Direct, PromotePolicy::IfFree, true, af)
-                })
-            },
-        );
     }
     g.finish();
 }
@@ -215,7 +138,6 @@ criterion_group!(
     ablate_io_policy,
     ablate_pipeline,
     ablate_promotion,
-    ablate_os_cache,
-    ablate_async_flush
+    ablate_os_cache
 );
 criterion_main!(benches);

@@ -1,49 +1,32 @@
 //! Figure-shaped benchmarks: each runs a miniature version of one paper
-//! experiment end-to-end (build cluster, preload, measure) and reports the
-//! wall-clock cost of regenerating it. `cargo bench` therefore exercises
-//! every experiment pipeline; the printed *virtual-time* results live in
-//! the `fig*` harness binaries.
+//! experiment end-to-end through the harness's `LatencyExp` (build
+//! cluster, preload, measure) and reports the wall-clock cost of
+//! regenerating it. `cargo bench` therefore exercises every experiment
+//! pipeline; the virtual-time results come from `nbkv-bench <id>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use std::rc::Rc;
 
-use nbkv_core::cluster::{build_cluster, ClusterConfig};
+use nbkv_bench::exp::{on_cluster, LatencyExp};
+use nbkv_core::cluster::ClusterConfig;
 use nbkv_core::designs::Design;
-use nbkv_simrt::Sim;
 use nbkv_storesim::IoScheme;
-use nbkv_workload::{
-    preload, run_bursty, run_workload, AccessPattern, BurstSpec, OpMix, WorkloadSpec,
-};
+use nbkv_workload::{run_bursty, BurstSpec, OpMix};
 
 const MEM: u64 = 8 << 20;
 const VALUE: usize = 16 << 10;
 
-fn mini_latency_run(design: Design, data_bytes: u64, mix: OpMix, ops: usize) -> u64 {
-    let sim = Sim::new();
-    let cluster = build_cluster(&sim, &ClusterConfig::new(design, MEM));
-    let client = Rc::clone(&cluster.clients[0]);
-    let sim2 = sim.clone();
-    let out = sim.run_until(async move {
-        let keys = (data_bytes / VALUE as u64) as usize;
-        preload(&client, keys, VALUE).await;
-        let spec = WorkloadSpec {
-            keys,
-            value_len: VALUE,
-            pattern: AccessPattern::Zipf(0.99),
-            mix,
-            ops,
-            flavor: design.flavor(),
-            window: 32,
-            seed: 5,
-            miss_penalty: std::time::Duration::from_millis(2),
-            recache_on_miss: true,
-            batch: 0,
-        };
-        run_workload(&sim2, &client, &spec).await.mean_latency_ns
-    });
-    sim.shutdown();
-    out
+/// A miniature latency experiment: `design` on 8 MiB of RAM with
+/// `data_bytes` of 16 KiB values and a 32-deep window.
+fn mini(design: Design, data_bytes: u64, mix: OpMix, ops: usize) -> LatencyExp {
+    LatencyExp {
+        value_len: VALUE,
+        ops_per_client: ops,
+        mix,
+        window: 32,
+        ..LatencyExp::single(design, MEM, data_bytes)
+    }
 }
 
 /// Figures 1/2/6: per-design latency runs (data does not fit).
@@ -55,7 +38,12 @@ fn bench_design_latency(c: &mut Criterion) {
             BenchmarkId::from_parameter(design.label()),
             &design,
             |b, &design| {
-                b.iter(|| mini_latency_run(design, MEM + MEM / 2, OpMix::WRITE_HEAVY, 200))
+                b.iter(|| {
+                    mini(design, MEM + MEM / 2, OpMix::WRITE_HEAVY, 200)
+                        .run()
+                        .0
+                        .mean_latency_ns
+                })
             },
         );
     }
@@ -88,7 +76,14 @@ fn bench_overlap(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(design.label()),
             &design,
-            |b, &design| b.iter(|| mini_latency_run(design, MEM + MEM / 2, OpMix::READ_ONLY, 200)),
+            |b, &design| {
+                b.iter(|| {
+                    mini(design, MEM + MEM / 2, OpMix::READ_ONLY, 200)
+                        .run()
+                        .0
+                        .mean_latency_ns
+                })
+            },
         );
     }
     g.finish();
@@ -104,43 +99,16 @@ fn bench_throughput(c: &mut Criterion) {
             &design,
             |b, &design| {
                 b.iter(|| {
-                    let sim = Sim::new();
-                    let mut cfg = ClusterConfig::new(design, MEM / 2);
-                    cfg.servers = 2;
-                    cfg.clients = 8;
-                    let cluster = build_cluster(&sim, &cfg);
-                    let clients: Vec<_> = cluster.clients.iter().map(Rc::clone).collect();
-                    let sim2 = sim.clone();
-                    let out = sim.run_until(async move {
-                        preload(&clients[0], 256, 8 << 10).await;
-                        let tasks: Vec<_> = clients
-                            .iter()
-                            .enumerate()
-                            .map(|(i, c)| {
-                                let c = Rc::clone(c);
-                                let sim = sim2.clone();
-                                async move {
-                                    let spec = WorkloadSpec {
-                                        keys: 256,
-                                        value_len: 8 << 10,
-                                        pattern: AccessPattern::Zipf(0.99),
-                                        mix: OpMix::WRITE_HEAVY,
-                                        ops: 100,
-                                        flavor: design.flavor(),
-                                        window: 16,
-                                        seed: i as u64,
-                                        miss_penalty: std::time::Duration::from_millis(2),
-                                        recache_on_miss: false,
-                                        batch: 0,
-                                    };
-                                    run_workload(&sim, &c, &spec).await.ops
-                                }
-                            })
-                            .collect();
-                        nbkv_simrt::join_all(tasks).await.into_iter().sum::<usize>()
-                    });
-                    sim.shutdown();
-                    out
+                    let mut exp = LatencyExp {
+                        data_bytes: 256 * (8 << 10),
+                        value_len: 8 << 10,
+                        ops_per_client: 100,
+                        window: 16,
+                        ..LatencyExp::single(design, MEM / 2, 0)
+                    };
+                    exp.cluster.servers = 2;
+                    exp.cluster.clients = 8;
+                    exp.run().0.ops
                 })
             },
         );
@@ -161,32 +129,14 @@ fn bench_devices_and_bursty(c: &mut Criterion) {
             &device,
             |b, &device| {
                 b.iter(|| {
-                    let sim = Sim::new();
-                    let mut cfg = ClusterConfig::new(Design::HRdmaOptNonBI, MEM);
-                    cfg.device = device;
-                    let cluster = build_cluster(&sim, &cfg);
-                    let client = Rc::clone(&cluster.clients[0]);
-                    let sim2 = sim.clone();
-                    let out = sim.run_until(async move {
-                        let keys = ((MEM + MEM / 2) / VALUE as u64) as usize;
-                        preload(&client, keys, VALUE).await;
-                        let spec = WorkloadSpec {
-                            keys,
-                            value_len: VALUE,
-                            pattern: AccessPattern::Zipf(0.99),
-                            mix: OpMix::WRITE_HEAVY,
-                            ops: 200,
-                            flavor: nbkv_core::proto::ApiFlavor::NonBlockingI,
-                            window: 32,
-                            seed: 5,
-                            miss_penalty: std::time::Duration::from_millis(2),
-                            recache_on_miss: false,
-                            batch: 0,
-                        };
-                        run_workload(&sim2, &client, &spec).await.mean_latency_ns
-                    });
-                    sim.shutdown();
-                    out
+                    let mut exp = mini(
+                        Design::HRdmaOptNonBI,
+                        MEM + MEM / 2,
+                        OpMix::WRITE_HEAVY,
+                        200,
+                    );
+                    exp.cluster.device = device;
+                    exp.run().0.mean_latency_ns
                 })
             },
         );
@@ -195,23 +145,21 @@ fn bench_devices_and_bursty(c: &mut Criterion) {
             &device,
             |b, &device| {
                 b.iter(|| {
-                    let sim = Sim::new();
                     let mut cfg = ClusterConfig::new(Design::HRdmaOptNonBI, MEM / 2);
                     cfg.servers = 2;
                     cfg.device = device;
-                    let cluster = build_cluster(&sim, &cfg);
-                    let client = Rc::clone(&cluster.clients[0]);
-                    let sim2 = sim.clone();
-                    let out = sim.run_until(async move {
-                        let spec = BurstSpec {
-                            block_bytes: 1 << 20,
-                            chunk_bytes: 128 << 10,
-                            total_bytes: 16 << 20,
-                            flavor: nbkv_core::proto::ApiFlavor::NonBlockingI,
-                        };
-                        run_bursty(&sim2, &client, &spec).await.mean_write_block_ns
+                    let spec = BurstSpec {
+                        block_bytes: 1 << 20,
+                        chunk_bytes: 128 << 10,
+                        total_bytes: 16 << 20,
+                        flavor: nbkv_core::proto::ApiFlavor::NonBlockingI,
+                    };
+                    let (out, _) = on_cluster(&cfg, |sim, cluster| {
+                        let (sim2, client) = (sim.clone(), Rc::clone(&cluster.clients[0]));
+                        sim.run_until(async move {
+                            run_bursty(&sim2, &client, &spec).await.mean_write_block_ns
+                        })
                     });
-                    sim.shutdown();
                     out
                 })
             },

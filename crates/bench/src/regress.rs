@@ -339,7 +339,6 @@ fn io_stream(scheme: IoScheme) -> Measured {
         let dev = SsdDevice::new(&sim2, sata_ssd());
         let cfg = SlabIoConfig {
             cache_bytes: STREAM_BUDGET,
-            mmap_resident_bytes: STREAM_BUDGET,
             host: HostModel::default_host(),
         };
         let io = SlabIo::new(&sim2, Rc::clone(&dev), cfg);

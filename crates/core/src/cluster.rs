@@ -187,7 +187,6 @@ pub fn build_cluster(sim: &Sim, cfg: &ClusterConfig) -> Cluster {
                 dev,
                 SlabIoConfig {
                     cache_bytes: cfg.os_cache_bytes,
-                    mmap_resident_bytes: cfg.os_cache_bytes,
                     host: cfg.host,
                 },
             ))

@@ -97,10 +97,9 @@ impl Design {
                 ssd_capacity: p.ssd_capacity,
                 io_policy: match self {
                     Design::HRdmaDef => IoPolicy::Direct,
-                    _ => IoPolicy::adaptive_default(),
+                    _ => IoPolicy::Adaptive,
                 },
                 promote: PromotePolicy::IfFree,
-                async_flush: false,
                 costs: p.costs,
             }
         } else {

@@ -37,45 +37,28 @@ pub enum StoreKind {
     Hybrid,
 }
 
+/// Largest chunk size the adaptive policy still flushes through mmap:
+/// the measured crossover where buffered I/O overtakes mmap (see the
+/// Figure 4 harness).
+const MMAP_MAX_CHUNK: usize = 128 << 10;
+
 /// Which I/O scheme slab flushes (and the corresponding reads) use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoPolicy {
     /// Synchronous direct I/O for everything (H-RDMA-Def).
     Direct,
-    /// Buffered I/O for everything.
-    Cached,
-    /// Mmap for everything.
-    Mmap,
     /// The paper's adaptive allocator (Figure 5): mmap for classes with
-    /// chunks up to `mmap_max_chunk`, buffered I/O above.
-    Adaptive {
-        /// Largest chunk size still using mmap.
-        mmap_max_chunk: usize,
-    },
+    /// chunks up to 128 KiB, buffered I/O above.
+    Adaptive,
 }
 
 impl IoPolicy {
-    /// Default adaptive cutoff: 128 KiB — the measured crossover where
-    /// buffered I/O overtakes mmap (see the Figure 4 harness).
-    pub fn adaptive_default() -> Self {
-        IoPolicy::Adaptive {
-            mmap_max_chunk: 128 << 10,
-        }
-    }
-
     /// The scheme used for a slab class with `chunk_size`.
     pub fn scheme_for(&self, chunk_size: usize) -> IoScheme {
-        match *self {
+        match self {
             IoPolicy::Direct => IoScheme::Direct,
-            IoPolicy::Cached => IoScheme::Cached,
-            IoPolicy::Mmap => IoScheme::Mmap,
-            IoPolicy::Adaptive { mmap_max_chunk } => {
-                if chunk_size <= mmap_max_chunk {
-                    IoScheme::Mmap
-                } else {
-                    IoScheme::Cached
-                }
-            }
+            IoPolicy::Adaptive if chunk_size <= MMAP_MAX_CHUNK => IoScheme::Mmap,
+            IoPolicy::Adaptive => IoScheme::Cached,
         }
     }
 }
@@ -103,11 +86,6 @@ pub struct StoreConfig {
     pub io_policy: IoPolicy,
     /// Promotion policy (hybrid only).
     pub promote: PromotePolicy,
-    /// Asynchronous SSD flush (the paper's future-work extension): slab
-    /// pages are freed as soon as their contents are buffered, the SSD
-    /// write completes in the background, and reads of in-flight items are
-    /// served from the flush buffer.
-    pub async_flush: bool,
     /// CPU cost model.
     pub costs: CpuCosts,
 }
@@ -119,9 +97,8 @@ impl StoreConfig {
             kind: StoreKind::Hybrid,
             mem_bytes,
             ssd_capacity,
-            io_policy: IoPolicy::adaptive_default(),
+            io_policy: IoPolicy::Adaptive,
             promote: PromotePolicy::IfFree,
-            async_flush: false,
             costs: CpuCosts::default_costs(),
         }
     }
@@ -134,7 +111,6 @@ impl StoreConfig {
             ssd_capacity: 0,
             io_policy: IoPolicy::Direct,
             promote: PromotePolicy::Never,
-            async_flush: false,
             costs: CpuCosts::default_costs(),
         }
     }
@@ -151,9 +127,6 @@ struct ExtentInfo {
     /// which recovery re-parses items out of the extent.
     chunk_size: u32,
 }
-
-/// In-flight flush registry: extent base -> (length, buffered contents).
-type InflightFlushes = Rc<RefCell<HashMap<u64, (u32, Rc<Vec<u8>>)>>>;
 
 /// Insert `value` under `key`, returning the value it replaces. A new
 /// entry stores its own copy of the key, so a long-lived map never keeps a
@@ -243,9 +216,12 @@ nbkv_obs::counters! {
         sum ssd_full_drops: u64,
         /// SSD items promoted back to RAM.
         sum promotes: u64,
-        /// Pages flushed asynchronously (async-flush extension).
+        /// Always 0: every slab flush completes before its page is freed.
+        /// Kept because the run manifests read it.
         sum async_flushes: u64,
-        /// SSD reads served from an in-flight flush buffer.
+        /// Always 0: no read is served from a flush buffer. Kept because
+        /// the benchmark's `store.inflight_hit_ratio` metric and the run
+        /// manifests read it.
         sum inflight_hits: u64,
         /// Bytes of SSD extents occupied by dead (superseded/deleted) items,
         /// awaiting whole-extent reclamation.
@@ -329,29 +305,20 @@ pub struct HybridStore {
     sim: Sim,
     cfg: StoreConfig,
     pool: RefCell<SlabPool>,
-    index: Rc<RefCell<FxHashMap<Bytes, ItemMeta>>>,
+    index: RefCell<FxHashMap<Bytes, ItemMeta>>,
     item_lru: RefCell<Vec<LruMap<u64, ()>>>,
     page_lru: RefCell<Vec<LruMap<u32, ()>>>,
     ssd: Option<Rc<SlabIo>>,
     ssd_bump: Cell<u64>,
     /// Live-item count per SSD extent (keyed by base offset); an extent
     /// whose count reaches zero is reclaimed for reuse.
-    ssd_extents: Rc<RefCell<BTreeMap<u64, ExtentInfo>>>,
-    /// Reclaimed extents ready for reuse by new flushes (shared with the
-    /// async-flush completion tasks).
-    ssd_free_shared: Rc<RefCell<Vec<(u64, u32)>>>,
-    /// Extents that died while their flush was still in flight; reclaimed
-    /// when the background write lands (prevents write/write reordering
-    /// onto a reused extent).
-    ssd_dead_pending: Rc<RefCell<HashMap<u64, u32>>>,
-    /// Extents whose background flush has not yet landed on the device:
-    /// base offset -> (byte length, buffered page contents). Reads within
-    /// these ranges are served from the buffer.
-    inflight_flushes: InflightFlushes,
+    ssd_extents: RefCell<BTreeMap<u64, ExtentInfo>>,
+    /// Reclaimed extents ready for reuse by new flushes.
+    ssd_free: RefCell<Vec<(u64, u32)>>,
     next_version: Cell<u64>,
     flushes_in_flight: Cell<u32>,
     mem_notify: Notify,
-    stats: Rc<RefCell<StoreStats>>,
+    stats: RefCell<StoreStats>,
     /// Highest replication sequence number seen (generated or applied)
     /// per key. Survives deletes as a tombstone so a late replicated
     /// write cannot resurrect a removed value; lost on crash like every
@@ -378,19 +345,17 @@ impl HybridStore {
             sim: sim.clone(),
             cfg,
             pool: RefCell::new(pool),
-            index: Rc::default(),
+            index: RefCell::default(),
             item_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             page_lru: RefCell::new((0..n_classes).map(|_| LruMap::new()).collect()),
             ssd,
             ssd_bump: Cell::new(0),
-            ssd_extents: Rc::new(RefCell::new(BTreeMap::new())),
-            ssd_free_shared: Rc::new(RefCell::new(Vec::new())),
-            ssd_dead_pending: Rc::new(RefCell::new(HashMap::new())),
-            inflight_flushes: Rc::new(RefCell::new(HashMap::new())),
+            ssd_extents: RefCell::default(),
+            ssd_free: RefCell::default(),
             next_version: Cell::new(1),
             flushes_in_flight: Cell::new(0),
             mem_notify: Notify::new(),
-            stats: Rc::new(RefCell::new(StoreStats::default())),
+            stats: RefCell::default(),
             repl_seqs: RefCell::default(),
             repl_hook: RefCell::new(None),
             onesided: RefCell::new(None),
@@ -788,14 +753,8 @@ impl HybridStore {
                 offset,
                 len,
             } => {
-                let raw = if let Some(buf) = self.read_inflight(offset, len as usize) {
-                    self.stats.borrow_mut().inflight_hits += 1;
-                    self.charge(self.cfg.costs.memcpy(len as usize)).await;
-                    buf
-                } else {
-                    let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
-                    ssd.read(scheme, offset, len as usize).await.ok()?
-                };
+                let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
+                let raw = ssd.read(scheme, offset, len as usize).await.ok()?;
                 let item = slice_item(&raw)?;
                 debug_assert_eq!(&item.key[..], &key[..]);
                 Some(item.value)
@@ -868,27 +827,14 @@ impl HybridStore {
                 offset,
                 len,
             } => {
-                let raw = if let Some(buf) = self.read_inflight(offset, len as usize) {
-                    // The flush has not landed yet; serve from its buffer
-                    // (RAM speed, so no SSD time is attributed).
-                    self.stats.borrow_mut().inflight_hits += 1;
-                    self.charge(self.cfg.costs.memcpy(len as usize)).await;
-                    buf
-                } else {
-                    let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
-                    let t_ssd = self.sim.now();
-                    match ssd.read(scheme, offset, len as usize).await {
-                        Ok(b) => {
-                            stages.ssd_ns += self.ns_since(t_ssd);
-                            b
-                        }
-                        Err(_) => {
-                            stages.check_load_ns = self.ns_since(t0);
-                            self.stats.borrow_mut().get_io_errors += 1;
-                            return OpOutcome::status_only(OpStatus::Error, stages);
-                        }
-                    }
+                let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
+                let t_ssd = self.sim.now();
+                let Ok(raw) = ssd.read(scheme, offset, len as usize).await else {
+                    stages.check_load_ns = self.ns_since(t0);
+                    self.stats.borrow_mut().get_io_errors += 1;
+                    return OpOutcome::status_only(OpStatus::Error, stages);
                 };
+                stages.ssd_ns += self.ns_since(t_ssd);
                 let item = slice_item(&raw).expect("SSD item parse");
                 debug_assert_eq!(&item.key[..], &key[..]);
                 stages.check_load_ns = self.ns_since(t0);
@@ -1215,72 +1161,11 @@ impl HybridStore {
         };
 
         let ssd = self.ssd.as_ref().expect("hybrid flush needs SSD");
-
-        if self.cfg.async_flush {
-            // Future-work extension (paper Section VII): free the page
-            // immediately and let the device write complete in the
-            // background; reads of in-flight items are served from the
-            // flush buffer.
-            self.inflight_flushes
-                .borrow_mut()
-                .insert(base, (page_buf.len() as u32, Rc::clone(&page_buf)));
-            self.retarget_and_release(
-                &captured,
-                class,
-                page,
-                scheme,
-                base,
-                chunk_size,
-                page_buf.len() as u32,
-            );
-            self.stats.borrow_mut().async_flushes += 1;
-
-            let ssd = Rc::clone(ssd);
-            let inflight = Rc::clone(&self.inflight_flushes);
-            let dead_pending = Rc::clone(&self.ssd_dead_pending);
-            let free_extents = Rc::clone(&self.ssd_free_shared);
-            let stats = Rc::clone(&self.stats);
-            let index = Rc::clone(&self.index);
-            let extents = Rc::clone(&self.ssd_extents);
-            let onesided = self.onesided.borrow().clone();
-            self.sim.spawn(async move {
-                match ssd.write(scheme, base, &page_buf).await {
-                    Ok(()) => {
-                        inflight.borrow_mut().remove(&base);
-                        // If the extent died while in flight, it is now
-                        // safe to reuse.
-                        if let Some(len) = dead_pending.borrow_mut().remove(&base) {
-                            free_extents.borrow_mut().push((base, len));
-                            let mut st = stats.borrow_mut();
-                            st.ssd_reclaimed_extents += 1;
-                            st.ssd_reclaimed_bytes += len as u64;
-                        }
-                    }
-                    Err(_) => {
-                        // Injected write failure: the buffered page never
-                        // landed. Drop every item still pointing into the
-                        // extent and return its space to the free list.
-                        inflight.borrow_mut().remove(&base);
-                        let dropped = drop_captured(&index, onesided.as_deref(), &captured);
-                        extents.borrow_mut().remove(&base);
-                        dead_pending.borrow_mut().remove(&base);
-                        free_extents
-                            .borrow_mut()
-                            .push((base, page_buf.len() as u32));
-                        let mut st = stats.borrow_mut();
-                        st.flush_errors += 1;
-                        st.ssd_full_drops += dropped;
-                    }
-                }
-            });
-            return true;
-        }
-
         if ssd.write(scheme, base, &page_buf).await.is_err() {
             // Treat a failed flush like a full SSD: drop the items, and
             // give the reserved extent back for the next flush.
             self.stats.borrow_mut().flush_errors += 1;
-            self.ssd_free_shared
+            self.ssd_free
                 .borrow_mut()
                 .push((base, page_buf.len() as u32));
             self.abandon_flush(class, page, &captured);
@@ -1303,7 +1188,7 @@ impl HybridStore {
     /// failed): drop the captured items that are still current and return
     /// the page to the pool.
     fn abandon_flush(&self, class: usize, page: u32, captured: &[(Bytes, u64, u64, u32)]) {
-        let dropped = drop_captured(&self.index, self.onesided.borrow().as_deref(), captured);
+        let dropped = self.drop_captured(captured);
         let mut item_lru = self.item_lru.borrow_mut();
         for (_, _, id, _) in captured {
             item_lru[class].remove(id);
@@ -1356,25 +1241,11 @@ impl HybridStore {
         self.stats.borrow_mut().flushed_pages += 1;
     }
 
-    /// If `[offset, offset+len)` lies inside an in-flight flush extent,
-    /// serve the bytes from the flush buffer (RAM speed).
-    fn read_inflight(&self, offset: u64, len: usize) -> Option<Bytes> {
-        let inflight = self.inflight_flushes.borrow();
-        for (&base, (extent_len, buf)) in inflight.iter() {
-            let end = base + *extent_len as u64;
-            if offset >= base && offset + len as u64 <= end {
-                let rel = (offset - base) as usize;
-                return Some(Bytes::copy_from_slice(&buf[rel..rel + len]));
-            }
-        }
-        None
-    }
-
     fn reserve_ssd(&self, len: u64) -> Option<u64> {
         // Prefer a reclaimed extent of exactly the right size (flushes are
         // always one slab page, so sizes match in practice).
         {
-            let mut free = self.ssd_free_shared.borrow_mut();
+            let mut free = self.ssd_free.borrow_mut();
             if let Some(pos) = free.iter().position(|&(_, l)| l as u64 == len) {
                 let (base, _) = free.swap_remove(pos);
                 return Some(base);
@@ -1392,7 +1263,7 @@ impl HybridStore {
     fn register_extent(&self, base: u64, len: u32, live: u32, scheme: IoScheme, chunk_size: u32) {
         if live == 0 {
             // Nothing in the extent survived the flush races: reusable at
-            // once (unless the write is still in flight).
+            // once.
             self.reclaim_extent(base, len);
             return;
         }
@@ -1430,31 +1301,24 @@ impl HybridStore {
         }
     }
 
-    /// Return a fully-dead extent to the free list — unless its background
-    /// flush is still in flight, in which case reclamation is deferred to
-    /// the flush-completion hook (reusing the extent earlier could let the
-    /// stale write land on top of fresh data).
+    /// Return a fully-dead extent to the free list.
     fn reclaim_extent(&self, base: u64, len: u32) {
-        if self.inflight_flushes.borrow().contains_key(&base) {
-            self.ssd_dead_pending.borrow_mut().insert(base, len);
-            return;
-        }
-        self.ssd_free_shared.borrow_mut().push((base, len));
+        self.ssd_free.borrow_mut().push((base, len));
         let mut st = self.stats.borrow_mut();
         st.ssd_reclaimed_extents += 1;
         st.ssd_reclaimed_bytes += len as u64;
     }
+
     /// Simulate a power-loss crash: every RAM structure (slab pool, hash
-    /// index, LRUs, in-flight flush buffers) is lost. SSD extents — and
-    /// the extent directory, which stands in for an on-device superblock —
-    /// survive. Call [`recover`](Self::recover) to rebuild the index.
+    /// index, LRUs) is lost. SSD extents — and the extent directory, which
+    /// stands in for an on-device superblock — survive. Call
+    /// [`recover`](Self::recover) to rebuild the index.
     pub fn crash(&self) {
         let n_classes = self.pool.borrow().num_classes();
         *self.pool.borrow_mut() = SlabPool::new(SlabConfig::with_mem(self.cfg.mem_bytes));
         self.index.borrow_mut().clear();
         *self.item_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
         *self.page_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
-        self.inflight_flushes.borrow_mut().clear();
         self.repl_seqs.borrow_mut().clear();
         if let Some(os) = self.onesided.borrow().as_ref() {
             os.clear();
@@ -1621,28 +1485,23 @@ impl HybridStore {
         // Lost the race after all; give the chunk back.
         self.pool.borrow_mut().free_chunk(id);
     }
-}
 
-/// Remove from `index` each captured item still at its captured version,
-/// invalidating its one-sided descriptor. An item rewritten since the
-/// capture keeps its newer value. Returns how many were removed.
-fn drop_captured(
-    index: &RefCell<FxHashMap<Bytes, ItemMeta>>,
-    onesided: Option<&OneSidedIndex>,
-    captured: &[(Bytes, u64, u64, u32)],
-) -> u64 {
-    let mut index = index.borrow_mut();
-    let mut dropped = 0;
-    for (key, version, _, _) in captured {
-        if index.get(key).is_some_and(|m| m.version == *version) {
-            index.remove(key);
-            if let Some(os) = onesided {
-                os.invalidate(key);
+    /// Remove from the index each captured item still at its captured
+    /// version, invalidating its one-sided descriptor. An item rewritten
+    /// since the capture keeps its newer value. Returns how many were
+    /// removed.
+    fn drop_captured(&self, captured: &[(Bytes, u64, u64, u32)]) -> u64 {
+        let mut index = self.index.borrow_mut();
+        let mut dropped = 0;
+        for (key, version, _, _) in captured {
+            if index.get(key).is_some_and(|m| m.version == *version) {
+                index.remove(key);
+                self.os_invalidate(key);
+                dropped += 1;
             }
-            dropped += 1;
         }
+        dropped
     }
-    dropped
 }
 
 #[cfg(test)]
@@ -1820,7 +1679,7 @@ mod tests {
             })
         }
         let direct = preload_time(IoPolicy::Direct);
-        let adaptive = preload_time(IoPolicy::adaptive_default());
+        let adaptive = preload_time(IoPolicy::Adaptive);
         assert!(
             direct > adaptive * 3,
             "direct {direct}ns should be >> adaptive {adaptive}ns"
@@ -1930,8 +1789,7 @@ mod tests {
     fn ssd_full_falls_back_to_dropping() {
         let sim = Sim::new();
         // Hybrid with an SSD that fits only 2 pages.
-        let mut cfg = StoreConfig::hybrid(1 << 20, 2 << 20);
-        cfg.io_policy = IoPolicy::Cached;
+        let cfg = StoreConfig::hybrid(1 << 20, 2 << 20);
         let store = make_store(&sim, cfg, true);
         sim.run_until(async move {
             for i in 0..120 {
@@ -2015,80 +1873,6 @@ mod tests {
         });
     }
 
-    // -- async-flush extension (paper Section VII future work) ------------
-
-    #[test]
-    fn async_flush_frees_memory_without_waiting_for_the_device() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        let mut cfg = StoreConfig::hybrid(1 << 20, 1 << 30);
-        cfg.io_policy = IoPolicy::Direct; // slow sync path for contrast
-        cfg.async_flush = true;
-        let store = make_store(&sim, cfg, false);
-        sim.run_until(async move {
-            let mut max_set_ns = 0u64;
-            for i in 0..60 {
-                let t0 = sim2.now();
-                assert_eq!(
-                    store.set(key(i), val(i, 64 << 10), 0, 0).await.status,
-                    OpStatus::Stored
-                );
-                max_set_ns = max_set_ns.max(sim2.now().saturating_since(t0).as_nanos() as u64);
-            }
-            // Direct 1 MiB sync flush costs ~9 ms on SATA; with async flush
-            // no set should ever stall that long.
-            assert!(
-                max_set_ns < 2_000_000,
-                "async flush must hide the device write: worst set {max_set_ns}ns"
-            );
-            assert!(store.stats().async_flushes > 0);
-        });
-    }
-
-    #[test]
-    fn async_flush_serves_inflight_reads_from_buffer() {
-        let sim = Sim::new();
-        let mut cfg = StoreConfig::hybrid(1 << 20, 1 << 30);
-        cfg.io_policy = IoPolicy::Direct;
-        cfg.async_flush = true;
-        cfg.promote = PromotePolicy::Never;
-        let store = make_store(&sim, cfg, false);
-        sim.run_until(async move {
-            for i in 0..40 {
-                store.set(key(i), val(i, 64 << 10), 0, 0).await;
-            }
-            // Immediately read an early (flushed) key: with a ~9 ms direct
-            // write still in flight, it must come from the buffer.
-            let g = store.get(&key(0)).await;
-            assert_eq!(g.status, OpStatus::Hit);
-            assert_eq!(g.value.unwrap(), val(0, 64 << 10));
-            assert!(store.stats().inflight_hits > 0, "{:?}", store.stats());
-        });
-    }
-
-    #[test]
-    fn async_flush_data_survives_after_writes_land() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        let mut cfg = StoreConfig::hybrid(1 << 20, 1 << 30);
-        cfg.async_flush = true;
-        cfg.promote = PromotePolicy::Never;
-        let store = make_store(&sim, cfg, false);
-        sim.run_until(async move {
-            for i in 0..60 {
-                store.set(key(i), val(i, 64 << 10), 0, 0).await;
-            }
-            // Give every background write time to land.
-            sim2.sleep(Duration::from_secs(1)).await;
-            for i in 0..60 {
-                let g = store.get(&key(i)).await;
-                assert_eq!(g.status, OpStatus::Hit, "key {i}");
-                assert_eq!(g.value.unwrap(), val(i, 64 << 10), "key {i}");
-            }
-            assert_eq!(store.stats().get_misses, 0);
-        });
-    }
-
     // -- SSD extent reclamation --------------------------------------------
 
     #[test]
@@ -2145,39 +1929,6 @@ mod tests {
                 "reclamation must prevent drops: {st:?}"
             );
             assert!(st.ssd_reclaimed_extents > 0);
-        });
-    }
-
-    #[test]
-    fn inflight_extent_reclamation_is_deferred() {
-        let sim = Sim::new();
-        let sim2 = sim.clone();
-        let mut cfg = StoreConfig::hybrid(1 << 20, 1 << 30);
-        cfg.io_policy = IoPolicy::Direct; // slow writes keep flushes in flight
-        cfg.async_flush = true;
-        cfg.promote = PromotePolicy::Never;
-        let store = make_store(&sim, cfg, false);
-        sim.run_until(async move {
-            for i in 0..40 {
-                store.set(key(i), val(i, 64 << 10), 0, 0).await;
-            }
-            // Kill everything immediately: many extents are still in
-            // flight, so reclamation must be deferred, not unsafe.
-            for i in 0..40 {
-                store.delete(&key(i)).await;
-            }
-            let before = store.stats().ssd_reclaimed_extents;
-            sim2.sleep(Duration::from_secs(2)).await; // let writes land
-                                                      // New churn can now reuse the reclaimed extents.
-            for i in 0..40 {
-                store.set(key(100 + i), val(i, 64 << 10), 0, 0).await;
-            }
-            let st = store.stats();
-            assert!(
-                st.ssd_reclaimed_extents > before || st.ssd_reclaimed_extents > 0,
-                "{st:?}"
-            );
-            assert_eq!(st.ssd_full_drops, 0);
         });
     }
 

@@ -48,20 +48,18 @@ impl IoScheme {
 /// Configuration for [`SlabIo`].
 #[derive(Debug, Clone, Copy)]
 pub struct SlabIoConfig {
-    /// Page-cache size backing the `Cached` scheme.
+    /// Size of each of the two page caches: the one behind the `Cached`
+    /// scheme and the mmap residency limit.
     pub cache_bytes: u64,
-    /// Residency limit for the `Mmap` scheme.
-    pub mmap_resident_bytes: u64,
     /// Host cost model shared by both schemes.
     pub host: HostModel,
 }
 
 impl SlabIoConfig {
-    /// Defaults: 256 MiB page cache, 256 MiB mmap residency.
+    /// Defaults: 256 MiB for each page cache.
     pub fn default_for_tests(host: HostModel) -> Self {
         SlabIoConfig {
             cache_bytes: 256 << 20,
-            mmap_resident_bytes: 256 << 20,
             host,
         }
     }
@@ -115,7 +113,7 @@ impl SlabIo {
             sim,
             Rc::clone(&dev),
             IoScheme::Mmap,
-            cfg.mmap_resident_bytes,
+            cfg.cache_bytes,
             cfg.host,
         );
         Rc::new(SlabIo {
