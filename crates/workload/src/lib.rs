@@ -22,7 +22,6 @@ pub mod histogram;
 pub mod keygen;
 pub mod mix;
 pub mod runner;
-pub mod trace;
 pub mod zipf;
 
 pub use backend::BackendDb;
@@ -30,8 +29,5 @@ pub use bursty::{run_bursty, BurstReport, BurstSpec};
 pub use histogram::{LatencyRecorder, StageAggregator, StageBreakdown};
 pub use keygen::{AccessPattern, KeyChooser, KeySpace, ValuePool};
 pub use mix::{OpKind, OpMix};
-pub use runner::{
-    preload, replay_trace, run_workload, PlannedOp, ReplayParams, RunReport, WorkloadSpec,
-};
-pub use trace::{Trace, TraceOp};
+pub use runner::{preload, run_workload, RunReport, WorkloadSpec};
 pub use zipf::Zipf;

@@ -30,55 +30,14 @@ use crate::backend::BackendDb;
 use crate::histogram::{LatencyRecorder, StageAggregator, StageBreakdown};
 use crate::keygen::{AccessPattern, KeyChooser, KeySpace, ValuePool};
 use crate::mix::{OpKind, OpMix};
-use crate::trace::{Trace, TraceOp};
 
-/// One planned operation (the unit both generated and traced workloads
-/// reduce to before execution).
-#[derive(Debug, Clone)]
-pub enum PlannedOp {
+/// One planned operation: a spec's op sequence, fixed before execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PlannedOp {
     /// Store a pool value under `key`.
-    Set {
-        /// Key bytes.
-        key: Bytes,
-    },
+    Set { key: Bytes },
     /// Fetch `key`.
-    Get {
-        /// Key bytes.
-        key: Bytes,
-    },
-    /// Remove `key`.
-    Delete {
-        /// Key bytes.
-        key: Bytes,
-    },
-}
-
-/// Parameters for replaying a [`Trace`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayParams {
-    /// Value length for sets (pool-generated contents).
-    pub value_len: usize,
-    /// API family to drive.
-    pub flavor: ApiFlavor,
-    /// Max outstanding requests for non-blocking flavours.
-    pub window: usize,
-    /// Backend penalty charged per miss.
-    pub miss_penalty: Duration,
-    /// Re-cache the backend value after a miss.
-    pub recache_on_miss: bool,
-}
-
-impl ReplayParams {
-    /// Defaults matching [`WorkloadSpec::zipf`].
-    pub fn new(value_len: usize, flavor: ApiFlavor) -> Self {
-        ReplayParams {
-            value_len,
-            flavor,
-            window: 64,
-            miss_penalty: BackendDb::default_penalty(),
-            recache_on_miss: true,
-        }
-    }
+    Get { key: Bytes },
 }
 
 /// Full description of one workload run.
@@ -255,6 +214,8 @@ pub async fn preload(client: &Rc<Client>, keys: usize, value_len: usize) {
     }
 }
 
+/// The op sequence of `spec`: a pure function of its keys, pattern, mix,
+/// ops and seed, so every design and flavour runs the same sequence.
 fn plan_from_spec(spec: &WorkloadSpec) -> Vec<PlannedOp> {
     let mut chooser = KeyChooser::new(KeySpace::new(spec.keys), spec.pattern, spec.seed);
     let mut mix_rng = StdRng::seed_from_u64(spec.seed ^ 0x9E37_79B9);
@@ -269,66 +230,13 @@ fn plan_from_spec(spec: &WorkloadSpec) -> Vec<PlannedOp> {
         .collect()
 }
 
-fn plan_from_trace(trace: &Trace) -> Vec<PlannedOp> {
-    trace
-        .ops
-        .iter()
-        .map(|op| {
-            let key = Bytes::from(op.key().as_bytes().to_vec());
-            match op {
-                TraceOp::Set { .. } => PlannedOp::Set { key },
-                TraceOp::Get { .. } => PlannedOp::Get { key },
-                TraceOp::Delete { .. } => PlannedOp::Delete { key },
-            }
-        })
-        .collect()
-}
-
 /// Run `spec` against `client`, returning the measurements.
 pub async fn run_workload(sim: &Sim, client: &Rc<Client>, spec: &WorkloadSpec) -> RunReport {
     let plan = plan_from_spec(spec);
     let pool = ValuePool::new(spec.value_len, 8);
     match spec.flavor {
-        ApiFlavor::Block => {
-            execute_blocking(
-                sim,
-                client,
-                &plan,
-                &pool,
-                spec.miss_penalty,
-                spec.recache_on_miss,
-            )
-            .await
-        }
-        flavor => {
-            execute_nonblocking(sim, client, &plan, &pool, flavor, spec.window, spec.batch).await
-        }
-    }
-}
-
-/// Replay a recorded [`Trace`] against `client` — the exact same
-/// operation sequence, whatever the design.
-pub async fn replay_trace(
-    sim: &Sim,
-    client: &Rc<Client>,
-    trace: &Trace,
-    params: &ReplayParams,
-) -> RunReport {
-    let plan = plan_from_trace(trace);
-    let pool = ValuePool::new(params.value_len, 8);
-    match params.flavor {
-        ApiFlavor::Block => {
-            execute_blocking(
-                sim,
-                client,
-                &plan,
-                &pool,
-                params.miss_penalty,
-                params.recache_on_miss,
-            )
-            .await
-        }
-        flavor => execute_nonblocking(sim, client, &plan, &pool, flavor, params.window, 0).await,
+        ApiFlavor::Block => execute_blocking(sim, client, &plan, &pool, spec).await,
+        _ => execute_nonblocking(sim, client, &plan, &pool, spec).await,
     }
 }
 
@@ -337,10 +245,9 @@ async fn execute_blocking(
     client: &Rc<Client>,
     plan: &[PlannedOp],
     pool: &ValuePool,
-    miss_penalty: Duration,
-    recache_on_miss: bool,
+    spec: &WorkloadSpec,
 ) -> RunReport {
-    let backend = BackendDb::new(sim, miss_penalty, pool.value_len());
+    let backend = BackendDb::new(sim, spec.miss_penalty, pool.value_len());
     let mut rec = LatencyRecorder::new();
     let mut agg = StageAggregator::new();
     let mut counters = Counters::default();
@@ -371,7 +278,7 @@ async fn execute_blocking(
                         let p0 = sim.now();
                         let value = backend.fetch(key).await;
                         penalty_ns = ns_between(p0, sim.now());
-                        if recache_on_miss {
+                        if spec.recache_on_miss {
                             // Best-effort: a failed re-cache costs a future
                             // miss, not the current op, so it is not a
                             // failed op.
@@ -393,18 +300,6 @@ async fn execute_blocking(
                     let total = ns(sim, t0);
                     agg.record_blocking(&StageTimes::default(), total, penalty_ns);
                     rec.record(total);
-                }
-            },
-            PlannedOp::Delete { key } => match client.delete(key.clone()).await {
-                Ok(c) => {
-                    counters.record_timeline(&c);
-                    let total = ns(sim, t0);
-                    agg.record_blocking(&c.stages, total, 0);
-                    rec.record(total);
-                }
-                Err(e) => {
-                    counters.count_error(&e);
-                    rec.record(ns(sim, t0));
                 }
             },
         }
@@ -434,23 +329,18 @@ async fn execute_blocking(
 ///   for completions, which subsumes the B-variants' buffer-reuse
 ///   guarantee at group granularity, so both flavours issue identically
 ///   here, and nothing is reaped before the group ends.
-///
-/// Deletes have no non-blocking variant in the paper's API and run
-/// blocking in both modes.
 async fn execute_nonblocking(
     sim: &Sim,
     client: &Rc<Client>,
     plan: &[PlannedOp],
     pool: &ValuePool,
-    flavor: ApiFlavor,
-    window: usize,
-    batch: usize,
+    spec: &WorkloadSpec,
 ) -> RunReport {
-    let batched = batch > 1;
+    let batched = spec.batch > 1;
     let (group, flavor, window) = if batched {
-        (batch, ApiFlavor::NonBlockingI, usize::MAX)
+        (spec.batch, ApiFlavor::NonBlockingI, usize::MAX)
     } else {
-        (plan.len().max(1), flavor, window.max(1))
+        (plan.len().max(1), spec.flavor, spec.window.max(1))
     };
     let mut counters = Counters::default();
     let mut inflight: VecDeque<ReqHandle> = VecDeque::new();
@@ -481,16 +371,6 @@ async fn execute_nonblocking(
                 }
                 (PlannedOp::Get { key }, ApiFlavor::NonBlockingI) => client.iget(key.clone()).await,
                 (PlannedOp::Get { key }, _) => client.bget(key.clone()).await,
-                (PlannedOp::Delete { key }, _) => {
-                    match client.delete(key.clone()).await {
-                        Ok(c) => counters.record_timeline(&c),
-                        Err(e) => counters.count_error(&e),
-                    }
-                    let issue = ns(sim, t0);
-                    issue_blocked += issue;
-                    issue_ns_per_op.push(issue);
-                    continue;
-                }
             };
             let issue = ns(sim, t0);
             issue_blocked += issue;
@@ -644,6 +524,8 @@ mod tests {
     use super::*;
     use nbkv_core::cluster::{build_cluster, ClusterConfig};
     use nbkv_core::designs::Design;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn small_cluster(design: Design, mem_mb: u64) -> (Sim, Rc<Client>) {
         let sim = Sim::new();
@@ -735,6 +617,54 @@ mod tests {
         assert_eq!(report.misses, 0, "hybrid retains all data");
         assert!(report.ssd_hits > 0, "some reads come from SSD");
         assert_eq!(report.backend_fetches, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A plan draws every key from the spec's key space, follows the
+        /// mix at its extremes, and depends only on keys, pattern, mix,
+        /// ops and seed: flavour, window and batch never change it.
+        #[test]
+        fn plan_from_spec_properties(
+            keys in 1usize..200,
+            zipf in any::<bool>(),
+            read_pct in 0u8..=100,
+            ops in 1usize..300,
+            seed in any::<u64>(),
+            flavor in 0usize..3,
+            window in 1usize..128,
+            batch in 0usize..64,
+        ) {
+            let mut spec = WorkloadSpec::zipf(keys, 64, ops, ApiFlavor::Block);
+            if !zipf {
+                spec.pattern = AccessPattern::Uniform;
+            }
+            spec.mix = OpMix { read_pct };
+            spec.seed = seed;
+            let plan = plan_from_spec(&spec);
+            prop_assert_eq!(plan.len(), ops);
+            let space = KeySpace::new(keys);
+            let all: HashSet<Bytes> = (0..keys).map(|i| space.key(i)).collect();
+            for op in &plan {
+                let (PlannedOp::Get { key } | PlannedOp::Set { key }) = op;
+                prop_assert!(all.contains(key), "{key:?} is not in the key space");
+            }
+            if read_pct == 100 {
+                prop_assert!(plan.iter().all(|o| matches!(o, PlannedOp::Get { .. })));
+            }
+            if read_pct == 0 {
+                prop_assert!(plan.iter().all(|o| matches!(o, PlannedOp::Set { .. })));
+            }
+            let other = WorkloadSpec {
+                flavor: [ApiFlavor::Block, ApiFlavor::NonBlockingI, ApiFlavor::NonBlockingB]
+                    [flavor],
+                window,
+                batch,
+                ..spec
+            };
+            prop_assert!(plan_from_spec(&other) == plan);
+        }
     }
 
     #[test]

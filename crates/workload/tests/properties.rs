@@ -1,6 +1,6 @@
 //! Property-based tests for workload generation and measurement.
 
-use nbkv_workload::{AccessPattern, LatencyRecorder, OpMix, Trace, TraceOp, Zipf};
+use nbkv_workload::{LatencyRecorder, Zipf};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,42 +46,5 @@ proptest! {
         let naive_mean =
             (samples.iter().map(|&x| x as u128).sum::<u128>() / samples.len() as u128) as u64;
         prop_assert_eq!(rec.mean_ns(), naive_mean);
-    }
-
-    /// Generated traces respect the requested mix and key space, and
-    /// survive JSON round trips.
-    #[test]
-    fn trace_generation_properties(
-        keys in 1usize..200,
-        value_len in 1usize..4096,
-        read_pct in 0u8..=100,
-        ops in 1usize..300,
-        seed in any::<u64>(),
-    ) {
-        let t = Trace::generate(
-            keys,
-            value_len,
-            AccessPattern::Zipf(0.99),
-            OpMix { read_pct },
-            ops,
-            seed,
-        );
-        prop_assert_eq!(t.len(), ops);
-        for op in &t.ops {
-            prop_assert!(op.key().starts_with("user"), "key shape: {}", op.key());
-            if let TraceOp::Set { value_len: vl, .. } = op {
-                prop_assert_eq!(*vl, value_len);
-            }
-        }
-        if read_pct == 100 {
-            let all_gets = t.ops.iter().all(|o| matches!(o, TraceOp::Get { .. }));
-            prop_assert!(all_gets);
-        }
-        if read_pct == 0 {
-            let all_sets = t.ops.iter().all(|o| matches!(o, TraceOp::Set { .. }));
-            prop_assert!(all_sets);
-        }
-        let parsed = Trace::from_text(&t.to_text()).expect("round trip");
-        prop_assert_eq!(parsed, t);
     }
 }
