@@ -17,15 +17,16 @@ use nbkv_workload::{run_bursty, BurstSpec, OpMix};
 const MEM: u64 = 8 << 20;
 const VALUE: usize = 16 << 10;
 
-/// A miniature latency experiment: `design` on 8 MiB of RAM with
-/// `data_bytes` of 16 KiB values and a 32-deep window.
-fn mini(design: Design, data_bytes: u64, mix: OpMix, ops: usize) -> LatencyExp {
+/// A miniature latency experiment where data does not fit: `design` on
+/// 8 MiB of RAM with 12 MiB of 16 KiB values, 200 ops of `mix` through a
+/// 32-deep window.
+fn mini(design: Design, mix: OpMix) -> LatencyExp {
     LatencyExp {
         value_len: VALUE,
-        ops_per_client: ops,
+        ops_per_client: 200,
         mix,
         window: 32,
-        ..LatencyExp::single(design, MEM, data_bytes)
+        ..LatencyExp::single(design, MEM, MEM + MEM / 2)
     }
 }
 
@@ -37,14 +38,7 @@ fn bench_design_latency(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(design.label()),
             &design,
-            |b, &design| {
-                b.iter(|| {
-                    mini(design, MEM + MEM / 2, OpMix::WRITE_HEAVY, 200)
-                        .run()
-                        .0
-                        .mean_latency_ns
-                })
-            },
+            |b, &design| b.iter(|| mini(design, OpMix::WRITE_HEAVY).run().0.mean_latency_ns),
         );
     }
     g.finish();
@@ -76,14 +70,7 @@ fn bench_overlap(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(design.label()),
             &design,
-            |b, &design| {
-                b.iter(|| {
-                    mini(design, MEM + MEM / 2, OpMix::READ_ONLY, 200)
-                        .run()
-                        .0
-                        .mean_latency_ns
-                })
-            },
+            |b, &design| b.iter(|| mini(design, OpMix::READ_ONLY).run().0.mean_latency_ns),
         );
     }
     g.finish();
@@ -129,12 +116,7 @@ fn bench_devices_and_bursty(c: &mut Criterion) {
             &device,
             |b, &device| {
                 b.iter(|| {
-                    let mut exp = mini(
-                        Design::HRdmaOptNonBI,
-                        MEM + MEM / 2,
-                        OpMix::WRITE_HEAVY,
-                        200,
-                    );
+                    let mut exp = mini(Design::HRdmaOptNonBI, OpMix::WRITE_HEAVY);
                     exp.cluster.device = device;
                     exp.run().0.mean_latency_ns
                 })
