@@ -289,8 +289,8 @@ fixed_struct! {
         pub response_ns: u64,
         /// Absolute stamp: server received the request.
         pub server_recv_at_ns: u64,
-        /// Absolute stamp: communication phase done (parsed, and staged to the
-        /// worker pool or dispatched inline).
+        /// Absolute stamp: communication phase done (parsed, and holding a
+        /// staging slot for the worker pool or dispatched inline).
         pub comm_done_at_ns: u64,
         /// Absolute stamp: memory/SSD phase done (response about to be built).
         pub store_done_at_ns: u64,
