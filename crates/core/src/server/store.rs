@@ -212,7 +212,9 @@ nbkv_obs::counters! {
         sum flushed_pages: u64,
         /// Items lost to memory-only eviction.
         sum evicted_items: u64,
-        /// Items dropped because the SSD was full.
+        /// Items dropped because their page could not reach the SSD:
+        /// either the SSD was full or the write failed (`flush_errors`
+        /// counts the failed writes).
         sum ssd_full_drops: u64,
         /// SSD items promoted back to RAM.
         sum promotes: u64,

@@ -14,7 +14,9 @@
 //!   serialization, link flight, delivery).
 //! - **dispatch**: server receive → communication phase done (dispatcher
 //!   queueing + parse/stage; for pipelined servers this is where the
-//!   dispatcher hands off to the worker pool).
+//!   dispatcher hands off to the worker pool, and it includes the
+//!   request's wait for a staging slot, for plain and batch frames
+//!   alike).
 //! - **store**: comm done → memory/SSD phase done (slab alloc including
 //!   eviction flushes, hash/LRU, SSD reads; for staged requests this
 //!   includes the staging-queue wait — deliberately, since that wait *is*
