@@ -174,10 +174,11 @@ pub fn on_cluster<T>(cfg: &ClusterConfig, run: impl FnOnce(&Sim, &Cluster) -> T)
 }
 
 /// Snapshot a finished cluster's counters into a metrics registry: the
-/// executor's, each node's stats structs under their layer prefixes, plus
-/// the replication-lag gauge, breaker trips and the ops-per-batch
-/// histogram, which are not struct fields. Counters add across nodes;
-/// gauges take the largest.
+/// executor's, each node's stats structs under their layer prefixes (each
+/// SSD's command and fault counters, each link's traffic and fault
+/// counters), plus the replication-lag gauge, breaker trips and the
+/// ops-per-batch histogram, which are not struct fields. Counters add
+/// across nodes; gauges take the largest.
 fn cluster_registry(sim: &Sim, cluster: &Cluster) -> Registry {
     let mut reg = Registry::new();
     sim.stats().export("sim.", &mut reg);
@@ -206,8 +207,13 @@ fn cluster_registry(sim: &Sim, cluster: &Cluster) -> Registry {
             reg.merge_hist("client.ops_per_batch", &hist);
         }
     }
+    for d in &cluster.devices {
+        d.stats().export("ssd.", &mut reg);
+        d.fault_stats().export("ssd.fault_", &mut reg);
+    }
     for l in &cluster.links {
         l.stats().export("fabric.", &mut reg);
+        l.fault_stats().export("fabric.fault_", &mut reg);
     }
     reg
 }
@@ -251,9 +257,9 @@ mod tests {
     fn every_stats_field_reaches_the_registry() {
         use nbkv_core::server::{OneSidedStats, ServerStats, StoreStats};
         use nbkv_core::{client::ClientStats, OneSidedConfig};
-        use nbkv_fabric::{LinkStats, MrStats};
+        use nbkv_fabric::{FaultStats, LinkStats, MrStats};
         use nbkv_simrt::SimStats;
-        use nbkv_storesim::{PageCacheStats, SlabIoStats};
+        use nbkv_storesim::{DeviceStats, PageCacheStats, SlabIoStats, SsdFaultStats};
         let mut exp = LatencyExp {
             ops_per_client: 200,
             ..LatencyExp::single(Design::HRdmaOptNonBI, 16 << 20, 8 << 20)
@@ -271,6 +277,9 @@ mod tests {
             ("client.", &ClientStats::NAMES),
             ("client.mr_", &MrStats::NAMES),
             ("fabric.", &LinkStats::NAMES),
+            ("fabric.fault_", &FaultStats::NAMES),
+            ("ssd.", &DeviceStats::NAMES),
+            ("ssd.fault_", &SsdFaultStats::NAMES),
         ] {
             for name in names {
                 let key = format!("\"{prefix}{name}\"");
