@@ -1,12 +1,19 @@
-//! The simulated SSD block device.
+//! The simulated SSD block device: a command model over a sparse medium.
 //!
 //! Service model: each command (read or write) occupies one of
 //! `queue_depth` channels for `base + bytes/bandwidth` of virtual time;
 //! commands beyond the queue depth wait for the earliest-free channel.
-//! Data is held sparsely in RAM (64 KiB extents), so a mostly-empty 320 GB
-//! device costs nothing.
+//! A command moves no bytes: [`SsdDevice::read`], [`SsdDevice::write`] and
+//! [`SsdDevice::write_sync`] only take its time, roll its faults and count
+//! it. The stored bytes are read and written by [`SsdDevice::peek`] and
+//! [`SsdDevice::poke`], which take no virtual time; the slab I/O facade
+//! calls them once a command has succeeded. They are held sparsely in RAM
+//! (64 KiB extents), so a mostly-empty 320 GB device costs nothing, and
+//! every stored byte is held once: the page cache in front of the device
+//! tracks only which pages are resident and dirty.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::rc::Rc;
 
@@ -173,49 +180,44 @@ impl SsdDevice {
         *self.stats.borrow()
     }
 
-    /// Read `len` bytes at `offset`, waiting the device service time.
-    /// Unwritten regions read as zeros.
-    pub async fn read(&self, offset: u64, len: usize) -> Result<Bytes, DeviceError> {
-        self.check_range(offset, len)?;
-        let fault = self.roll_fault(IoOp::Read);
-        self.service(self.profile.read_cost(len) + fault.stall)
-            .await;
-        self.stats.borrow_mut().reads += 1;
-        self.stats.borrow_mut().bytes_read += len as u64;
-        if fault.error {
-            return Err(DeviceError::Injected { op: IoOp::Read });
-        }
-        Ok(self.copy_out(offset, len))
+    /// Read `len` bytes at `offset`: occupy the device for the read's
+    /// service time. The bytes themselves are [`peek`](Self::peek)ed.
+    pub async fn read(&self, offset: u64, len: usize) -> Result<(), DeviceError> {
+        let cost = self.profile.read_cost(len);
+        self.command(IoOp::Read, offset, len, cost).await
     }
 
-    /// Write `data` at `offset`, waiting the device service time. Durable
-    /// once the future resolves. This is the *queued asynchronous* write
-    /// cost (what writeback/flusher paths pay).
-    pub async fn write(&self, offset: u64, data: &[u8]) -> Result<(), DeviceError> {
-        self.write_with_cost(offset, data, self.profile.write_cost(data.len()))
-            .await
+    /// Write `len` bytes at `offset` at the *queued asynchronous* write
+    /// cost (what writeback/flusher paths pay). The bytes themselves are
+    /// [`poke`](Self::poke)d.
+    pub async fn write(&self, offset: u64, len: usize) -> Result<(), DeviceError> {
+        let cost = self.profile.write_cost(len);
+        self.command(IoOp::Write, offset, len, cost).await
     }
 
     /// Synchronous (barriered) write — the cost direct I/O pays; see
     /// [`DeviceProfile::sync_write_cost`].
-    pub async fn write_sync(&self, offset: u64, data: &[u8]) -> Result<(), DeviceError> {
-        self.write_with_cost(offset, data, self.profile.sync_write_cost(data.len()))
-            .await
+    pub async fn write_sync(&self, offset: u64, len: usize) -> Result<(), DeviceError> {
+        let cost = self.profile.sync_write_cost(len);
+        self.command(IoOp::Write, offset, len, cost).await
     }
 
-    async fn write_with_cost(
+    /// One command of class `op` over `len` bytes at `offset`: range
+    /// check, fault roll, GC stall (writes), service time and counters.
+    async fn command(
         &self,
+        op: IoOp,
         offset: u64,
-        data: &[u8],
+        len: usize,
         mut cost: std::time::Duration,
     ) -> Result<(), DeviceError> {
-        self.check_range(offset, data.len())?;
-        let fault = self.roll_fault(IoOp::Write);
+        self.check_range(offset, len)?;
+        let fault = self.roll_fault(op);
         cost += fault.stall;
         // Flash GC: after every gc_window_bytes written, one command pays
         // the reclamation stall.
-        if self.profile.gc_window_bytes > 0 {
-            let acc = self.gc_accumulator.get() + data.len() as u64;
+        if op == IoOp::Write && self.profile.gc_window_bytes > 0 {
+            let acc = self.gc_accumulator.get() + len as u64;
             if acc >= self.profile.gc_window_bytes {
                 self.gc_accumulator.set(acc % self.profile.gc_window_bytes);
                 self.stats.borrow_mut().gc_stalls += 1;
@@ -225,19 +227,49 @@ impl SsdDevice {
             }
         }
         self.service(cost).await;
-        self.stats.borrow_mut().writes += 1;
-        self.stats.borrow_mut().bytes_written += data.len() as u64;
+        let mut stats = self.stats.borrow_mut();
+        let st = &mut *stats;
+        let (commands, bytes) = match op {
+            IoOp::Read => (&mut st.reads, &mut st.bytes_read),
+            IoOp::Write => (&mut st.writes, &mut st.bytes_written),
+        };
+        *commands += 1;
+        *bytes += len as u64;
         if fault.error {
-            // The command occupied the device but persisted nothing.
-            return Err(DeviceError::Injected { op: IoOp::Write });
+            // The command occupied the device but moved nothing.
+            return Err(DeviceError::Injected { op });
         }
-        self.copy_in(offset, data);
         Ok(())
     }
 
-    /// Peek stored contents with no timing (test/verification helper).
+    /// The stored bytes at `[offset, offset + len)`, with no timing.
+    /// Unwritten regions read as zeros.
     pub fn peek(&self, offset: u64, len: usize) -> Bytes {
-        self.copy_out(offset, len)
+        let mut out = vec![0u8; len];
+        let extents = self.extents.borrow();
+        for (idx, ext_off, pos, n) in spans(offset, len) {
+            if let Some(ext) = extents.get(&idx) {
+                out[pos..pos + n].copy_from_slice(&ext[ext_off..ext_off + n]);
+            }
+        }
+        Bytes::from(out)
+    }
+
+    /// Store `data` at `offset`, with no timing. An extent that `data`
+    /// creates and covers whole is built from it, with no zero fill.
+    pub fn poke(&self, offset: u64, data: &[u8]) {
+        let mut extents = self.extents.borrow_mut();
+        for (idx, ext_off, pos, n) in spans(offset, data.len()) {
+            let src = &data[pos..pos + n];
+            match extents.entry(idx) {
+                Entry::Vacant(e) if n == EXTENT => {
+                    e.insert(src.into());
+                }
+                e => e.or_insert_with(|| vec![0u8; EXTENT].into_boxed_slice())
+                    [ext_off..ext_off + n]
+                    .copy_from_slice(src),
+            }
+        }
     }
 
     /// True if any extent overlapping `[offset, offset+len)` has ever been
@@ -276,39 +308,22 @@ impl SsdDevice {
         };
         self.sim.sleep_until(end).await;
     }
+}
 
-    fn copy_out(&self, offset: u64, len: usize) -> Bytes {
-        let mut out = vec![0u8; len];
-        let extents = self.extents.borrow();
-        let mut pos = 0usize;
-        while pos < len {
+/// Split `[offset, offset + len)` at extent boundaries into
+/// `(extent index, offset in the extent, offset in the range, length)`.
+fn spans(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        (pos < len).then(|| {
             let abs = offset + pos as u64;
-            let ext_idx = abs / EXTENT as u64;
             let ext_off = (abs % EXTENT as u64) as usize;
             let n = (EXTENT - ext_off).min(len - pos);
-            if let Some(ext) = extents.get(&ext_idx) {
-                out[pos..pos + n].copy_from_slice(&ext[ext_off..ext_off + n]);
-            }
+            let span = (abs / EXTENT as u64, ext_off, pos, n);
             pos += n;
-        }
-        Bytes::from(out)
-    }
-
-    fn copy_in(&self, offset: u64, data: &[u8]) {
-        let mut extents = self.extents.borrow_mut();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let ext_idx = abs / EXTENT as u64;
-            let ext_off = (abs % EXTENT as u64) as usize;
-            let n = (EXTENT - ext_off).min(data.len() - pos);
-            let ext = extents
-                .entry(ext_idx)
-                .or_insert_with(|| vec![0u8; EXTENT].into_boxed_slice());
-            ext[ext_off..ext_off + n].copy_from_slice(&data[pos..pos + n]);
-            pos += n;
-        }
-    }
+            span
+        })
+    })
 }
 
 #[cfg(test)]
@@ -317,27 +332,34 @@ mod tests {
     use crate::profile::{instant_device, nvme_p3700, sata_ssd};
 
     #[test]
-    fn write_then_read_round_trips() {
+    fn poke_then_peek_round_trips() {
         let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let dev = SsdDevice::new(&sim2, instant_device());
-            let data: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
-            dev.write(12_345, &data).await.unwrap();
-            let got = dev.read(12_345, data.len()).await.unwrap();
-            assert_eq!(&got[..], &data[..]);
-        });
+        let dev = SsdDevice::new(&sim, instant_device());
+        let data: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
+        dev.poke(12_345, &data);
+        assert_eq!(&dev.peek(12_345, data.len())[..], &data[..]);
+        assert_eq!(sim.now(), SimTime::ZERO, "peek and poke take no time");
     }
 
     #[test]
     fn unwritten_regions_read_zero() {
         let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        dev.poke(100, b"abc");
+        let got = dev.peek(98, 8);
+        assert_eq!(&got[..], &[0, 0, b'a', b'b', b'c', 0, 0, 0]);
+    }
+
+    #[test]
+    fn commands_move_no_bytes() {
+        let sim = Sim::new();
         let sim2 = sim.clone();
         sim.run_until(async move {
             let dev = SsdDevice::new(&sim2, instant_device());
-            dev.write(100, b"abc").await.unwrap();
-            let got = dev.read(98, 8).await.unwrap();
-            assert_eq!(&got[..], &[0, 0, b'a', b'b', b'c', 0, 0, 0]);
+            dev.write(0, EXTENT).await.unwrap();
+            dev.write_sync(EXTENT as u64, EXTENT).await.unwrap();
+            assert!(!dev.has_data(0, 2 * EXTENT));
+            assert_eq!(&dev.peek(0, 4)[..], &[0u8; 4]);
         });
     }
 
@@ -407,8 +429,8 @@ mod tests {
             let mut profile = instant_device();
             profile.capacity = 1024;
             let dev = SsdDevice::new(&sim2, profile);
-            assert!(dev.write(1000, &[0u8; 24]).await.is_ok());
-            let err = dev.write(1000, &[0u8; 25]).await.unwrap_err();
+            assert!(dev.write(1000, 24).await.is_ok());
+            let err = dev.write(1000, 25).await.unwrap_err();
             assert_eq!(
                 err,
                 DeviceError::OutOfCapacity {
@@ -426,7 +448,7 @@ mod tests {
         let sim2 = sim.clone();
         sim.run_until(async move {
             let dev = SsdDevice::new(&sim2, instant_device());
-            dev.write(0, &[1u8; 100]).await.unwrap();
+            dev.write(0, 100).await.unwrap();
             dev.read(0, 50).await.unwrap();
             dev.read(0, 50).await.unwrap();
             assert_eq!(
@@ -443,18 +465,24 @@ mod tests {
     }
 
     #[test]
-    fn cross_extent_write_round_trips() {
+    fn cross_extent_poke_round_trips() {
         let sim = Sim::new();
-        let sim2 = sim.clone();
-        sim.run_until(async move {
-            let dev = SsdDevice::new(&sim2, instant_device());
-            // Spans three 64 KiB extents.
-            let data: Vec<u8> = (0..EXTENT * 2 + 100).map(|i| (i % 13) as u8).collect();
-            let off = (EXTENT - 50) as u64;
-            dev.write(off, &data).await.unwrap();
-            let got = dev.read(off, data.len()).await.unwrap();
-            assert_eq!(&got[..], &data[..]);
-        });
+        let dev = SsdDevice::new(&sim, instant_device());
+        // Spans three 64 KiB extents; the middle one is built whole.
+        let data: Vec<u8> = (0..EXTENT * 2 + 100).map(|i| (i % 13) as u8).collect();
+        let off = (EXTENT - 50) as u64;
+        dev.poke(off, &data);
+        assert_eq!(&dev.peek(off, data.len())[..], &data[..]);
+        assert_eq!(&dev.peek(off - 4, 4)[..], &[0u8; 4]);
+    }
+
+    #[test]
+    fn whole_extent_poke_replaces_older_bytes() {
+        let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        dev.poke(100, &[1u8; 10]);
+        dev.poke(0, &[2u8; EXTENT]);
+        assert_eq!(&dev.peek(0, EXTENT)[..], &[2u8; EXTENT][..]);
     }
 }
 
@@ -475,11 +503,11 @@ mod fault_tests {
                 write_error_prob: 1.0,
                 ..SsdFaultPlan::default()
             }));
-            let err = dev.write(0, &[7u8; 64]).await.unwrap_err();
+            let err = dev.write(0, 64).await.unwrap_err();
             assert_eq!(err, DeviceError::Injected { op: IoOp::Write });
             dev.set_fault_plan(None);
-            let got = dev.read(0, 64).await.unwrap();
-            assert_eq!(&got[..], &[0u8; 64], "failed write must not persist");
+            assert!(!dev.has_data(0, 64), "failed write must not persist");
+            assert_eq!(&dev.peek(0, 64)[..], &[0u8; 64]);
             assert_eq!(dev.fault_stats().write_errors, 1);
         });
     }
@@ -574,7 +602,7 @@ mod gc_tests {
             let dev = SsdDevice::new(&sim2, profile);
             // 4 MiB of writes -> 4 GC stalls -> 20 ms of stall time.
             for i in 0..16u64 {
-                dev.write(i * (256 << 10), &[1u8; 256 << 10]).await.unwrap();
+                dev.write(i * (256 << 10), 256 << 10).await.unwrap();
             }
             assert_eq!(dev.stats().gc_stalls, 4);
             assert_eq!(sim2.now().since_start(), Duration::from_millis(20));
@@ -588,7 +616,7 @@ mod gc_tests {
         sim.run_until(async move {
             let dev = SsdDevice::new(&sim2, instant_device());
             for i in 0..64u64 {
-                dev.write(i * (256 << 10), &[1u8; 256 << 10]).await.unwrap();
+                dev.write(i * (256 << 10), 256 << 10).await.unwrap();
             }
             assert_eq!(dev.stats().gc_stalls, 0);
             assert_eq!(sim2.now().since_start(), Duration::ZERO);

@@ -5,11 +5,13 @@
 //!
 //! - [`SsdDevice`]: a block device with calibrated access latency,
 //!   bandwidth, and command-queue parallelism ([`profile::sata_ssd`] /
-//!   [`profile::nvme_p3700`]); data is held sparsely in RAM.
-//! - [`PageCache`]: a write-back page cache with background writeback and
-//!   kernel-style dirty throttling, behind both buffered schemes: "cached"
+//!   [`profile::nvme_p3700`]). It is the only holder of stored bytes,
+//!   sparsely in RAM.
+//! - A write-back page cache with background writeback and kernel-style
+//!   dirty throttling, one behind each buffered scheme: "cached"
 //!   (OS-buffered) I/O pays a syscall per call, "mmap" I/O a soft fault
-//!   per page miss.
+//!   per page miss. It tracks which pages are resident and dirty, not
+//!   their bytes; [`PageCacheStats`] are its counters.
 //! - [`SlabIo`]: one facade over all three schemes keyed by [`IoScheme`],
 //!   used by the server's adaptive slab allocator (Figure 5 of the paper).
 //!
@@ -22,13 +24,13 @@
 pub mod device;
 pub mod fault;
 pub mod lru;
-pub mod pagecache;
+mod pagecache;
 pub mod profile;
 pub mod scheme;
 
 pub use device::{DeviceError, DeviceStats, SsdDevice};
 pub use fault::{IoOp, SsdFaultPlan, SsdFaultStats};
 pub use lru::LruMap;
-pub use pagecache::{PageCache, PageCacheStats};
+pub use pagecache::PageCacheStats;
 pub use profile::{instant_device, nvme_p3700, sata_ssd, DeviceProfile, HostModel};
 pub use scheme::{IoScheme, SlabIo, SlabIoConfig, SlabIoStats};

@@ -10,9 +10,11 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Whatever the interleaving of writes across schemes (to disjoint,
-    /// page-aligned regions), reads through the same scheme return exactly
-    /// what was written, and sync_all makes the device agree.
+    /// Whatever the interleaving of writes across schemes, and whichever
+    /// scheme rewrites a region, a read through the scheme that wrote the
+    /// region last returns exactly what was written, and sync_all makes
+    /// the device agree. The page caches are small, so writeback and
+    /// eviction run.
     #[test]
     fn slab_io_is_read_your_writes(
         ops in prop::collection::vec(
@@ -24,21 +26,27 @@ proptest! {
         let sim2 = sim.clone();
         let ok = sim.run_until(async move {
             let dev = SsdDevice::new(&sim2, instant_device());
-            let io = SlabIo::new(&sim2, dev, SlabIoConfig::default_for_tests(HostModel::zero()));
-            // region -> (scheme, contents); regions are 1 MiB apart per slot,
-            // with schemes partitioned by slot so a region always uses one
-            // scheme (the slab-manager invariant).
+            let cfg = SlabIoConfig {
+                cache_bytes: 256 << 10,
+                host: HostModel::zero(),
+            };
+            let io = SlabIo::new(&sim2, dev, cfg);
+            // region -> (scheme that wrote it last, contents); regions are
+            // 1 MiB apart.
             let mut model: HashMap<u64, (IoScheme, Vec<u8>)> = HashMap::new();
             for (s, slot, len, fill) in ops {
                 let scheme = IoScheme::ALL[s as usize];
-                // 3 slots per scheme region space: avoid cross-scheme overlap.
-                let offset = (slot * 3 + s as u64) * (1 << 20);
-                let data = vec![fill; len];
-                io.write(scheme, offset, &data).await.expect("write");
-                model.insert(offset, (scheme, data));
-                // Read-your-writes through the same scheme.
-                let got = io.read(scheme, offset, len).await.expect("read");
-                if got[..] != model[&offset].1[..] {
+                let offset = slot * (1 << 20);
+                io.write(scheme, offset, &vec![fill; len]).await.expect("write");
+                let (last, bytes) = model.entry(offset).or_insert((scheme, Vec::new()));
+                *last = scheme;
+                if bytes.len() < len {
+                    bytes.resize(len, 0);
+                }
+                bytes[..len].fill(fill);
+                // Read-your-writes through the scheme that wrote last.
+                let got = io.read(scheme, offset, bytes.len()).await.expect("read");
+                if got[..] != bytes[..] {
                     return false;
                 }
             }
@@ -109,11 +117,12 @@ proptest! {
             let mut shadow = vec![0u8; 300_000];
             for (off, len, fill) in writes2 {
                 let data = vec![fill; len];
-                dev.write(off, &data).await.expect("write");
+                dev.write(off, len).await.expect("write");
+                dev.poke(off, &data);
                 shadow[off as usize..off as usize + len].copy_from_slice(&data);
             }
-            let got = dev.read(0, shadow.len()).await.expect("read");
-            got[..] == shadow[..]
+            dev.read(0, shadow.len()).await.expect("read");
+            dev.peek(0, shadow.len())[..] == shadow[..]
         });
         sim.shutdown();
         prop_assert!(ok);
