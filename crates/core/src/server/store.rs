@@ -573,7 +573,9 @@ impl HybridStore {
         // hybrid eviction (flushing a page, or waiting out someone else's
         // flush) is also attributed to the request's SSD share. A chunk
         // lost to a flush during its copy is allocated again, and the lost
-        // attempt counts as allocation time.
+        // attempt counts as allocation time. A crash during any wait here
+        // ends the set: its chunk died with the old pool.
+        let crashes = self.crashes();
         let t0 = self.sim.now();
         let mut ssd_wait_ns = 0u64;
         let (id, t1) = loop {
@@ -584,6 +586,9 @@ impl HybridStore {
                 }
                 let t_room = self.sim.now();
                 let made = self.make_room(class).await;
+                if self.crashes() != crashes {
+                    return OpOutcome::status_only(OpStatus::Error, stages);
+                }
                 if self.cfg.kind == StoreKind::Hybrid {
                     ssd_wait_ns += self.ns_since(t_room);
                 }
@@ -592,6 +597,9 @@ impl HybridStore {
                         // Another handler is flushing; wait for memory.
                         let t_wait = self.sim.now();
                         self.mem_notify.notified().await;
+                        if self.crashes() != crashes {
+                            return OpOutcome::status_only(OpStatus::Error, stages);
+                        }
                         if self.cfg.kind == StoreKind::Hybrid {
                             ssd_wait_ns += self.ns_since(t_wait);
                         }
@@ -609,6 +617,9 @@ impl HybridStore {
                 .borrow_mut()
                 .write_item(id, &key, &value, flags, expire_at_ns);
             self.charge(self.cfg.costs.memcpy(item_len)).await;
+            if self.crashes() != crashes {
+                return OpOutcome::status_only(OpStatus::Error, stages);
+            }
             if !self.chunk_lost(id, generation) {
                 break (id, t1);
             }
@@ -1125,6 +1136,9 @@ impl HybridStore {
     }
 
     async fn flush_page(&self, class: usize, page: u32) -> bool {
+        // A crash during either wait below ends the flush: the page and
+        // its items died with the old pool and index.
+        let crashes = self.crashes();
         // Withdraw the page from circulation and capture its live items.
         let (scheme, chunk_size, page_buf, captured) = {
             let mut pool = self.pool.borrow_mut();
@@ -1154,6 +1168,9 @@ impl HybridStore {
             (scheme, chunk_size, page_buf, captured)
         };
         self.charge(self.cfg.costs.memcpy(page_buf.len())).await;
+        if self.crashes() != crashes {
+            return true;
+        }
 
         // Reserve an SSD extent; on a full SSD fall back to dropping.
         let base = self.reserve_ssd(page_buf.len() as u64);
@@ -1163,7 +1180,15 @@ impl HybridStore {
         };
 
         let ssd = self.ssd.as_ref().expect("hybrid flush needs SSD");
-        if ssd.write(scheme, base, &page_buf).await.is_err() {
+        let written = ssd.write(scheme, base, &page_buf).await;
+        if self.crashes() != crashes {
+            // The extent was never registered, so recovery cannot see it.
+            self.ssd_free
+                .borrow_mut()
+                .push((base, page_buf.len() as u32));
+            return true;
+        }
+        if written.is_err() {
             // Treat a failed flush like a full SSD: drop the items, and
             // give the reserved extent back for the next flush.
             self.stats.borrow_mut().flush_errors += 1;
@@ -1311,6 +1336,13 @@ impl HybridStore {
         st.ssd_reclaimed_bytes += len as u64;
     }
 
+    /// Crashes so far. A store task reads it before an await and compares
+    /// after: a task that resumed across a crash must not touch the new
+    /// slab pool or index with state from the old ones.
+    fn crashes(&self) -> u64 {
+        self.stats.borrow().crashes
+    }
+
     /// Simulate a power-loss crash: every RAM structure (slab pool, hash
     /// index, LRUs) is lost. SSD extents — and the extent directory, which
     /// stands in for an on-device superblock — survive. Call
@@ -1427,6 +1459,7 @@ impl HybridStore {
         item: &crate::server::slab::ParsedItem,
     ) {
         let class = meta.class as usize;
+        let crashes = self.crashes();
         let id = {
             let mut pool = self.pool.borrow_mut();
             if !pool.can_alloc(class) {
@@ -1457,7 +1490,7 @@ impl HybridStore {
             meta.expire_at_ns,
         );
         self.charge(self.cfg.costs.memcpy(item_len)).await;
-        if self.chunk_lost(id, generation) {
+        if self.crashes() != crashes || self.chunk_lost(id, generation) {
             return;
         }
         let mut index = self.index.borrow_mut();

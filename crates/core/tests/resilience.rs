@@ -132,6 +132,46 @@ fn warm_restart_recovers_ssd_resident_items() {
     });
 }
 
+/// A crash while slab flushes and item copies are in flight: every store
+/// task that resumes after it stops without touching the new slab pool or
+/// index (a flush used to release a page index of the old pool into the
+/// new one and panic), and the restarted server serves again.
+#[test]
+fn crash_during_in_flight_flushes_is_survived() {
+    let sim = Sim::new();
+    let cluster = build_cluster(&sim, &ClusterConfig::new(Design::HRdmaOptNonBI, 2 << 20));
+    let client = Rc::clone(&cluster.clients[0]);
+    let server = Rc::clone(&cluster.servers[0]);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        for i in 0..400 {
+            let value = Bytes::from(vec![i as u8; 16 << 10]);
+            client
+                .set(key(i), value, 0, None)
+                .await
+                .expect("preload set");
+        }
+        // Small items of a class with no page yet: their sets flush pages.
+        for i in 400..500 {
+            let value = Bytes::from_static(b"abc");
+            client.iset(key(i), value, 0, None).await.expect("iset");
+        }
+        sim2.sleep(Duration::from_micros(5)).await;
+        server.crash();
+        sim2.sleep(Duration::from_millis(50)).await;
+        server.restart().await;
+        let set = client
+            .set(key(0), Bytes::from_static(b"new"), 0, None)
+            .await
+            .expect("set after restart");
+        assert_eq!(set.status, OpStatus::Stored);
+        let got = client.get(key(0)).await.expect("get after restart");
+        assert_eq!(got.status, OpStatus::Hit);
+        assert_eq!(got.value.as_deref(), Some(&b"new"[..]));
+    });
+    sim.shutdown();
+}
+
 /// Regression test for the crash-failover latency bug: before crash
 /// notifications, a write to a crashed primary burned the full per-attempt
 /// deadline (and failure threshold) before the breaker ever opened. With
