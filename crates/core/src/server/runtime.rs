@@ -28,8 +28,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use nbkv_fabric::{FabricProfile, Frame, Transport, TransportTx, FRAME_OVERHEAD};
-use nbkv_simrt::{Semaphore, Sim, SimTime};
+use nbkv_fabric::{FabricProfile, Frame, Transport, TransportRx, TransportTx, FRAME_OVERHEAD};
+use nbkv_simrt::{Semaphore, Sim, SimTime, TaskGroup};
 use nbkv_storesim::SlabIo;
 
 use crate::client::Ring;
@@ -252,6 +252,8 @@ struct PhaseStamps {
 /// peer has not acknowledged yet.
 struct ReplPeer {
     tx: TransportTx,
+    /// The peer's acks for this link.
+    rx: TransportRx,
     /// Ops waiting for the next doorbell frame.
     queue: RefCell<Vec<Request>>,
     /// True while a deadline-flush task is sleeping for this peer.
@@ -280,6 +282,23 @@ impl ReplEngine {
     }
 }
 
+/// One accepted connection: requests come in on `rx`, responses go out on
+/// `tx`.
+struct Conn {
+    tx: TransportTx,
+    rx: TransportRx,
+}
+
+/// One life of the server process: its tasks, and the staged requests they
+/// share. A crash or [`Server::close`] cancels the tasks and drops the
+/// queue; [`Server::restart`] starts a new incarnation.
+struct Incarnation {
+    group: TaskGroup,
+    staging_q: RefCell<VecDeque<Staged>>,
+    staging_items: Semaphore,
+    staging_slots: Semaphore,
+}
+
 /// A running server node.
 pub struct Server {
     sim: Sim,
@@ -287,12 +306,11 @@ pub struct Server {
     store: Rc<HybridStore>,
     /// The server request threads (inline path concurrency).
     dispatcher: Semaphore,
-    staging_q: Rc<RefCell<VecDeque<Staged>>>,
-    staging_items: Semaphore,
-    staging_slots: Semaphore,
     stats: RefCell<ServerStats>,
-    /// Closed servers silently drop incoming requests (crash simulation).
-    closed: std::cell::Cell<bool>,
+    /// The live incarnation; `None` while the node is down.
+    life: RefCell<Option<Rc<Incarnation>>>,
+    /// Every accepted connection; each incarnation serves them all.
+    conns: RefCell<Vec<Rc<Conn>>>,
     /// Replication engine, when this server belongs to a replicated group.
     repl: RefCell<Option<Rc<ReplEngine>>>,
 }
@@ -310,20 +328,80 @@ impl Server {
             cfg,
             store,
             dispatcher: Semaphore::new(cfg.inline_concurrency.max(1)),
-            staging_q: Rc::new(RefCell::new(VecDeque::new())),
-            staging_items: Semaphore::new(0),
-            staging_slots: Semaphore::new(STAGING_CAPACITY),
             stats: RefCell::new(ServerStats::default()),
-            closed: std::cell::Cell::new(false),
+            life: RefCell::new(None),
+            conns: RefCell::new(Vec::new()),
             repl: RefCell::new(None),
         });
-        if cfg.pipeline {
+        server.start();
+        server
+    }
+
+    /// Start a new incarnation: the worker pool (when pipelined), one
+    /// receive loop per connection, and each replication peer's ack and
+    /// retransmit loops, all in one task group.
+    fn start(self: &Rc<Self>) {
+        let inc = Rc::new(Incarnation {
+            group: self.sim.group(),
+            staging_q: RefCell::new(VecDeque::new()),
+            staging_items: Semaphore::new(0),
+            staging_slots: Semaphore::new(STAGING_CAPACITY),
+        });
+        *self.life.borrow_mut() = Some(Rc::clone(&inc));
+        if self.cfg.pipeline {
             for _ in 0..WORKERS {
-                let s = Rc::clone(&server);
-                sim.spawn(async move { s.worker_loop().await });
+                let (s, own) = (Rc::clone(self), Rc::clone(&inc));
+                self.sim
+                    .spawn_in(&inc.group, async move { s.worker_loop(&own).await });
             }
         }
-        server
+        for conn in self.conns.borrow().iter() {
+            self.serve(&inc, conn);
+        }
+        if let Some(engine) = self.repl.borrow().as_ref() {
+            for peer in engine.peers.values() {
+                self.run_peer(&inc, peer);
+            }
+        }
+    }
+
+    /// The live incarnation; `None` while the node is down.
+    fn live(&self) -> Option<Rc<Incarnation>> {
+        self.life.borrow().clone()
+    }
+
+    /// Spawn the receive loop of `conn` into `inc`.
+    fn serve(self: &Rc<Self>, inc: &Rc<Incarnation>, conn: &Rc<Conn>) {
+        let (server, own, conn) = (Rc::clone(self), Rc::clone(inc), Rc::clone(conn));
+        self.sim.spawn_in(&inc.group, async move {
+            while let Some(msg) = conn.rx.recv().await {
+                server.handle_message(&own, msg, &conn.tx).await;
+            }
+        });
+    }
+
+    /// Spawn `peer`'s ack receiver and retransmit loop into `inc`.
+    fn run_peer(self: &Rc<Self>, inc: &Incarnation, peer: &Rc<ReplPeer>) {
+        // Ack receiver: drains ReplAck frames coming back on this link.
+        let weak = Rc::downgrade(self);
+        let p = Rc::clone(peer);
+        self.sim.spawn_in(&inc.group, async move {
+            while let Some(msg) = p.rx.recv().await {
+                let Some(server) = weak.upgrade() else { break };
+                server.handle_repl_ack(&p, &msg);
+            }
+        });
+        // Retransmit loop: resend ops the replica has not acked.
+        let weak = Rc::downgrade(self);
+        let p = Rc::clone(peer);
+        let sim = self.sim.clone();
+        self.sim.spawn_in(&inc.group, async move {
+            loop {
+                sim.sleep(REPL_RETRANSMIT_EVERY).await;
+                let Some(server) = weak.upgrade() else { break };
+                server.retransmit_unacked(&p).await;
+            }
+        });
     }
 
     /// The storage engine (for preloading and stats).
@@ -351,30 +429,42 @@ impl Server {
         }
     }
 
-    /// Simulate a crash: the server stops responding (requests are
-    /// dropped on the floor, like a dead node whose fabric address still
-    /// resolves). Clients should use [`crate::ReqHandle::wait_timeout`].
+    /// Simulate a hung node: every task of the live incarnation ends at
+    /// this instant (an inline request mid-store, a staged request, a
+    /// worker, a replication flush), and the staged requests are dropped,
+    /// so nothing more is answered or sent. RAM state is kept. Requests
+    /// keep arriving and queue unread, like a dead node whose fabric
+    /// address still resolves; clients should use
+    /// [`crate::ReqHandle::wait_timeout`].
     pub fn close(&self) {
-        self.closed.set(true);
+        let life = self.life.borrow_mut().take();
+        if let Some(inc) = life {
+            inc.group.cancel();
+        }
     }
 
-    /// True once [`Server::close`] was called.
+    /// True while the node has no live incarnation: after
+    /// [`close`](Self::close) or [`crash`](Self::crash), until
+    /// [`restart`](Self::restart) returns.
     pub fn is_closed(&self) -> bool {
-        self.closed.get()
+        self.life.borrow().is_none()
     }
 
-    /// Simulate a power-loss crash: stop serving *and* lose all RAM state
-    /// (slab pool, hash index, flush buffers). SSD extents survive; a
-    /// later [`restart`](Self::restart) rebuilds the index from them.
+    /// Simulate a power-loss crash: [`close`](Self::close), then lose all
+    /// RAM state (slab pool, hash index, outbound replication queues).
+    /// SSD extents survive, and so does the OS page cache with its
+    /// writeback; a later [`restart`](Self::restart) rebuilds the index
+    /// from the extents.
     pub fn crash(&self) {
-        self.closed.set(true);
-        // Outbound replication queues are RAM state too: un-flushed and
-        // unacked ops die with the node. Writes the crashed node had acked
-        // but not yet replicated are rewritten by clients after failover.
+        self.close();
+        // Un-flushed and unacked replication ops die with the node. Writes
+        // the crashed node had acked but not yet replicated are rewritten
+        // by clients after failover.
         if let Some(engine) = self.repl.borrow().as_ref() {
             for peer in engine.peers.values() {
                 peer.queue.borrow_mut().clear();
                 peer.unacked.borrow_mut().clear();
+                peer.flush_pending.set(false);
             }
         }
         self.store.crash();
@@ -382,10 +472,20 @@ impl Server {
 
     /// Warm restart after [`crash`](Self::crash): scan the surviving SSD
     /// extents to rebuild the RAM index (charging full device read costs
-    /// in virtual time), then resume serving requests.
-    pub async fn restart(&self) -> crate::server::RecoveryReport {
+    /// in virtual time), drop the frames that queued on every connection
+    /// while the node was down (a dead node's requests vanish), then start
+    /// a new incarnation that serves requests again.
+    pub async fn restart(self: &Rc<Self>) -> crate::server::RecoveryReport {
         let report = self.store.recover().await;
-        self.closed.set(false);
+        for conn in self.conns.borrow().iter() {
+            conn.rx.discard_queued();
+        }
+        if let Some(engine) = self.repl.borrow().as_ref() {
+            for peer in engine.peers.values() {
+                peer.rx.discard_queued();
+            }
+        }
+        self.start();
         report
     }
 
@@ -404,35 +504,20 @@ impl Server {
         peers: Vec<(usize, Transport)>,
     ) {
         let mut map = BTreeMap::new();
+        let live = self.live();
         for (id, transport) in peers {
             let (tx, rx) = transport.split();
             let peer = Rc::new(ReplPeer {
                 tx,
+                rx,
                 queue: RefCell::new(Vec::new()),
                 flush_pending: Cell::new(false),
                 unacked: RefCell::new(BTreeMap::new()),
             });
             map.insert(id, Rc::clone(&peer));
-            // Ack receiver: drains ReplAck frames coming back on this link.
-            let weak = Rc::downgrade(self);
-            let p = Rc::clone(&peer);
-            self.sim.spawn(async move {
-                while let Some(msg) = rx.recv().await {
-                    let Some(server) = weak.upgrade() else { break };
-                    server.handle_repl_ack(&p, &msg);
-                }
-            });
-            // Retransmit loop: resend ops the replica has not acked.
-            let weak = Rc::downgrade(self);
-            let p = Rc::clone(&peer);
-            let sim = self.sim.clone();
-            self.sim.spawn(async move {
-                loop {
-                    sim.sleep(REPL_RETRANSMIT_EVERY).await;
-                    let Some(server) = weak.upgrade() else { break };
-                    server.retransmit_unacked(&p).await;
-                }
-            });
+            if let Some(inc) = &live {
+                self.run_peer(inc, &peer);
+            }
         }
         let engine = Rc::new(ReplEngine {
             self_id,
@@ -467,7 +552,7 @@ impl Server {
     /// other replicas. Runs synchronously inside the store mutation; the
     /// actual sends happen in spawned flush tasks.
     fn on_local_write(self: &Rc<Self>, update: ReplUpdate) {
-        let Some(engine) = self.repl.borrow().clone() else {
+        let (Some(engine), Some(inc)) = (self.repl.borrow().clone(), self.live()) else {
             return;
         };
         let mut targets = Vec::new();
@@ -497,26 +582,32 @@ impl Server {
                 .insert(req_id, (req.clone(), self.sim.now()));
             peer.queue.borrow_mut().push(req);
             self.stats.borrow_mut().repl_sent += 1;
-            self.schedule_repl_flush(&engine, peer);
+            self.schedule_repl_flush(&inc, &engine, peer);
         }
     }
 
     /// Ship the peer's queue now if a full doorbell's worth of ops is
     /// waiting, otherwise arm the deadline flush.
-    fn schedule_repl_flush(self: &Rc<Self>, engine: &Rc<ReplEngine>, peer: &Rc<ReplPeer>) {
+    fn schedule_repl_flush(
+        self: &Rc<Self>,
+        inc: &Incarnation,
+        engine: &Rc<ReplEngine>,
+        peer: &Rc<ReplPeer>,
+    ) {
         if peer.queue.borrow().len() >= REPL_BATCH_OPS {
             let server = Rc::clone(self);
             let engine = Rc::clone(engine);
             let p = Rc::clone(peer);
-            self.sim
-                .spawn(async move { server.flush_repl_queue(&engine, &p).await });
+            self.sim.spawn_in(&inc.group, async move {
+                server.flush_repl_queue(&engine, &p).await
+            });
         } else if !peer.flush_pending.get() {
             peer.flush_pending.set(true);
             let server = Rc::clone(self);
             let engine = Rc::clone(engine);
             let p = Rc::clone(peer);
             let sim = self.sim.clone();
-            self.sim.spawn(async move {
+            self.sim.spawn_in(&inc.group, async move {
                 sim.sleep(REPL_FLUSH_DELAY).await;
                 p.flush_pending.set(false);
                 server.flush_repl_queue(&engine, &p).await;
@@ -526,9 +617,7 @@ impl Server {
 
     async fn flush_repl_queue(&self, engine: &ReplEngine, peer: &ReplPeer) {
         let ops = std::mem::take(&mut *peer.queue.borrow_mut());
-        // A crashed sender stops transmitting; whatever the crash left in
-        // `unacked` was already cleared by `crash()`.
-        if ops.is_empty() || self.closed.get() {
+        if ops.is_empty() {
             return;
         }
         let frame = Request::batch(engine.fresh_id(), ApiFlavor::NonBlockingI, ops)
@@ -541,9 +630,6 @@ impl Server {
     /// a replica coming back from a long outage drains its whole backlog
     /// in one tick instead of one frame per tick.
     async fn retransmit_unacked(&self, peer: &ReplPeer) {
-        if self.closed.get() {
-            return;
-        }
         let engine = match self.repl.borrow().clone() {
             Some(e) => e,
             None => return,
@@ -591,21 +677,18 @@ impl Server {
         }
     }
 
-    /// Accept a client connection; spawns the per-connection receive task.
+    /// Accept a client connection; every incarnation serves it with one
+    /// receive task, from now on if the node is up.
     pub fn accept(self: &Rc<Self>, transport: Transport) {
         let (tx, rx) = transport.split();
-        let server = Rc::clone(self);
-        self.sim.spawn(async move {
-            while let Some(msg) = rx.recv().await {
-                server.handle_message(msg, &tx).await;
-            }
-        });
+        let conn = Rc::new(Conn { tx, rx });
+        self.conns.borrow_mut().push(Rc::clone(&conn));
+        if let Some(inc) = self.live() {
+            self.serve(&inc, &conn);
+        }
     }
 
-    async fn handle_message(self: &Rc<Self>, msg: Frame, tx: &TransportTx) {
-        if self.closed.get() {
-            return; // crashed node: the request vanishes
-        }
+    async fn handle_message(self: &Rc<Self>, inc: &Incarnation, msg: Frame, tx: &TransportTx) {
         let (frame_id, reqs) = match Request::decode(&msg) {
             Ok(Request::Batch { req_id, ops, .. }) => (Some(req_id), ops),
             Ok(req) => (None, vec![req]),
@@ -643,14 +726,14 @@ impl Server {
             drop(dispatcher);
             let reply = Rc::new(Reply::new(tx, frame_id, n, WORKERS));
             for req in reqs {
-                let slot = self.staging_slots.acquire().await;
-                self.staging_q.borrow_mut().push_back(Staged {
+                let slot = inc.staging_slots.acquire().await;
+                inc.staging_q.borrow_mut().push_back(Staged {
                     req,
                     reply: Rc::clone(&reply),
                     slot,
                     stamps: stamps(),
                 });
-                self.staging_items.add_permits(1);
+                inc.staging_items.add_permits(1);
                 self.stats.borrow_mut().staged += 1;
             }
         } else {
@@ -666,10 +749,10 @@ impl Server {
         }
     }
 
-    async fn worker_loop(self: Rc<Self>) {
+    async fn worker_loop(&self, inc: &Incarnation) {
         loop {
-            self.staging_items.acquire().await.forget();
-            let staged = self
+            inc.staging_items.acquire().await.forget();
+            let staged = inc
                 .staging_q
                 .borrow_mut()
                 .pop_front()
@@ -863,7 +946,11 @@ impl Server {
         stages.overlapped_flush = stamps.overlapped;
         // Dispatch-load hint for the client's adaptive RPC/direct-read
         // policy: how deep the staging queue was when this response left.
-        stages.queue_depth = self.staging_q.borrow().len() as u32;
+        stages.queue_depth = self
+            .life
+            .borrow()
+            .as_ref()
+            .map_or(0, |inc| inc.staging_q.borrow().len() as u32);
         stages
     }
 }

@@ -302,6 +302,55 @@ pub struct RecoveryReport {
     pub bytes_read: u64,
 }
 
+/// A slab flush in flight, counted in `flushes_in_flight` for as long as
+/// it lives: it ends when the flush does, or when a crash cancels the task
+/// that runs it. Either way the waiters for memory are woken.
+struct FlushInFlight<'a>(&'a HybridStore);
+
+impl<'a> FlushInFlight<'a> {
+    fn new(store: &'a HybridStore) -> Self {
+        store
+            .flushes_in_flight
+            .set(store.flushes_in_flight.get() + 1);
+        FlushInFlight(store)
+    }
+}
+
+impl Drop for FlushInFlight<'_> {
+    fn drop(&mut self) {
+        let store = self.0;
+        store
+            .flushes_in_flight
+            .set(store.flushes_in_flight.get() - 1);
+        store.mem_notify.notify_waiters();
+    }
+}
+
+/// An SSD extent reserved for one flush. Unless the flush `keep`s
+/// it, dropping it returns the extent to `ssd_free`: after a failed write,
+/// or when a crash cancels the flush (the extent was never registered, so
+/// recovery cannot see it).
+struct Reservation<'a> {
+    store: &'a HybridStore,
+    base: u64,
+    len: u32,
+}
+
+impl Reservation<'_> {
+    /// The flush landed: the extent is the caller's to register.
+    fn keep(self) -> u64 {
+        let base = self.base;
+        std::mem::forget(self);
+        base
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.store.ssd_free.borrow_mut().push((self.base, self.len));
+    }
+}
+
 /// The storage engine shared by all server request handlers.
 pub struct HybridStore {
     sim: Sim,
@@ -573,9 +622,7 @@ impl HybridStore {
         // hybrid eviction (flushing a page, or waiting out someone else's
         // flush) is also attributed to the request's SSD share. A chunk
         // lost to a flush during its copy is allocated again, and the lost
-        // attempt counts as allocation time. A crash during any wait here
-        // ends the set: its chunk died with the old pool.
-        let crashes = self.crashes();
+        // attempt counts as allocation time.
         let t0 = self.sim.now();
         let mut ssd_wait_ns = 0u64;
         let (id, t1) = loop {
@@ -586,9 +633,6 @@ impl HybridStore {
                 }
                 let t_room = self.sim.now();
                 let made = self.make_room(class).await;
-                if self.crashes() != crashes {
-                    return OpOutcome::status_only(OpStatus::Error, stages);
-                }
                 if self.cfg.kind == StoreKind::Hybrid {
                     ssd_wait_ns += self.ns_since(t_room);
                 }
@@ -597,9 +641,6 @@ impl HybridStore {
                         // Another handler is flushing; wait for memory.
                         let t_wait = self.sim.now();
                         self.mem_notify.notified().await;
-                        if self.crashes() != crashes {
-                            return OpOutcome::status_only(OpStatus::Error, stages);
-                        }
                         if self.cfg.kind == StoreKind::Hybrid {
                             ssd_wait_ns += self.ns_since(t_wait);
                         }
@@ -617,9 +658,6 @@ impl HybridStore {
                 .borrow_mut()
                 .write_item(id, &key, &value, flags, expire_at_ns);
             self.charge(self.cfg.costs.memcpy(item_len)).await;
-            if self.crashes() != crashes {
-                return OpOutcome::status_only(OpStatus::Error, stages);
-            }
             if !self.chunk_lost(id, generation) {
                 break (id, t1);
             }
@@ -1128,17 +1166,11 @@ impl HybridStore {
         let Some((vclass, page)) = victim else {
             return false;
         };
-        self.flushes_in_flight.set(self.flushes_in_flight.get() + 1);
-        let result = self.flush_page(vclass, page).await;
-        self.flushes_in_flight.set(self.flushes_in_flight.get() - 1);
-        self.mem_notify.notify_waiters();
-        result
+        let _in_flight = FlushInFlight::new(self);
+        self.flush_page(vclass, page).await
     }
 
     async fn flush_page(&self, class: usize, page: u32) -> bool {
-        // A crash during either wait below ends the flush: the page and
-        // its items died with the old pool and index.
-        let crashes = self.crashes();
         // Withdraw the page from circulation and capture its live items.
         let (scheme, chunk_size, page_buf, captured) = {
             let mut pool = self.pool.borrow_mut();
@@ -1168,37 +1200,24 @@ impl HybridStore {
             (scheme, chunk_size, page_buf, captured)
         };
         self.charge(self.cfg.costs.memcpy(page_buf.len())).await;
-        if self.crashes() != crashes {
-            return true;
-        }
 
         // Reserve an SSD extent; on a full SSD fall back to dropping.
-        let base = self.reserve_ssd(page_buf.len() as u64);
-        let Some(base) = base else {
+        let Some(extent) = self.reserve_ssd(page_buf.len() as u32) else {
             self.abandon_flush(class, page, &captured);
             return true;
         };
 
         let ssd = self.ssd.as_ref().expect("hybrid flush needs SSD");
-        let written = ssd.write(scheme, base, &page_buf).await;
-        if self.crashes() != crashes {
-            // The extent was never registered, so recovery cannot see it.
-            self.ssd_free
-                .borrow_mut()
-                .push((base, page_buf.len() as u32));
-            return true;
-        }
-        if written.is_err() {
+        if ssd.write(scheme, extent.base, &page_buf).await.is_err() {
             // Treat a failed flush like a full SSD: drop the items, and
             // give the reserved extent back for the next flush.
             self.stats.borrow_mut().flush_errors += 1;
-            self.ssd_free
-                .borrow_mut()
-                .push((base, page_buf.len() as u32));
+            drop(extent);
             self.abandon_flush(class, page, &captured);
             return true;
         }
 
+        let base = extent.keep();
         self.retarget_and_release(
             &captured,
             class,
@@ -1268,22 +1287,30 @@ impl HybridStore {
         self.stats.borrow_mut().flushed_pages += 1;
     }
 
-    fn reserve_ssd(&self, len: u64) -> Option<u64> {
+    fn reserve_ssd(&self, len: u32) -> Option<Reservation<'_>> {
         // Prefer a reclaimed extent of exactly the right size (flushes are
         // always one slab page, so sizes match in practice).
-        {
+        let reclaimed = {
             let mut free = self.ssd_free.borrow_mut();
-            if let Some(pos) = free.iter().position(|&(_, l)| l as u64 == len) {
-                let (base, _) = free.swap_remove(pos);
-                return Some(base);
+            let pos = free.iter().position(|&(_, l)| l == len);
+            pos.map(|pos| free.swap_remove(pos).0)
+        };
+        let base = match reclaimed {
+            Some(base) => base,
+            None => {
+                let base = self.ssd_bump.get();
+                if base + len as u64 > self.cfg.ssd_capacity {
+                    return None;
+                }
+                self.ssd_bump.set(base + len as u64);
+                base
             }
-        }
-        let base = self.ssd_bump.get();
-        if base + len > self.cfg.ssd_capacity {
-            return None;
-        }
-        self.ssd_bump.set(base + len);
-        Some(base)
+        };
+        Some(Reservation {
+            store: self,
+            base,
+            len,
+        })
     }
 
     /// Register a flushed extent and its live-item count.
@@ -1334,13 +1361,6 @@ impl HybridStore {
         let mut st = self.stats.borrow_mut();
         st.ssd_reclaimed_extents += 1;
         st.ssd_reclaimed_bytes += len as u64;
-    }
-
-    /// Crashes so far. A store task reads it before an await and compares
-    /// after: a task that resumed across a crash must not touch the new
-    /// slab pool or index with state from the old ones.
-    fn crashes(&self) -> u64 {
-        self.stats.borrow().crashes
     }
 
     /// Simulate a power-loss crash: every RAM structure (slab pool, hash
@@ -1459,7 +1479,6 @@ impl HybridStore {
         item: &crate::server::slab::ParsedItem,
     ) {
         let class = meta.class as usize;
-        let crashes = self.crashes();
         let id = {
             let mut pool = self.pool.borrow_mut();
             if !pool.can_alloc(class) {
@@ -1490,7 +1509,7 @@ impl HybridStore {
             meta.expire_at_ns,
         );
         self.charge(self.cfg.costs.memcpy(item_len)).await;
-        if self.crashes() != crashes || self.chunk_lost(id, generation) {
+        if self.chunk_lost(id, generation) {
             return;
         }
         let mut index = self.index.borrow_mut();

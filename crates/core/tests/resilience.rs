@@ -172,6 +172,227 @@ fn crash_during_in_flight_flushes_is_survived() {
     sim.shutdown();
 }
 
+/// A pipelined server whose workers fall behind: every set probes the
+/// hash table for 20 µs, so of 100 back-to-back `iset`s most are staged or
+/// still queued on the connection 30 µs later.
+fn slow_pipelined_cluster(sim: &Sim) -> (Rc<nbkv_core::Client>, Rc<nbkv_core::Server>) {
+    let mut cfg = ClusterConfig::new(Design::HRdmaOptNonBI, 2 << 20);
+    cfg.costs.hash = Duration::from_micros(20);
+    let cluster = build_cluster(sim, &cfg);
+    (
+        Rc::clone(&cluster.clients[0]),
+        Rc::clone(&cluster.servers[0]),
+    )
+}
+
+/// Issue 100 `iset`s, wait 30 µs, and crash the server.
+async fn crash_behind_staged_isets(
+    sim: &Sim,
+    client: &nbkv_core::Client,
+    server: &nbkv_core::Server,
+) -> Vec<nbkv_core::ReqHandle> {
+    let mut handles = Vec::new();
+    for i in 0..100 {
+        let value = Bytes::from_static(b"staged");
+        handles.push(client.iset(key(i), value, 0, None).await.expect("iset"));
+    }
+    sim.sleep(Duration::from_micros(30)).await;
+    server.crash();
+    handles
+}
+
+/// A crashed server answers nothing more: not the requests in its staging
+/// queue, not those its workers or dispatcher were running, not those
+/// queued on the connection. The only handles that complete are the ones
+/// whose response was sent before the crash.
+#[test]
+fn a_crashed_server_sends_no_response() {
+    let sim = Sim::new();
+    let (client, server) = slow_pipelined_cluster(&sim);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        let handles = crash_behind_staged_isets(&sim2, &client, &server).await;
+        let answered = server.stats().responses;
+        assert!(answered < 100, "the crash must find requests unanswered");
+        sim2.sleep(Duration::from_millis(50)).await;
+        assert_eq!(
+            server.stats().responses,
+            answered,
+            "responses after the crash"
+        );
+        let done = handles.iter().filter(|h| h.is_done()).count() as u64;
+        assert_eq!(
+            done, answered,
+            "only the responses sent before the crash arrive"
+        );
+    });
+    sim.shutdown();
+}
+
+/// Staged requests are RAM state: a restart 1 µs after the crash must not
+/// let the old incarnation's workers write them into the new index.
+#[test]
+fn requests_staged_before_a_crash_are_lost_with_it() {
+    let sim = Sim::new();
+    let (client, server) = slow_pipelined_cluster(&sim);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        let handles = crash_behind_staged_isets(&sim2, &client, &server).await;
+        let unanswered: Vec<usize> = (0..handles.len())
+            .filter(|&i| !handles[i].is_done())
+            .collect();
+        assert!(!unanswered.is_empty());
+        sim2.sleep(Duration::from_micros(1)).await;
+        server.restart().await;
+        for i in unanswered {
+            let got = client.get(key(i)).await.expect("get after restart");
+            assert_eq!(got.status, OpStatus::Miss, "key {i} was never answered");
+        }
+    });
+    sim.shutdown();
+}
+
+/// Keys of the crash sweep.
+const SWEEP_KEYS: usize = 64;
+
+/// The value the sweep writes as its `version`-th set, to key `k`: both
+/// numbers, then padding, so a read can tell whose write it returned. Its
+/// length, 4, 12 or 40 KiB by key, puts the keys in three slab classes,
+/// and the server's 2 MiB of RAM holds just two 1 MiB slab pages: the
+/// classes evict each other's pages to the SSD all the time.
+fn versioned(k: usize, version: usize) -> Bytes {
+    let head = format!("{k}@{version};");
+    let mut v = vec![0; [4 << 10, 12 << 10, 40 << 10][k % 3]];
+    v[..head.len()].copy_from_slice(head.as_bytes());
+    Bytes::from(v)
+}
+
+/// The key and version a sweep value was written with.
+fn version_of(value: &[u8]) -> Option<(usize, usize)> {
+    let head = std::str::from_utf8(&value[..value.len().min(32)]).ok()?;
+    let (k, version) = head.split_once(';')?.0.split_once('@')?;
+    Some((k.parse().ok()?, version.parse().ok()?))
+}
+
+/// One sweep run: four tasks drive a mixed set/get load that spills from
+/// a 2 MiB server to its SSD. After a seeded number of sets, plus a
+/// seeded delay, the server crashes; it restarts 300 µs later. Checks that no
+/// response leaves the server while it is down, that every hit after the
+/// restart returns a value written for its key, and that a fresh set and
+/// get are served.
+fn crash_at_a_seeded_instant(design: Design, seed: u64) -> u64 {
+    let sim = Sim::new();
+    let mut cfg = ClusterConfig::new(design, 2 << 20);
+    cfg.client.resilience.deadline = Some(Duration::from_millis(50));
+    let cluster = build_cluster(&sim, &cfg);
+    let client = Rc::clone(&cluster.clients[0]);
+    let server = Rc::clone(&cluster.servers[0]);
+    let nonblocking = design.flavor().is_nonblocking();
+    let wait = Duration::from_millis(50);
+    // The key of each set, in issue order: a set's index is its version.
+    let written: Rc<std::cell::RefCell<Vec<usize>>> = Rc::default();
+    let roll = nbkv_simrt::mix64(!seed);
+    let (crash_after_sets, jitter) = (12 + roll as usize % 40, Duration::from_nanos(roll >> 48));
+    let crash_due = Rc::new(nbkv_simrt::Notify::new());
+    let loaders: Vec<_> = (0..4u64)
+        .map(|task| {
+            let (client, written) = (Rc::clone(&client), Rc::clone(&written));
+            let crash_due = Rc::clone(&crash_due);
+            sim.spawn(async move {
+                for i in 0..20u64 {
+                    let roll = nbkv_simrt::mix64(seed ^ (task << 32) ^ i);
+                    let k = (roll % SWEEP_KEYS as u64) as usize;
+                    if (roll >> 32).is_multiple_of(3) {
+                        if !nonblocking {
+                            let _ = client.get(key(k)).await;
+                        } else if let Ok(h) = client.iget(key(k)).await {
+                            let _ = h.wait_timeout(wait).await;
+                        }
+                        continue;
+                    }
+                    let value = {
+                        let mut written = written.borrow_mut();
+                        written.push(k);
+                        if written.len() == crash_after_sets {
+                            crash_due.notify_one();
+                        }
+                        versioned(k, written.len() - 1)
+                    };
+                    if !nonblocking {
+                        let _ = client.set(key(k), value, 0, None).await;
+                    } else if let Ok(h) = client.iset(key(k), value, 0, None).await {
+                        let _ = h.wait_timeout(wait).await;
+                    }
+                }
+            })
+        })
+        .collect();
+    let sim2 = sim.clone();
+    let recovered = sim.run_until(async move {
+        crash_due.notified().await;
+        sim2.sleep(jitter).await;
+        let answered = server.stats().responses;
+        server.crash();
+        sim2.sleep(Duration::from_micros(300)).await;
+        let tag = format!("{design:?} seed {seed}");
+        assert_eq!(
+            server.stats().responses,
+            answered,
+            "{tag}: a response while down"
+        );
+        let report = server.restart().await;
+        nbkv_simrt::join_all(loaders).await;
+        // Close the breaker that the timed-out attempts opened.
+        client.notify_server_restarted(0);
+        for k in 0..SWEEP_KEYS {
+            let got = client.get(key(k)).await.expect("get after restart");
+            let Some(value) = got.value else { continue };
+            let (owner, version) = version_of(&value).expect("a sweep value");
+            assert_eq!(owner, k, "{tag}: key {k} read another key's value");
+            assert_eq!(written.borrow().get(version), Some(&k), "{tag}: key {k}");
+        }
+        let fresh = key(SWEEP_KEYS);
+        let set = client.set(fresh.clone(), Bytes::from_static(b"fresh"), 0, None);
+        assert_eq!(
+            set.await.expect("fresh set").status,
+            OpStatus::Stored,
+            "{tag}"
+        );
+        let got = client.get(fresh).await.expect("fresh get");
+        assert_eq!(got.value.as_deref(), Some(&b"fresh"[..]), "{tag}");
+        report.items_recovered
+    });
+    sim.shutdown();
+    recovered
+}
+
+/// 32 seeded crash instants of `design`. A crash may cut slab flushes
+/// and item copies, and most restarts recover items from the SSD.
+fn sweep_crash_instants(design: Design) {
+    let recovered: Vec<u64> = (0..32)
+        .map(|seed| crash_at_a_seeded_instant(design, seed))
+        .collect();
+    assert!(
+        recovered.iter().any(|&n| n > 0),
+        "{design:?}: no run recovered from SSD"
+    );
+}
+
+#[test]
+fn seeded_crash_instants_direct_io() {
+    sweep_crash_instants(Design::HRdmaDef);
+}
+
+#[test]
+fn seeded_crash_instants_blocking_api() {
+    sweep_crash_instants(Design::HRdmaOptBlock);
+}
+
+#[test]
+fn seeded_crash_instants_nonblocking_api() {
+    sweep_crash_instants(Design::HRdmaOptNonBI);
+}
+
 /// Regression test for the crash-failover latency bug: before crash
 /// notifications, a write to a crashed primary burned the full per-attempt
 /// deadline (and failure threshold) before the breaker ever opened. With

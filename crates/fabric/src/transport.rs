@@ -113,6 +113,13 @@ impl TransportRx {
         charge_host(&self.sim, &self.profile, msg.len()).await;
         Some(msg)
     }
+
+    /// Drop every message that has arrived and not been received, with no
+    /// receive cost: what a restarted node does with the frames that
+    /// queued while it was down.
+    pub fn discard_queued(&self) {
+        while self.rx.try_recv().is_ok() {}
+    }
 }
 
 /// Charge the calling task the profile's per-message CPU plus the copy of

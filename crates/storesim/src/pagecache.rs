@@ -174,10 +174,12 @@ impl PageCache {
         }
         self.charge(Charge::ReadExit, len).await;
         // The caller's copy out touches every page for LRU recency, in
-        // page order.
+        // page order: those still resident, since a read larger than the
+        // budget, or a concurrent eviction during the copy charge, may have
+        // evicted some of the span.
         let mut pages = self.pages.borrow_mut();
         for page_idx in span {
-            pages.touch(&page_idx).expect("page resident for read");
+            let _ = pages.touch(&page_idx);
         }
         Ok(())
     }

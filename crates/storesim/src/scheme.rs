@@ -362,6 +362,29 @@ mod tests {
         assert_eq!(&got[..], &[2u8; 8]);
     }
 
+    /// A buffered read of more pages than the page cache holds evicts its
+    /// own first pages while it makes the last ones resident; it still
+    /// reads back the data.
+    #[test]
+    fn a_read_larger_than_the_page_cache_reads_the_data() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        let got = sim.run_until(async move {
+            let cfg = SlabIoConfig {
+                cache_bytes: 512 << 10,
+                host: HostModel::zero(),
+            };
+            let io = SlabIo::new(&sim2, SsdDevice::new(&sim2, instant_device()), cfg);
+            let data: Vec<u8> = (0..1 << 20).map(|i| (i / 4096) as u8).collect();
+            io.write(IoScheme::Cached, 0, &data).await.unwrap();
+            io.sync_all().await.unwrap();
+            let got = io.read(IoScheme::Cached, 0, data.len()).await.unwrap();
+            got[..] == data[..]
+        });
+        sim.shutdown();
+        assert!(got, "the read returned other bytes");
+    }
+
     #[test]
     fn direct_write_is_durable_immediately() {
         let sim = Sim::new();
