@@ -83,6 +83,42 @@ fn hybrid_beats_in_memory_when_data_does_not_fit() {
     );
 }
 
+/// Figure 2(a): when data fits, the network dominates — server response
+/// plus client wait make up most of a blocking op's breakdown.
+#[test]
+fn network_stages_dominate_when_data_fits() {
+    for design in [Design::RdmaMem, Design::IpoibMem] {
+        let b = run(design, fits(), OpMix::WRITE_HEAVY, 400).breakdown;
+        let network = b.response_ns + b.client_wait_ns;
+        assert!(
+            network > b.total_ns() / 2.0,
+            "{design:?}: response + wait {network:.0} of {:.0} ns",
+            b.total_ns()
+        );
+    }
+}
+
+/// Figure 2(b): when data does not fit, the backend miss penalty
+/// dominates the in-memory design and SSD I/O (slab allocation with its
+/// eviction flushes, plus check/load) dominates H-RDMA-Def.
+#[test]
+fn miss_penalty_and_ssd_io_dominate_when_data_does_not_fit() {
+    let rdma = run(Design::RdmaMem, nofit(), OpMix::WRITE_HEAVY, 400).breakdown;
+    assert!(
+        rdma.miss_penalty_ns > rdma.total_ns() / 2.0,
+        "RDMA-Mem: miss penalty {:.0} of {:.0} ns",
+        rdma.miss_penalty_ns,
+        rdma.total_ns()
+    );
+    let def = run(Design::HRdmaDef, nofit(), OpMix::WRITE_HEAVY, 400).breakdown;
+    let ssd_io = def.slab_alloc_ns + def.check_load_ns;
+    assert!(
+        ssd_io > def.total_ns() / 2.0,
+        "H-RDMA-Def: slab alloc + check/load {ssd_io:.0} of {:.0} ns",
+        def.total_ns()
+    );
+}
+
 /// Figure 6(b): the paper's optimization ladder holds — Def is slowest,
 /// adaptive I/O helps, the non-blocking APIs help most.
 #[test]
