@@ -10,6 +10,10 @@ use crate::table::{us_f, Table};
 /// Both panels.
 pub const FIGURE: Figure = Figure(cases, render);
 
+/// How the measured stages are read, noted under each panel of Figs 2
+/// and 6.
+pub const STAGE_NOTE: &str = "server resp = mean measured comm-out phase of the blocking ops (server store done to client completion); client wait = the rest of each op's latency outside the other stages.";
+
 fn cases() -> Vec<Case> {
     fit_panels(["fig2a", "fig2b"], &DESIGNS)
 }
@@ -55,5 +59,6 @@ fn panel(id: &str, title: &str, fits: bool, res: &[Done]) -> Table {
     } else {
         t.note("paper Fig 2(b): miss penalty dominates the in-memory designs; SSD I/O (slab alloc + check/load) dominates H-RDMA-Def.");
     }
+    t.note(STAGE_NOTE);
     t
 }

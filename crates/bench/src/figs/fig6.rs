@@ -4,6 +4,7 @@
 
 use nbkv_core::designs::Design;
 
+use crate::figs::fig2::STAGE_NOTE;
 use crate::figs::{by_design, fit_panels};
 use crate::runner::{Case, Done, Figure};
 use crate::table::{ratio, us, us_f, Table};
@@ -77,5 +78,6 @@ fn panel(id: &str, title: &str, fits: bool, res: &[Done]) -> Table {
             ratio(by(Design::HRdmaOptBlock), by(Design::HRdmaOptNonBI))
         ));
     }
+    t.note(STAGE_NOTE);
     t
 }

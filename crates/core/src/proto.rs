@@ -6,8 +6,9 @@
 //!
 //! - an [`ApiFlavor`] tag so the server can route non-blocking requests
 //!   through the decoupled memory/SSD pipeline (Section V-B1);
-//! - per-request [`StageTimes`] in every response, which is how the
-//!   time-wise breakdowns of Figures 2 and 6 are measured.
+//! - per-request [`StageTimes`] in every response: the server's split of
+//!   its store phase and the absolute lifecycle stamps from which the
+//!   client derives the time-wise breakdowns of Figures 2 and 6.
 //!
 //! Every layout is written once. Each message is one entry of a
 //! `messages!` list: its opcode, then its fields in wire order. The enum,
@@ -268,15 +269,18 @@ macro_rules! fixed_struct {
 }
 
 fixed_struct! {
-    /// Per-request server-side stage timings (virtual nanoseconds), matching
-    /// the six-stage breakdown of Section III-A (the client-side stages —
-    /// client wait and miss penalty — are measured by the client).
+    /// Per-request server-side timings (virtual nanoseconds): stages 1-3
+    /// of the six-stage breakdown of Section III-A, the server's own split
+    /// of its store phase, plus the lifecycle stamps.
     ///
     /// The `*_at_ns` fields are **absolute** stamps on the shared simulation
     /// clock (all nodes run on one virtual clock, so client- and server-side
     /// stamps are directly comparable); the client combines them with its own
     /// issue/completion stamps into a full request-lifecycle timeline
-    /// (`nbkv_obs::ReqTimeline`). A value of 0 means "not stamped".
+    /// (`nbkv_obs::ReqTimeline`). A value of 0 means "not stamped". The
+    /// other stages are measured at the client: stage 4 (server response)
+    /// is that timeline's comm-out phase, stage 6 the backend miss penalty,
+    /// and stage 5 (client wait) the rest of the op's latency.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct StageTimes {
         /// Stage 1: slab allocation (including any eviction flush to SSD).
@@ -285,8 +289,6 @@ fixed_struct! {
         pub check_load_ns: u64,
         /// Stage 3: cache (LRU) update.
         pub cache_update_ns: u64,
-        /// Stage 4: server response preparation/transmission estimate.
-        pub response_ns: u64,
         /// Absolute stamp: server received the request.
         pub server_recv_at_ns: u64,
         /// Absolute stamp: communication phase done (parsed, and holding a
@@ -306,13 +308,6 @@ fixed_struct! {
         /// when this response was built. The client's adaptive one-sided
         /// policy biases toward server-bypass direct reads when it grows.
         pub queue_depth: u32,
-    }
-}
-
-impl StageTimes {
-    /// Sum of the server-side stages.
-    pub fn server_total_ns(&self) -> u64 {
-        self.slab_alloc_ns + self.check_load_ns + self.cache_update_ns + self.response_ns
     }
 }
 
@@ -1061,7 +1056,6 @@ mod tests {
             slab_alloc_ns: 123,
             check_load_ns: 456,
             cache_update_ns: 789,
-            response_ns: 42,
             server_recv_at_ns: 10_000,
             comm_done_at_ns: 10_050,
             store_done_at_ns: 11_400,
@@ -1214,12 +1208,6 @@ mod tests {
             ]))),
             Err(ProtoError::BadFlavor(9))
         );
-    }
-
-    #[test]
-    fn stage_totals_sum() {
-        let s = stages();
-        assert_eq!(s.server_total_ns(), 123 + 456 + 789 + 42);
     }
 
     fn member_ops() -> Vec<Request> {
@@ -1681,7 +1669,7 @@ mod tests {
 
         let s = stages();
         const S: &str = "000000000000007b 00000000000001c8 0000000000000315 \
-                         000000000000002a 0000000000002710 0000000000002742 \
+                         0000000000002710 0000000000002742 \
                          0000000000002c88 0000000000000190 01 01 00000003";
         let resps = [
             (
@@ -1759,8 +1747,8 @@ mod tests {
                 )
                 .unwrap(),
                 format!(
-                    "85 000000000000001b 00000002 00000050 81 00 000000000000001c {S} \
-                     00000058 86 07 000000000000001d {S} 0000000000000003"
+                    "85 000000000000001b 00000002 00000048 81 00 000000000000001c {S} \
+                     00000050 86 07 000000000000001d {S} 0000000000000003"
                 ),
             ),
         ];

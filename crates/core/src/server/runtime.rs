@@ -28,7 +28,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use nbkv_fabric::{FabricProfile, Frame, Transport, TransportRx, TransportTx, FRAME_OVERHEAD};
+use nbkv_fabric::{Frame, Transport, TransportRx, TransportTx};
 use nbkv_simrt::{Semaphore, Sim, SimTime, TaskGroup};
 use nbkv_storesim::SlabIo;
 
@@ -743,7 +743,7 @@ impl Server {
             let stamps = stamps();
             let reply = Reply::new(tx, frame_id, n, n);
             for req in reqs {
-                let resp = self.process(req, tx.profile(), stamps).await;
+                let resp = self.process(req, stamps).await;
                 self.reply(&reply, resp).await;
             }
         }
@@ -757,9 +757,7 @@ impl Server {
                 .borrow_mut()
                 .pop_front()
                 .expect("staging item permit implies a queued request");
-            let resp = self
-                .process(staged.req, staged.reply.tx.profile(), staged.stamps)
-                .await;
+            let resp = self.process(staged.req, staged.stamps).await;
             drop(staged.slot); // free the staging slot before the send
             self.reply(&staged.reply, resp).await;
         }
@@ -784,13 +782,8 @@ impl Server {
     }
 
     /// Run the memory/SSD phase and build the response (with the
-    /// response-stage estimate and lifecycle stamps filled in).
-    async fn process(
-        &self,
-        req: Request,
-        profile: &FabricProfile,
-        stamps: PhaseStamps,
-    ) -> Response {
+    /// lifecycle stamps filled in).
+    async fn process(&self, req: Request, stamps: PhaseStamps) -> Response {
         match req {
             Request::Set {
                 req_id,
@@ -808,16 +801,15 @@ impl Server {
                 Response::Set {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, 0, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                 }
             }
             Request::Get { req_id, key, .. } => {
                 let out = self.store.get(&key).await;
-                let value_len = out.value.as_ref().map_or(0, |v| v.len());
                 Response::Get {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, value_len, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                     flags: out.flags,
                     cas: out.cas,
                     value: out.value,
@@ -828,7 +820,7 @@ impl Server {
                 Response::Delete {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, 0, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                 }
             }
             Request::Counter {
@@ -842,7 +834,7 @@ impl Server {
                 Response::Counter {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, 8, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                     value: out.counter,
                 }
             }
@@ -856,7 +848,7 @@ impl Server {
                 Response::Set {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, 0, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                 }
             }
             Request::Replicate {
@@ -876,7 +868,7 @@ impl Server {
                 Response::ReplAck {
                     req_id,
                     status: out.status,
-                    stages: self.finish_stages(out.stages, profile, 0, stamps),
+                    stages: self.finish_stages(out.stages, stamps),
                     seq,
                 }
             }
@@ -886,17 +878,17 @@ impl Server {
             Request::Batch { req_id, .. } => Response::Set {
                 req_id,
                 status: OpStatus::Error,
-                stages: self.finish_stages(StageTimes::default(), profile, 0, stamps),
+                stages: self.finish_stages(StageTimes::default(), stamps),
             },
             // Lease handshake for the one-sided read path: advertise the
             // window geometry (or Miss when no window exists).
             Request::WindowLease { req_id, .. } => {
                 let lease = self.store.onesided().map(|idx| idx.lease().encode());
-                self.payload_response(req_id, lease, profile, stamps)
+                self.payload_response(req_id, lease, stamps)
             }
             Request::Stats { req_id, .. } => {
                 let snapshot = self.snapshot().encode();
-                self.payload_response(req_id, Some(snapshot), profile, stamps)
+                self.payload_response(req_id, Some(snapshot), stamps)
             }
         }
     }
@@ -907,10 +899,8 @@ impl Server {
         &self,
         req_id: u64,
         payload: Option<Bytes>,
-        profile: &FabricProfile,
         stamps: PhaseStamps,
     ) -> Response {
-        let len = payload.as_ref().map_or(0, |p| p.len());
         Response::Get {
             req_id,
             status: if payload.is_some() {
@@ -918,28 +908,16 @@ impl Server {
             } else {
                 OpStatus::Miss
             },
-            stages: self.finish_stages(StageTimes::default(), profile, len, stamps),
+            stages: self.finish_stages(StageTimes::default(), stamps),
             flags: 0,
             cas: 0,
             value: payload,
         }
     }
 
-    /// Fill `stages.response_ns` with the predicted cost of transmitting
-    /// the response (descriptor post + one-way link latency) and stamp the
-    /// lifecycle fields. Called synchronously right after the store
-    /// operation finishes, so "now" is the store-done instant.
-    fn finish_stages(
-        &self,
-        mut stages: StageTimes,
-        profile: &FabricProfile,
-        value_len: usize,
-        stamps: PhaseStamps,
-    ) -> StageTimes {
-        let resp_len = 89 + value_len + FRAME_OVERHEAD;
-        let est =
-            profile.per_message_cpu + profile.copy_cost(resp_len) + profile.link.one_way(resp_len);
-        stages.response_ns = est.as_nanos() as u64;
+    /// Stamp the lifecycle fields. Called synchronously right after the
+    /// store operation finishes, so "now" is the store-done instant.
+    fn finish_stages(&self, mut stages: StageTimes, stamps: PhaseStamps) -> StageTimes {
         stages.server_recv_at_ns = stamps.recv_at.as_nanos();
         stages.comm_done_at_ns = stamps.comm_done_at.as_nanos();
         stages.store_done_at_ns = self.sim.now().as_nanos();

@@ -125,9 +125,9 @@ fn server_inline_plain_and_batch_frames() {
     assert_eq!(
         got,
         "5615 6615 7167\n\
-         12022 13022 13575\n\
-         12022 13022 14128\n\
-         12022 13022 14681\n\
+         12021 13021 13574\n\
+         12021 13021 14127\n\
+         12021 13021 14680\n\
          [4, 4, 0, 2, 0, 0, 1, 3, 0, 0, 0]\n\
          polls 42 timers 32"
     );
@@ -139,9 +139,9 @@ fn server_pipelined_plain_and_batch_frames() {
     assert_eq!(
         got,
         "5615 6615 7167\n\
-         12022 13022 13575\n\
-         12022 13022 13575\n\
-         12022 13022 13575\n\
+         12021 13021 13574\n\
+         12021 13021 13574\n\
+         12021 13021 13574\n\
          [4, 0, 4, 2, 0, 0, 1, 3, 0, 0, 0]\n\
          polls 53 timers 32"
     );
@@ -278,9 +278,9 @@ fn per_op_iset_bset_iget() {
     );
     assert_eq!(
         got,
-        "Stored None 0 None 0 665 6388\n\
-         Stored None 0 None 6388 7053 12776\n\
-         Hit Some(\"v1\") 3 Ram 12776 13437 18962\n\
+        "Stored None 0 None 0 665 6387\n\
+         Stored None 0 None 6387 7052 12774\n\
+         Hit Some(\"v1\") 3 Ram 12774 13435 18958\n\
          [3, 3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n\
          polls 48 timers 33"
     );
@@ -305,9 +305,9 @@ fn batched_isets_and_doorbell() {
     );
     assert_eq!(
         got,
-        "Stored None 0 None 0 684 6439\n\
-         Stored None 0 None 0 684 6439\n\
-         Stored None 0 None 0 684 6439\n\
+        "Stored None 0 None 0 684 6435\n\
+         Stored None 0 None 0 684 6435\n\
+         Stored None 0 None 0 684 6435\n\
          [3, 3, 0, 0, 0, 0, 0, 1, 1, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]\n\
          polls 36 timers 19"
     );
@@ -323,9 +323,9 @@ fn nonblocking_direct_hit_and_fallback() {
     });
     assert_eq!(
         got,
-        "Stored None 0 None 1 676 7884\n\
-         Hit Some(\"hello\") 7 Ram 7884 7884 15094\n\
-         Miss None 0 None 15095 19163 24537\n\
+        "Stored None 0 None 1 676 7883\n\
+         Hit Some(\"hello\") 7 Ram 7883 7883 15093\n\
+         Miss None 0 None 15094 19162 24534\n\
          [4, 4, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]\n\
          polls 52 timers 36"
     );
@@ -341,9 +341,9 @@ fn blocking_direct_hit_and_fallback() {
     });
     assert_eq!(
         got,
-        "Stored None 0 None 1 676 7884\n\
-         Hit Some(\"hello\") 7 Ram 19884 19884 27094\n\
-         Miss None 0 None 42901 43562 48936\n\
+        "Stored None 0 None 1 676 7883\n\
+         Hit Some(\"hello\") 7 Ram 19883 19883 27093\n\
+         Miss None 0 None 42900 43561 48933\n\
          [4, 4, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]\n\
          polls 50 timers 38"
     );

@@ -55,7 +55,6 @@ fn arb_stages() -> impl Strategy<Value = StageTimes> {
                 slab_alloc_ns: a as u64,
                 check_load_ns: b as u64,
                 cache_update_ns: c as u64,
-                response_ns: d as u64,
                 server_recv_at_ns: recv as u64,
                 comm_done_at_ns: comm as u64,
                 store_done_at_ns: store as u64,

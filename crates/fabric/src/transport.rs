@@ -93,11 +93,6 @@ impl TransportTx {
         self.link.send(payload)
     }
 
-    /// The profile in force.
-    pub fn profile(&self) -> &FabricProfile {
-        &self.profile
-    }
-
     /// True while the peer is alive.
     pub fn is_open(&self) -> bool {
         self.link.is_open()

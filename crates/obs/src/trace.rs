@@ -22,7 +22,9 @@
 //!   includes the staging-queue wait — deliberately, since that wait *is*
 //!   the decoupled memory phase the paper measures).
 //! - **comm_out**: store done → completion observed at the client
-//!   (response encode, link flight, client progress task).
+//!   (response encode, link flight, client progress task). This is stage 4
+//!   (server response) of the paper's six-stage breakdown of a blocking
+//!   op (Figs 2 and 6).
 
 use crate::hist::Histogram;
 

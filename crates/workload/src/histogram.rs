@@ -1,6 +1,6 @@
 //! Latency recording and stage aggregation.
 
-use nbkv_core::proto::StageTimes;
+use nbkv_core::client::Completion;
 
 /// A simple latency recorder (nanosecond samples).
 #[derive(Debug, Clone, Default)]
@@ -49,7 +49,8 @@ impl LatencyRecorder {
 }
 
 /// Average per-operation breakdown over the six stages of Section III-A,
-/// in nanoseconds.
+/// in nanoseconds: a view over what the run measured, the server's split of
+/// its store phase and the client's request timeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Stage 1: slab allocation (including eviction/flush).
@@ -58,7 +59,8 @@ pub struct StageBreakdown {
     pub check_load_ns: f64,
     /// Stage 3: cache (LRU) update.
     pub cache_update_ns: f64,
-    /// Stage 4: server response.
+    /// Stage 4: server response, the measured comm-out phase (store done
+    /// at the server to completion at the client).
     pub response_ns: f64,
     /// Stage 5: client wait (everything not attributed elsewhere).
     pub client_wait_ns: f64,
@@ -91,17 +93,29 @@ impl StageAggregator {
         Self::default()
     }
 
-    /// Record one blocking operation: server stages from the response,
-    /// plus the measured total and any backend penalty. The remainder of
-    /// the total is attributed to client wait.
-    pub fn record_blocking(&mut self, stages: &StageTimes, total_ns: u64, miss_penalty_ns: u64) {
-        let server = stages.server_total_ns();
-        let wait = total_ns.saturating_sub(server + miss_penalty_ns);
-        self.sum.slab_alloc_ns += stages.slab_alloc_ns as f64;
-        self.sum.check_load_ns += stages.check_load_ns as f64;
-        self.sum.cache_update_ns += stages.cache_update_ns as f64;
-        self.sum.response_ns += stages.response_ns as f64;
-        self.sum.client_wait_ns += wait as f64;
+    /// Record one blocking operation that took `total_ns` at the client:
+    /// stages 1-3 from the completion's server stages, stage 4 from its
+    /// timeline's comm-out phase, stage 6 the backend penalty, and the
+    /// rest of the total as client wait. A failed op (`None`) has no
+    /// server stages, and an op without a timeline (a retried request, a
+    /// one-sided hit) records stage 4 as 0.
+    pub fn record_blocking(
+        &mut self,
+        done: Option<&Completion>,
+        total_ns: u64,
+        miss_penalty_ns: u64,
+    ) {
+        let s = done.map(|c| c.stages).unwrap_or_default();
+        let response = done
+            .and_then(Completion::timeline)
+            .and_then(|tl| tl.phases())
+            .map_or(0, |p| p.comm_out_ns);
+        let measured = s.slab_alloc_ns + s.check_load_ns + s.cache_update_ns + response;
+        self.sum.slab_alloc_ns += s.slab_alloc_ns as f64;
+        self.sum.check_load_ns += s.check_load_ns as f64;
+        self.sum.cache_update_ns += s.cache_update_ns as f64;
+        self.sum.response_ns += response as f64;
+        self.sum.client_wait_ns += total_ns.saturating_sub(measured + miss_penalty_ns) as f64;
         self.sum.miss_penalty_ns += miss_penalty_ns as f64;
         self.count += 1;
     }
@@ -138,6 +152,12 @@ impl StageAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use nbkv_core::cluster::{build_cluster, ClusterConfig};
+    use nbkv_core::designs::Design;
+    use nbkv_core::proto::OpStatus;
+    use nbkv_simrt::Sim;
+    use std::rc::Rc;
 
     #[test]
     fn recorder_statistics() {
@@ -160,25 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn blocking_aggregation_attributes_remainder_to_wait() {
-        let mut agg = StageAggregator::new();
-        let stages = StageTimes {
-            slab_alloc_ns: 100,
-            check_load_ns: 200,
-            cache_update_ns: 50,
-            response_ns: 150,
-            ..StageTimes::default()
-        };
-        agg.record_blocking(&stages, 1000, 0);
-        let avg = agg.average();
-        assert_eq!(avg.client_wait_ns, 500.0);
-        assert_eq!(avg.total_ns(), 1000.0);
+    fn blocking_stages_are_a_view_over_the_timeline() {
+        let sim = Sim::new();
+        let cluster = build_cluster(&sim, &ClusterConfig::new(Design::RdmaMem, 8 << 20));
+        let client = Rc::clone(&cluster.clients[0]);
+        let ops = sim.run_until(async move {
+            let key = Bytes::from_static(b"k");
+            let set = client.set(key.clone(), Bytes::from(vec![7u8; 4096]), 0, None);
+            let set = set.await.expect("set");
+            let get = client.get(key).await.expect("get");
+            [set, get]
+        });
+        sim.shutdown();
+        assert_eq!(ops[1].status, OpStatus::Hit);
+        for c in &ops {
+            let comm_out = c
+                .timeline()
+                .and_then(|tl| tl.phases())
+                .expect("an RPC op carries a timeline")
+                .comm_out_ns;
+            let mut agg = StageAggregator::new();
+            agg.record_blocking(Some(c), c.latency_ns(), 0);
+            let b = agg.average();
+            assert_eq!(b.response_ns, comm_out as f64, "{:?}", c.status);
+            assert_eq!(b.total_ns(), c.latency_ns() as f64, "{:?}", c.status);
+            assert!(b.client_wait_ns > 0.0, "{:?}", c.status);
+        }
     }
 
     #[test]
     fn miss_penalty_is_separate_from_wait() {
         let mut agg = StageAggregator::new();
-        agg.record_blocking(&StageTimes::default(), 2_100_000, 2_000_000);
+        agg.record_blocking(None, 2_100_000, 2_000_000);
         let avg = agg.average();
         assert_eq!(avg.miss_penalty_ns, 2_000_000.0);
         assert_eq!(avg.client_wait_ns, 100_000.0);
@@ -199,7 +232,7 @@ mod tests {
     fn average_over_multiple_ops() {
         let mut agg = StageAggregator::new();
         for total in [100, 300] {
-            agg.record_blocking(&StageTimes::default(), total, 0);
+            agg.record_blocking(None, total, 0);
         }
         assert_eq!(agg.average().client_wait_ns, 200.0);
     }
