@@ -140,29 +140,27 @@ fn bench_slab(c: &mut Criterion) {
     g.bench_function("alloc_write_free_cycle", |b| {
         let mut pool = SlabPool::new(SlabConfig::with_mem(8 << 20));
         let class = pool.class_for(1024).expect("class");
+        let value = Bytes::from(vec![7u8; 900]);
         b.iter(|| {
             let id = pool.try_alloc(class).expect("alloc");
-            pool.write_item(id, b"bench-key", &[7u8; 900], 0, 0);
+            pool.write_item(id, b"bench-key", &value, 0, 0);
             pool.free_chunk(id);
             black_box(id)
         })
     });
-    // A flush's key capture over a full page of 8 KiB-class items: the
-    // whole parsed item against the key alone.
+    // A full page of 8 KiB-class items: a flush's key capture, and the
+    // image it stores, whose values are held by reference.
     let mut pool = SlabPool::new(SlabConfig::with_mem(1 << 20));
     let class = pool.class_for(8 << 10).expect("class");
+    let value = Bytes::from(vec![7u8; 8000]);
     let mut ids = Vec::new();
     while let Some(id) = pool.try_alloc(class) {
         let key = format!("bench-key-{:06}", ids.len());
-        pool.write_item(id, key.as_bytes(), &[7u8; 8000], 0, 0);
+        pool.write_item(id, key.as_bytes(), &value, 0, 0);
         ids.push(id);
     }
-    g.bench_function(BenchmarkId::new("capture_keys_1mib", "read_item"), |b| {
-        b.iter(|| {
-            for &id in &ids {
-                black_box(pool.read_item(id).map(|i| i.key));
-            }
-        })
+    g.bench_function("page_image_1mib", |b| {
+        b.iter(|| black_box(pool.page_image(0)))
     });
     g.bench_function(BenchmarkId::new("capture_keys_1mib", "read_key"), |b| {
         b.iter(|| {

@@ -1,21 +1,26 @@
 //! Memcached-style slab allocation.
 //!
 //! Memory is reserved in fixed-size pages (1 MiB by default) and each page
-//! is assigned to a *slab class* that divides it into equal chunks; items
-//! are stored whole (header + key + value) inside a chunk. This is the
+//! is assigned to a *slab class* that divides it into equal chunks; an
+//! item sits in one chunk as header, key, then value. This is the
 //! structure the paper's hybrid design flushes to SSD one page at a time,
 //! so pages carry a `flushing` state and whole-page data access.
 //!
-//! A page's bytes are a shared, copy-on-write buffer: a flush takes a
-//! handle to the page instead of a copy, and a write to a page whose
-//! handle is still held elsewhere copies the page first, so a holder never
-//! sees the page change under it.
+//! A value follows the wire codec's rule ([`INLINE_THRESHOLD`]): one of at
+//! most 4 KiB is copied into its chunk, and a longer one is held by
+//! reference. The page keeps the `Bytes` the request delivered at the
+//! value's offset, in [`Runs`] that shadow the page's own bytes, which are
+//! never written there. So a stored large value is the allocation that
+//! carried it, and a read hands that allocation on. A flush stores the
+//! page's [`image`](SlabPool::page_image): the ranges a reader of the
+//! flushed page parses, each large value again by reference.
 
 use std::ops::Range;
-use std::rc::Rc;
 
 use bytes::Bytes;
+use nbkv_storesim::{Image, Runs};
 
+use crate::proto::INLINE_THRESHOLD;
 use crate::util::{pack_item_id, unpack_item_id};
 
 /// On-chunk item header: key_len (4) + val_len (4) + flags (4) + expire (8).
@@ -59,6 +64,17 @@ pub struct ParsedItem {
     pub expire_at_ns: u64,
 }
 
+/// Write an item's header and key into `dst`, for a value of `val_len`
+/// bytes that follows the key. Returns the bytes written.
+fn write_head(dst: &mut [u8], key: &[u8], val_len: usize, flags: u32, expire_at_ns: u64) -> usize {
+    dst[0..4].copy_from_slice(&(key.len() as u32).to_be_bytes());
+    dst[4..8].copy_from_slice(&(val_len as u32).to_be_bytes());
+    dst[8..12].copy_from_slice(&flags.to_be_bytes());
+    dst[12..20].copy_from_slice(&expire_at_ns.to_be_bytes());
+    dst[ITEM_HEADER..ITEM_HEADER + key.len()].copy_from_slice(key);
+    ITEM_HEADER + key.len()
+}
+
 /// Serialize an item into `dst` (which must be at least
 /// `ITEM_HEADER + key.len() + value.len()` long). Returns the stored
 /// length.
@@ -69,62 +85,44 @@ pub fn write_item_bytes(
     flags: u32,
     expire_at_ns: u64,
 ) -> usize {
-    dst[0..4].copy_from_slice(&(key.len() as u32).to_be_bytes());
-    dst[4..8].copy_from_slice(&(value.len() as u32).to_be_bytes());
-    dst[8..12].copy_from_slice(&flags.to_be_bytes());
-    dst[12..20].copy_from_slice(&expire_at_ns.to_be_bytes());
-    dst[ITEM_HEADER..ITEM_HEADER + key.len()].copy_from_slice(key);
-    dst[ITEM_HEADER + key.len()..ITEM_HEADER + key.len() + value.len()].copy_from_slice(value);
-    ITEM_HEADER + key.len() + value.len()
+    let at = write_head(dst, key, value.len(), flags, expire_at_ns);
+    dst[at..at + value.len()].copy_from_slice(value);
+    at + value.len()
 }
 
-/// Key and value lengths from an item header, if the whole item fits in
-/// `src`.
-fn item_lens(src: &[u8]) -> Option<(usize, usize)> {
-    if src.len() < ITEM_HEADER {
+/// Key and value lengths from an item header (its first
+/// [`ITEM_HEADER`] bytes), if the whole item fits in `room` bytes.
+fn item_lens(head: &[u8], room: usize) -> Option<(usize, usize)> {
+    if head.len() < ITEM_HEADER {
         return None;
     }
-    let key_len = u32::from_be_bytes(src[0..4].try_into().ok()?) as usize;
-    let val_len = u32::from_be_bytes(src[4..8].try_into().ok()?) as usize;
-    (src.len() >= ITEM_HEADER + key_len + val_len).then_some((key_len, val_len))
+    let key_len = u32::from_be_bytes(head[0..4].try_into().ok()?) as usize;
+    let val_len = u32::from_be_bytes(head[4..8].try_into().ok()?) as usize;
+    (room >= ITEM_HEADER + key_len + val_len).then_some((key_len, val_len))
 }
 
-/// Where an item's key and value sit in `src`, with its flags and expiry,
-/// if the whole item fits.
-fn item_layout(src: &[u8]) -> Option<(Range<usize>, Range<usize>, u32, u64)> {
-    let (key_len, val_len) = item_lens(src)?;
-    let flags = u32::from_be_bytes(src[8..12].try_into().ok()?);
-    let expire_at_ns = u64::from_be_bytes(src[12..20].try_into().ok()?);
-    let key_end = ITEM_HEADER + key_len;
-    Some((
-        ITEM_HEADER..key_end,
-        key_end..key_end + val_len,
-        flags,
-        expire_at_ns,
-    ))
+/// Parse the item at the start of `room` bytes that `peek(at, len)` reads.
+/// Key and value are what `peek` returns for their ranges, so a source
+/// that holds a value by reference hands it on uncopied.
+pub fn peek_item(room: usize, peek: impl Fn(usize, usize) -> Bytes) -> Option<ParsedItem> {
+    if room < ITEM_HEADER {
+        return None;
+    }
+    let head = peek(0, ITEM_HEADER);
+    let (key_len, val_len) = item_lens(&head, room)?;
+    Some(ParsedItem {
+        key: peek(ITEM_HEADER, key_len),
+        value: peek(ITEM_HEADER + key_len, val_len),
+        flags: u32::from_be_bytes(head[8..12].try_into().ok()?),
+        expire_at_ns: u64::from_be_bytes(head[12..20].try_into().ok()?),
+    })
 }
 
 /// Parse an item from raw chunk bytes (inverse of [`write_item_bytes`]),
 /// copying its key and value out.
 pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
-    let (key, value, flags, expire_at_ns) = item_layout(src)?;
-    Some(ParsedItem {
-        key: Bytes::copy_from_slice(&src[key]),
-        value: Bytes::copy_from_slice(&src[value]),
-        flags,
-        expire_at_ns,
-    })
-}
-
-/// Parse an item from a buffer the caller owns, such as a fresh device
-/// read, without copying: key and value are slices of `raw`.
-pub fn slice_item(raw: &Bytes) -> Option<ParsedItem> {
-    let (key, value, flags, expire_at_ns) = item_layout(raw)?;
-    Some(ParsedItem {
-        key: raw.slice(key),
-        value: raw.slice(value),
-        flags,
-        expire_at_ns,
+    peek_item(src.len(), |at, len| {
+        Bytes::copy_from_slice(&src[at..at + len])
     })
 }
 
@@ -139,8 +137,16 @@ struct ClassState {
 
 struct Page {
     class: usize,
-    /// Shared with any flush still holding the page (see [`SlabPool::page_data`]).
-    data: Rc<Vec<u8>>,
+    /// Headers, keys and values of at most [`INLINE_THRESHOLD`] bytes, at
+    /// their chunk offsets.
+    data: Vec<u8>,
+    /// Longer values by reference, at their offsets in the page. A run
+    /// shadows the bytes of `data` under it, which are never written.
+    values: Runs,
+    /// In tests, the page as copying every byte of every write leaves it:
+    /// the reference its [`SlabPool::page_image`] is checked against.
+    #[cfg(test)]
+    copy: Vec<u8>,
     live: u32,
     flushing: bool,
     /// Retired pages are in the free-page pool; their ids must not be used.
@@ -148,6 +154,32 @@ struct Page {
     /// Bumped by every release, so a chunk id taken before a release can
     /// be told apart from the same id on the page's next use.
     generation: u32,
+}
+
+impl Page {
+    /// `range` of the page as a reader sees it, in pieces: each large
+    /// value by reference, and each range of `data` between them.
+    fn pieces(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (Range<usize>, Option<Bytes>)> + '_ {
+        self.values
+            .pieces(range.start as u64..range.end as u64)
+            .map(|(at, run)| (at.start as usize..at.end as usize, run))
+    }
+
+    /// The item header at `at`, as a reader sees it.
+    fn head(&self, at: usize) -> [u8; ITEM_HEADER] {
+        let mut head = [0u8; ITEM_HEADER];
+        for (range, run) in self.pieces(at..at + ITEM_HEADER) {
+            let dst = &mut head[range.start - at..range.end - at];
+            match run {
+                Some(run) => dst.copy_from_slice(&run),
+                None => dst.copy_from_slice(&self.data[range]),
+            }
+        }
+        head
+    }
 }
 
 nbkv_obs::counters! {
@@ -265,7 +297,10 @@ impl SlabPool {
         if self.pages.len() < self.max_pages {
             self.pages.push(Page {
                 class,
-                data: Rc::new(vec![0u8; self.cfg.page_size]),
+                data: vec![0u8; self.cfg.page_size],
+                values: Runs::default(),
+                #[cfg(test)]
+                copy: vec![0u8; self.cfg.page_size],
                 live: 0,
                 flushing: false,
                 retired: false,
@@ -277,34 +312,52 @@ impl SlabPool {
     }
 
     /// Store an item into an allocated chunk. Returns the stored length.
-    /// If a [`page_data`](Self::page_data) handle to the page is still
-    /// held, the page is copied first and the holder keeps the old bytes.
+    /// A value over [`INLINE_THRESHOLD`] bytes is kept by reference, not
+    /// copied.
     pub fn write_item(
         &mut self,
         id: u64,
         key: &[u8],
-        value: &[u8],
+        value: &Bytes,
         flags: u32,
         expire_at_ns: u64,
     ) -> usize {
         let (page, chunk) = unpack_item_id(id);
-        let class = self.pages[page as usize].class;
-        let chunk_size = self.classes[class].chunk_size;
+        let p = &mut self.pages[page as usize];
+        let chunk_size = self.classes[p.class].chunk_size;
         let stored = Self::item_len(key.len(), value.len());
         assert!(stored <= chunk_size, "item does not fit chunk");
         let off = chunk as usize * chunk_size;
-        let data = Rc::make_mut(&mut self.pages[page as usize].data);
+        let dst = &mut p.data[off..off + stored];
+        let copied = if value.len() > INLINE_THRESHOLD {
+            write_head(dst, key, value.len(), flags, expire_at_ns)
+        } else {
+            write_item_bytes(dst, key, value, flags, expire_at_ns)
+        };
+        p.values.cut(off as u64..(off + copied) as u64);
+        if copied < stored {
+            p.values.put((off + copied) as u64, value.clone());
+        }
+        #[cfg(test)]
         write_item_bytes(
-            &mut data[off..off + stored],
+            &mut p.copy[off..off + stored],
             key,
             value,
             flags,
             expire_at_ns,
-        )
+        );
+        stored
     }
 
-    /// Raw bytes of chunk `id`, or `None` if its page is retired.
-    fn chunk_bytes(&self, id: u64) -> Option<&[u8]> {
+    /// The byte-copy reference of `page` (see `Page::copy`).
+    #[cfg(test)]
+    pub(crate) fn page_copy(&self, page: u32) -> Vec<u8> {
+        self.pages[page as usize].copy.clone()
+    }
+
+    /// The page of chunk `id`, and the chunk's bytes in it, or `None` if
+    /// the page is retired.
+    fn chunk(&self, id: u64) -> Option<(&Page, Range<usize>)> {
         let (page, chunk) = unpack_item_id(id);
         let p = self.pages.get(page as usize)?;
         if p.retired {
@@ -312,19 +365,31 @@ impl SlabPool {
         }
         let chunk_size = self.classes[p.class].chunk_size;
         let off = chunk as usize * chunk_size;
-        Some(&p.data[off..off + chunk_size])
+        Some((p, off..off + chunk_size))
     }
 
-    /// Parse the item stored at `id`.
-    pub fn read_item(&self, id: u64) -> Option<ParsedItem> {
-        parse_item_bytes(self.chunk_bytes(id)?)
+    /// The value of the item stored at `id`: a copy of one of at most
+    /// [`INLINE_THRESHOLD`] bytes, and the very buffer it was stored from
+    /// for a longer one.
+    pub fn read_value(&self, id: u64) -> Option<Bytes> {
+        let (p, chunk) = self.chunk(id)?;
+        let (key_len, val_len) = item_lens(&p.data[chunk.clone()], chunk.len())?;
+        let at = chunk.start + ITEM_HEADER + key_len;
+        if val_len > INLINE_THRESHOLD {
+            p.values.covering(at as u64..(at + val_len) as u64)
+        } else {
+            Some(Bytes::copy_from_slice(&p.data[at..at + val_len]))
+        }
     }
 
-    /// The key of the item stored at `id`, copying only the key: equal to
-    /// `read_item(id).map(|i| i.key)` without copying the value.
+    /// The key of the item stored at `id`, copying only the key. It reads
+    /// the header written into the chunk, so a chunk that holds no item
+    /// may read otherwise than in the page's [`image`](Self::page_image);
+    /// a key read from it finds no index entry for the chunk either way.
     pub fn read_key(&self, id: u64) -> Option<Bytes> {
-        let src = self.chunk_bytes(id)?;
-        let (key_len, _) = item_lens(src)?;
+        let (p, chunk) = self.chunk(id)?;
+        let src = &p.data[chunk.clone()];
+        let (key_len, _) = item_lens(src, chunk.len())?;
         Some(Bytes::copy_from_slice(
             &src[ITEM_HEADER..ITEM_HEADER + key_len],
         ))
@@ -389,11 +454,31 @@ impl SlabPool {
         class
     }
 
-    /// A handle to the page's bytes (for flushing to SSD). The handle is
-    /// a snapshot: a later [`write_item`](Self::write_item) on the page
-    /// copies the page instead of changing the bytes the handle sees.
-    pub fn page_data(&self, page: u32) -> Rc<Vec<u8>> {
-        Rc::clone(&self.pages[page as usize].data)
+    /// What a flush of `page` stores: the ranges a reader of the flushed
+    /// page parses. At every chunk stride (the last, partial one too) that
+    /// is the header and, where the header describes an item that fits in
+    /// the rest of the stride, its key and value. That includes free
+    /// chunks and what an earlier class left behind, since recovery
+    /// parses every chunk. Large values go in by reference and the rest is
+    /// copied; no reader parses the bytes left out.
+    pub fn page_image(&self, page: u32) -> Image {
+        let p = &self.pages[page as usize];
+        let stride = self.classes[p.class].chunk_size;
+        let len = p.data.len();
+        let mut image = Image::zeros(len);
+        for at in (0..len).step_by(stride) {
+            let room = stride.min(len - at);
+            if room < ITEM_HEADER {
+                continue;
+            }
+            let parsed =
+                item_lens(&p.head(at), room).map_or(ITEM_HEADER, |(k, v)| ITEM_HEADER + k + v);
+            for (range, run) in p.pieces(at..at + parsed) {
+                let bytes = run.unwrap_or_else(|| Bytes::copy_from_slice(&p.data[range.clone()]));
+                image.push(range.start, bytes);
+            }
+        }
+        image
     }
 
     /// Item ids of a page's chunks (all of them; callers filter to live
@@ -484,13 +569,52 @@ mod tests {
         let mut pool = pool_1mb();
         let class = pool.class_for(SlabPool::item_len(3, 11)).unwrap();
         let id = pool.try_alloc(class).unwrap();
-        pool.write_item(id, b"abc", b"hello world", 7, 99);
-        let item = pool.read_item(id).unwrap();
-        assert_eq!(&item.key[..], b"abc");
-        assert_eq!(&item.value[..], b"hello world");
-        assert_eq!(item.flags, 7);
-        assert_eq!(item.expire_at_ns, 99);
+        let value = Bytes::from_static(b"hello world");
+        pool.write_item(id, b"abc", &value, 7, 99);
+        assert_eq!(&pool.read_key(id).unwrap()[..], b"abc");
+        let read = pool.read_value(id).unwrap();
+        assert_eq!(read, value);
+        assert_ne!(read.as_ptr(), value.as_ptr(), "a small value is copied");
         assert_eq!(pool.stored_len(id), Some(ITEM_HEADER + 3 + 11));
+        let (page, _) = crate::util::unpack_item_id(id);
+        let (at, run) = &pool.page_image(page).into_runs()[0];
+        let item = parse_item_bytes(&run[..]).unwrap();
+        assert_eq!(
+            (*at, &item.key[..], item.flags, item.expire_at_ns),
+            (0, &b"abc"[..], 7, 99)
+        );
+        assert_eq!(item.value, value);
+    }
+
+    /// A value over `INLINE_THRESHOLD` stays the buffer it was stored
+    /// from: in the chunk, on a read, and in the page's flush image, which
+    /// copies only the header and key.
+    #[test]
+    fn a_large_value_is_held_by_reference() {
+        let mut pool = pool_1mb();
+        let value = Bytes::from(vec![9u8; INLINE_THRESHOLD + 1]);
+        let class = pool.class_for(SlabPool::item_len(3, value.len())).unwrap();
+        let id = pool.try_alloc(class).unwrap();
+        pool.write_item(id, b"big", &value, 0, 0);
+        assert_eq!(pool.read_value(id).unwrap().as_ptr(), value.as_ptr());
+        let (page, chunk) = crate::util::unpack_item_id(id);
+        assert_eq!(chunk, 0);
+        let runs = pool.page_image(page).into_runs();
+        let placed: Vec<_> = runs.iter().map(|(at, b)| (*at, b.len())).collect();
+        assert_eq!(
+            placed[..2],
+            [(0, ITEM_HEADER + 3), (ITEM_HEADER + 3, value.len())]
+        );
+        assert_eq!(runs[1].1.as_ptr(), value.as_ptr());
+        // A small item over it is copied in; past its end the page still
+        // holds the rest of the old value, as stale bytes.
+        let small = Bytes::from_static(b"small");
+        pool.write_item(id, b"big", &small, 0, 0);
+        assert_eq!(pool.read_value(id).unwrap(), small);
+        let runs = pool.page_image(page).into_runs();
+        assert_eq!(runs[0].1.len(), ITEM_HEADER + 3 + 5);
+        let stale = pool.pages[page as usize].values.covering(28..30).unwrap();
+        assert_eq!(stale.as_ptr(), value[5..].as_ptr());
     }
 
     #[test]
@@ -537,7 +661,7 @@ mod tests {
         pool.free_chunk(a);
         pool.free_chunk(b);
         pool.release_page(page);
-        assert!(pool.read_item(a).is_none(), "retired page unreadable");
+        assert!(pool.read_key(a).is_none(), "retired page unreadable");
         // The page is reusable by a different class.
         let small = pool.class_for(128).unwrap();
         assert!(pool.try_alloc(small).is_some());
@@ -545,49 +669,29 @@ mod tests {
     }
 
     #[test]
-    fn read_key_matches_read_item_key() {
+    fn read_key_reads_each_chunks_key() {
         let mut pool = pool_1mb();
         let class = pool.class_for(8 << 10).unwrap();
         let per_page = (1 << 20) / pool.chunk_size(class);
         let mut ids = Vec::new();
         // Leave the last chunk unwritten: its zeroed header reads as an
-        // empty item, the same way for both readers.
+        // empty item.
         for i in 0..per_page - 1 {
             let id = pool.try_alloc(class).unwrap();
             let key = format!("key-{i:04}");
-            pool.write_item(id, key.as_bytes(), &vec![i as u8; 4000 + i], 0, 0);
+            let value = Bytes::from(vec![i as u8; 4000 + i]);
+            pool.write_item(id, key.as_bytes(), &value, 0, 0);
             ids.push(id);
         }
         let (page, _) = crate::util::unpack_item_id(ids[0]);
-        for id in pool.page_chunk_ids(page) {
-            assert_eq!(pool.read_key(id), pool.read_item(id).map(|i| i.key));
+        let chunks = pool.page_chunk_ids(page);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(pool.read_key(id).unwrap(), format!("key-{i:04}").as_bytes());
         }
-        assert_eq!(
-            pool.read_key(ids[3]).unwrap(),
-            Bytes::from_static(b"key-0003")
-        );
+        assert_eq!(pool.read_key(*chunks.last().unwrap()), Some(Bytes::new()));
         pool.begin_flush(page);
         pool.release_page(page);
         assert!(ids.iter().all(|&id| pool.read_key(id).is_none()));
-    }
-
-    #[test]
-    fn page_data_is_a_copy_on_write_snapshot() {
-        let mut pool = pool_1mb();
-        let class = pool.class_for(100_000).unwrap();
-        let a = pool.try_alloc(class).unwrap();
-        let b = pool.try_alloc(class).unwrap();
-        pool.write_item(a, b"a", b"old", 0, 0);
-        let (page, _) = crate::util::unpack_item_id(a);
-        let snap = pool.page_data(page);
-        // No write since: the snapshot is the page's own buffer.
-        assert!(Rc::ptr_eq(&snap, &pool.page_data(page)));
-        let before = snap.to_vec();
-        pool.write_item(b, b"b", b"new", 0, 0);
-        assert!(!Rc::ptr_eq(&snap, &pool.page_data(page)));
-        assert_eq!(&snap[..], &before[..], "snapshot changed under its holder");
-        assert_eq!(&pool.read_item(b).unwrap().value[..], b"new");
-        assert_eq!(&pool.read_item(a).unwrap().value[..], b"old");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use nbkv_storesim::{IoScheme, LruMap, SlabIo};
 use crate::costs::CpuCosts;
 use crate::proto::{OpStatus, ServedFrom, SetMode, StageTimes};
 use crate::server::onesided::OneSidedIndex;
-use crate::server::slab::{slice_item, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
+use crate::server::slab::{peek_item, ParsedItem, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
 use crate::util::unpack_item_id;
 
 /// Memory-only or hybrid storage.
@@ -382,6 +382,11 @@ pub struct HybridStore {
     /// that changes where (or whether) a value lives must keep it coherent
     /// via the seqlock hooks below.
     onesided: RefCell<Option<Rc<OneSidedIndex>>>,
+    /// In tests, by extent base, the chunk size and the byte-copy
+    /// reference (see `SlabPool::page_copy`) of the last flush that landed
+    /// there.
+    #[cfg(test)]
+    flushed: RefCell<BTreeMap<u64, (usize, Vec<u8>)>>,
 }
 
 impl HybridStore {
@@ -410,6 +415,8 @@ impl HybridStore {
             repl_seqs: RefCell::default(),
             repl_hook: RefCell::new(None),
             onesided: RefCell::new(None),
+            #[cfg(test)]
+            flushed: RefCell::default(),
         })
     }
 
@@ -795,9 +802,9 @@ impl HybridStore {
     async fn load_value(&self, key: &Bytes, meta: &ItemMeta) -> Option<Bytes> {
         match meta.loc {
             Location::Ram(id) => {
-                let item = self.pool.borrow().read_item(id)?;
-                self.charge(self.cfg.costs.memcpy(item.value.len())).await;
-                Some(item.value)
+                let value = self.pool.borrow().read_value(id)?;
+                self.charge(self.cfg.costs.memcpy(value.len())).await;
+                Some(value)
             }
             Location::Ssd {
                 scheme,
@@ -805,12 +812,20 @@ impl HybridStore {
                 len,
             } => {
                 let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
-                let raw = ssd.read(scheme, offset, len as usize).await.ok()?;
-                let item = slice_item(&raw)?;
+                ssd.read(scheme, offset, len as usize).await.ok()?;
+                let item = self.ssd_item(offset, len as usize)?;
                 debug_assert_eq!(&item.key[..], &key[..]);
                 Some(item.value)
             }
         }
+    }
+
+    /// The item at the start of `len` bytes at `offset` of the SSD, once
+    /// a read of them has taken its time. Its value is what the flush
+    /// stored, not a copy.
+    fn ssd_item(&self, offset: u64, len: usize) -> Option<ParsedItem> {
+        let dev = self.ssd.as_ref()?.device();
+        peek_item(len, |at, n| dev.peek(offset + at as u64, n))
     }
 
     /// Fetch a value.
@@ -838,12 +853,12 @@ impl HybridStore {
 
         match meta.loc {
             Location::Ram(id) => {
-                let item = self
+                let value = self
                     .pool
                     .borrow()
-                    .read_item(id)
+                    .read_value(id)
                     .expect("RAM location must be readable");
-                self.charge(self.cfg.costs.memcpy(item.value.len())).await;
+                self.charge(self.cfg.costs.memcpy(value.len())).await;
                 stages.check_load_ns = self.ns_since(t0);
                 stages.served_from = ServedFrom::Ram;
 
@@ -866,7 +881,7 @@ impl HybridStore {
                 self.stats.borrow_mut().get_hits_ram += 1;
                 OpOutcome {
                     status: OpStatus::Hit,
-                    value: Some(item.value),
+                    value: Some(value),
                     flags: meta.flags,
                     cas: meta.version,
                     counter: 0,
@@ -880,13 +895,13 @@ impl HybridStore {
             } => {
                 let ssd = self.ssd.as_ref().expect("SSD location implies hybrid");
                 let t_ssd = self.sim.now();
-                let Ok(raw) = ssd.read(scheme, offset, len as usize).await else {
+                if ssd.read(scheme, offset, len as usize).await.is_err() {
                     stages.check_load_ns = self.ns_since(t0);
                     self.stats.borrow_mut().get_io_errors += 1;
                     return OpOutcome::status_only(OpStatus::Error, stages);
-                };
+                }
                 stages.ssd_ns += self.ns_since(t_ssd);
-                let item = slice_item(&raw).expect("SSD item parse");
+                let item = self.ssd_item(offset, len as usize).expect("SSD item parse");
                 debug_assert_eq!(&item.key[..], &key[..]);
                 stages.check_load_ns = self.ns_since(t0);
                 stages.served_from = ServedFrom::Ssd;
@@ -1172,16 +1187,15 @@ impl HybridStore {
 
     async fn flush_page(&self, class: usize, page: u32) -> bool {
         // Withdraw the page from circulation and capture its live items.
-        let (scheme, chunk_size, page_buf, captured) = {
+        let (scheme, chunk_size, image, captured) = {
             let mut pool = self.pool.borrow_mut();
             pool.begin_flush(page);
             let chunk_size = pool.chunk_size(class);
             let scheme = self.cfg.io_policy.scheme_for(chunk_size);
             // Buffer the page (the paper: "an entire slab is buffered and
-            // flushed to the SSD"). The buffer is a copy-on-write handle to
-            // the page itself: a write to the page while the handle is held
-            // copies the page, so the flushed bytes never change.
-            let page_buf = pool.page_data(page);
+            // flushed to the SSD"): its image is taken now, so a later
+            // write to the page cannot change what the flush stores.
+            let image = pool.page_image(page);
             let mut captured: Vec<(Bytes, u64, u64, u32)> = Vec::new();
             let index = self.index.borrow();
             for id in pool.page_chunk_ids(page) {
@@ -1197,18 +1211,21 @@ impl HybridStore {
                     captured.push((key, version, id, stored));
                 }
             }
-            (scheme, chunk_size, page_buf, captured)
+            (scheme, chunk_size, image, captured)
         };
-        self.charge(self.cfg.costs.memcpy(page_buf.len())).await;
+        #[cfg(test)]
+        let copy = self.pool.borrow().page_copy(page);
+        let page_len = image.len();
+        self.charge(self.cfg.costs.memcpy(page_len)).await;
 
         // Reserve an SSD extent; on a full SSD fall back to dropping.
-        let Some(extent) = self.reserve_ssd(page_buf.len() as u32) else {
+        let Some(extent) = self.reserve_ssd(page_len as u32) else {
             self.abandon_flush(class, page, &captured);
             return true;
         };
 
         let ssd = self.ssd.as_ref().expect("hybrid flush needs SSD");
-        if ssd.write(scheme, extent.base, &page_buf).await.is_err() {
+        if ssd.write(scheme, extent.base, image).await.is_err() {
             // Treat a failed flush like a full SSD: drop the items, and
             // give the reserved extent back for the next flush.
             self.stats.borrow_mut().flush_errors += 1;
@@ -1218,6 +1235,8 @@ impl HybridStore {
         }
 
         let base = extent.keep();
+        #[cfg(test)]
+        self.flushed.borrow_mut().insert(base, (chunk_size, copy));
         self.retarget_and_release(
             &captured,
             class,
@@ -1225,7 +1244,7 @@ impl HybridStore {
             scheme,
             base,
             chunk_size,
-            page_buf.len() as u32,
+            page_len as u32,
         );
         true
     }
@@ -1405,18 +1424,16 @@ impl HybridStore {
         let mut live: BTreeMap<u64, u32> = extents.iter().map(|(b, _)| (*b, 0)).collect();
         for (base, info) in &extents {
             report.extents_scanned += 1;
-            let raw = match ssd.read(info.scheme, *base, info.len as usize).await {
-                Ok(raw) => raw,
-                Err(_) => {
-                    report.read_errors += 1;
-                    continue;
-                }
-            };
+            let len = info.len as usize;
+            if ssd.read(info.scheme, *base, len).await.is_err() {
+                report.read_errors += 1;
+                continue;
+            }
             report.bytes_read += info.len as u64;
             let stride = (info.chunk_size as usize).max(ITEM_HEADER);
-            for chunk_start in (0..raw.len()).step_by(stride) {
-                let end = raw.len().min(chunk_start + stride);
-                let Some(item) = slice_item(&raw.slice(chunk_start..end)) else {
+            for chunk_start in (0..len).step_by(stride) {
+                let room = len.min(chunk_start + stride) - chunk_start;
+                let Some(item) = self.ssd_item(base + chunk_start as u64, room) else {
                     continue;
                 };
                 if item.key.is_empty() {
@@ -1440,8 +1457,8 @@ impl HybridStore {
                     expire_at_ns: item.expire_at_ns,
                     flags: item.flags,
                 };
-                // Copy the key out so neither map pins the extent read; the
-                // value is only measured, never copied.
+                // Copy the key out so neither map pins a run of the
+                // device; the value is only measured, never copied.
                 let key = Bytes::copy_from_slice(&item.key);
                 if let Some(prev_base) = recovered_from.insert(key.clone(), *base) {
                     if let Some(l) = live.get_mut(&prev_base) {
@@ -1472,12 +1489,7 @@ impl HybridStore {
     }
 
     /// Promote an SSD item back to RAM if a chunk is free (no eviction).
-    async fn maybe_promote(
-        &self,
-        key: &Bytes,
-        meta: &ItemMeta,
-        item: &crate::server::slab::ParsedItem,
-    ) {
+    async fn maybe_promote(&self, key: &Bytes, meta: &ItemMeta, item: &ParsedItem) {
         let class = meta.class as usize;
         let id = {
             let mut pool = self.pool.borrow_mut();
@@ -1561,9 +1573,13 @@ impl HybridStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{build_cluster, ClusterConfig};
+    use crate::designs::Design;
+    use crate::server::slab::parse_item_bytes;
     use nbkv_storesim::{
         instant_device, sata_ssd, HostModel, SlabIoConfig, SsdDevice, SsdFaultPlan,
     };
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn make_store(sim: &Sim, mut cfg: StoreConfig, instant: bool) -> Rc<HybridStore> {
@@ -2179,5 +2195,172 @@ mod tests {
             assert_eq!(after.flushed_pages, 4, "{after:?}");
             assert_eq!(after.ssd_full_drops, st.ssd_full_drops, "{after:?}");
         });
+    }
+
+    // -- values held by reference ------------------------------------------
+
+    /// A value over `INLINE_THRESHOLD` is one allocation from the client's
+    /// `iset` to a GET's completion: the RAM hit, the device after a
+    /// flush, the SSD hit and its promotion all hand on the buffer the
+    /// client passed. A 1 KiB value is copied in and out.
+    #[test]
+    fn a_large_value_is_one_allocation_from_iset_to_completion() {
+        let sim = Sim::new();
+        let cluster = build_cluster(&sim, &ClusterConfig::new(Design::HRdmaOptNonBI, 2 << 20));
+        let client = Rc::clone(&cluster.clients[0]);
+        let store = Rc::clone(cluster.servers[0].store());
+        let dev = Rc::clone(&cluster.devices[0]);
+        sim.run_until(async move {
+            let big = Bytes::from(vec![8u8; 8 << 10]);
+            let small = Bytes::from(vec![1u8; 1 << 10]);
+            for (i, value) in [&big, &small].into_iter().enumerate() {
+                let h = client.iset(key(i), value.clone(), 0, None).await.unwrap();
+                assert_eq!(h.wait().await.status, OpStatus::Stored);
+            }
+            let hit = client.get(key(0)).await.unwrap();
+            assert_eq!(hit.stages.served_from, ServedFrom::Ram);
+            assert_eq!(hit.value.unwrap().as_ptr(), big.as_ptr(), "RAM hit");
+            let hit = client.get(key(1)).await.unwrap().value.unwrap();
+            assert_eq!(hit, small);
+            assert_ne!(hit.as_ptr(), small.as_ptr(), "a 1 KiB value is copied");
+            let Location::Ram(id) = store.index.borrow()[&key(1)].loc else {
+                panic!("key 1 left RAM")
+            };
+            let reads = [0, 1].map(|_| store.pool.borrow().read_value(id).unwrap());
+            assert_ne!(
+                reads[0].as_ptr(),
+                reads[1].as_ptr(),
+                "the chunk holds a copy"
+            );
+            // More 8 KiB values, until key 0's page is flushed.
+            let filler = Bytes::from(vec![2u8; 8 << 10]);
+            let mut n = 2;
+            while matches!(store.index.borrow()[&key(0)].loc, Location::Ram(_)) {
+                client.set(key(n), filler.clone(), 0, None).await.unwrap();
+                n += 1;
+                assert!(n < 1000, "key 0 was never flushed");
+            }
+            let Location::Ssd { offset, len, .. } = store.index.borrow()[&key(0)].loc else {
+                unreachable!()
+            };
+            let at = offset + (len as usize - big.len()) as u64;
+            let stored = dev.peek(at, big.len());
+            assert_eq!(stored.as_ptr(), big.as_ptr(), "device after the flush");
+            // The flushed page was carved again, so the SSD hit promotes.
+            let hit = client.get(key(0)).await.unwrap();
+            assert_eq!(hit.stages.served_from, ServedFrom::Ssd);
+            assert_eq!(hit.value.unwrap().as_ptr(), big.as_ptr(), "SSD hit");
+            let Location::Ram(id) = store.index.borrow()[&key(0)].loc else {
+                panic!("key 0 was not promoted")
+            };
+            let promoted = store.pool.borrow().read_value(id).unwrap();
+            assert_eq!(promoted.as_ptr(), big.as_ptr(), "promoted chunk");
+            let hit = client.get(key(0)).await.unwrap();
+            assert_eq!(hit.stages.served_from, ServedFrom::Ram);
+            assert_eq!(
+                hit.value.unwrap().as_ptr(),
+                big.as_ptr(),
+                "RAM hit after the promotion"
+            );
+        });
+        sim.shutdown();
+    }
+
+    /// What a reader of `bytes`, a flushed page of `stride`-byte chunks,
+    /// parses: at each chunk start, the length of the range it reads (the
+    /// header, or a whole item that fits) and the item.
+    fn parse_chunks(bytes: &[u8], stride: usize) -> Vec<(usize, usize, Option<ParsedItem>)> {
+        (0..bytes.len())
+            .step_by(stride)
+            .filter(|at| bytes.len() - at >= ITEM_HEADER)
+            .map(|at| {
+                let item = parse_item_bytes(&bytes[at..bytes.len().min(at + stride)]);
+                let len = item
+                    .as_ref()
+                    .map_or(ITEM_HEADER, |i| ITEM_HEADER + i.key.len() + i.value.len());
+                (at, len, item)
+            })
+            .collect()
+    }
+
+    /// Op `i`'s value: a fill byte, or for odd `i` zeros with a byte of 1
+    /// to 4 every 8 bytes. A stale copy of the latter reads as an item
+    /// header that fits its chunk (an empty or short key, a value of at
+    /// most 1 KiB) at half of the chunk starts that fall inside it.
+    fn stale_prone_val(i: usize, len: usize) -> Bytes {
+        if i.is_multiple_of(2) {
+            return val(i, len);
+        }
+        let mut word = [0u8; 8];
+        word[i / 2 % 8] = (i % 4 + 1) as u8;
+        Bytes::from(word.iter().copied().cycle().take(len).collect::<Vec<u8>>())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// 1 KiB and 8 KiB sets, overwrites, deletes and gets in one 1 MiB
+        /// page of RAM, so every switch of class flushes the page and
+        /// carves it again for the other class. Every flushed extent reads
+        /// back, at every range a reader parses, the bytes that copying
+        /// each write into the page would have flushed: stale chunks of
+        /// freed and re-carved pages included. Recovery after a crash
+        /// returns the items such a reader finds.
+        #[test]
+        fn flushed_extents_read_back_a_byte_copy_of_their_pages(
+            ops in prop::collection::vec((0u8..10, 0usize..64, any::<bool>()), 100..300)
+        ) {
+            let sim = Sim::new();
+            let store = make_store(&sim, StoreConfig::hybrid(1 << 20, 1 << 30), true);
+            let s = Rc::clone(&store);
+            let checked = sim.run_until(async move {
+                for (i, &(kind, k, big)) in ops.iter().enumerate() {
+                    let len = if big { 8 << 10 } else { 1 << 10 } + i % 7;
+                    match kind {
+                        0..=6 => {
+                            let out = s.set(key(k), stale_prone_val(i, len), i as u32, 0).await;
+                            prop_assert_eq!(out.status, OpStatus::Stored);
+                        }
+                        7 | 8 => {
+                            s.delete(&key(k)).await;
+                        }
+                        _ => {
+                            s.get(&key(k)).await;
+                        }
+                    }
+                }
+                let flushed = std::mem::take(&mut *s.flushed.borrow_mut());
+                prop_assert!(flushed.len() >= 2, "{} extents flushed", flushed.len());
+                let dev = Rc::clone(s.slab_io().expect("hybrid").device());
+                for (base, (stride, bytes)) in &flushed {
+                    for (at, len, _) in parse_chunks(bytes, *stride) {
+                        let got = dev.peek(base + at as u64, len);
+                        prop_assert!(got[..] == bytes[at..at + len], "extent {base}, {len} bytes at {at}");
+                    }
+                }
+                let mut want = HashMap::new();
+                for base in s.ssd_extents.borrow().keys() {
+                    let (stride, bytes) = &flushed[base];
+                    for (_, _, item) in parse_chunks(bytes, *stride) {
+                        if let Some(item) = item.filter(|i| !i.key.is_empty()) {
+                            want.insert(item.key, (item.value, item.flags));
+                        }
+                    }
+                }
+                s.crash();
+                s.recover().await;
+                prop_assert_eq!(s.len(), want.len());
+                for (k, (value, flags)) in want {
+                    let got = s.get(&k).await;
+                    prop_assert!(
+                        got.value.as_ref() == Some(&value) && got.flags == flags,
+                        "recovered {k:?} differs"
+                    );
+                }
+                Ok(())
+            });
+            sim.shutdown();
+            checked?;
+        }
     }
 }

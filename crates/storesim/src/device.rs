@@ -7,23 +7,30 @@
 //! [`SsdDevice::write_sync`] only take its time, roll its faults and count
 //! it. The stored bytes are read and written by [`SsdDevice::peek`] and
 //! [`SsdDevice::poke`], which take no virtual time; the slab I/O facade
-//! calls them once a command has succeeded. They are held sparsely in RAM
-//! (64 KiB extents), so a mostly-empty 320 GB device costs nothing, and
-//! every stored byte is held once: the page cache in front of the device
-//! tracks only which pages are resident and dirty.
+//! calls them once a command has succeeded.
+//!
+//! The medium is the written [`Runs`]: each run is the [`Bytes`] a write
+//! handed over, kept by reference, never copied, so a mostly-empty 320 GB
+//! device costs nothing and a slab flush stores its large values as the
+//! very buffers that carried them. A poke replaces its whole range, and a
+//! peek that one run covers is a slice of it. The page cache in front of
+//! the device tracks only which pages are resident and dirty.
+//! [`SsdDevice::has_data`] answers at the granularity of the 64 KiB
+//! extents a write ever touched, as a filesystem's block map would.
 
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nbkv_simrt::{FxHashMap, Sim, SimTime};
+use nbkv_simrt::{Sim, SimTime};
 
 use crate::fault::{IoOp, SsdFaultPlan, SsdFaultStats, SALT_ERROR, SALT_STALL};
 use crate::profile::DeviceProfile;
+use crate::runs::{Image, Runs};
 
-/// Sparse-extent granularity of the in-RAM backing store.
+/// Granularity of [`SsdDevice::has_data`]'s "ever written" answer.
 const EXTENT: usize = 64 << 10;
 
 /// Device error.
@@ -89,7 +96,10 @@ pub struct SsdDevice {
     profile: DeviceProfile,
     /// Busy-until cursor per parallel command channel.
     channels: RefCell<Vec<SimTime>>,
-    extents: RefCell<FxHashMap<u64, Box<[u8]>>>,
+    /// The stored bytes.
+    runs: RefCell<Runs>,
+    /// Indices of the [`EXTENT`]s any poke has touched.
+    written: RefCell<BTreeSet<u64>>,
     stats: RefCell<DeviceStats>,
     /// Bytes written since the last GC stall.
     gc_accumulator: Cell<u64>,
@@ -115,7 +125,8 @@ impl SsdDevice {
             sim: sim.clone(),
             profile,
             channels: RefCell::new(vec![SimTime::ZERO; profile.queue_depth]),
-            extents: RefCell::new(FxHashMap::default()),
+            runs: RefCell::default(),
+            written: RefCell::default(),
             stats: RefCell::new(DeviceStats::default()),
             gc_accumulator: Cell::new(0),
             fault_plan: RefCell::new(None),
@@ -243,42 +254,51 @@ impl SsdDevice {
     }
 
     /// The stored bytes at `[offset, offset + len)`, with no timing.
-    /// Unwritten regions read as zeros.
+    /// Unwritten regions read as zeros. A range inside one run is a slice
+    /// of it, not a copy.
     pub fn peek(&self, offset: u64, len: usize) -> Bytes {
+        let range = offset..offset + len as u64;
+        let runs = self.runs.borrow();
+        if let Some(bytes) = runs.covering(range.clone()) {
+            return bytes;
+        }
         let mut out = vec![0u8; len];
-        let extents = self.extents.borrow();
-        for (idx, ext_off, pos, n) in spans(offset, len) {
-            if let Some(ext) = extents.get(&idx) {
-                out[pos..pos + n].copy_from_slice(&ext[ext_off..ext_off + n]);
+        for (at, bytes) in runs.pieces(range) {
+            if let Some(bytes) = bytes {
+                let pos = (at.start - offset) as usize;
+                out[pos..pos + bytes.len()].copy_from_slice(&bytes);
             }
         }
         Bytes::from(out)
     }
 
-    /// Store `data` at `offset`, with no timing. An extent that `data`
-    /// creates and covers whole is built from it, with no zero fill.
-    pub fn poke(&self, offset: u64, data: &[u8]) {
-        let mut extents = self.extents.borrow_mut();
-        for (idx, ext_off, pos, n) in spans(offset, data.len()) {
-            let src = &data[pos..pos + n];
-            match extents.entry(idx) {
-                Entry::Vacant(e) if n == EXTENT => {
-                    e.insert(src.into());
-                }
-                e => e.or_insert_with(|| vec![0u8; EXTENT].into_boxed_slice())
-                    [ext_off..ext_off + n]
-                    .copy_from_slice(src),
-            }
+    /// Store `image` at `offset`, with no timing: its runs are kept by
+    /// reference, and the rest of its range reads as zeros afterwards.
+    pub fn poke(&self, offset: u64, image: impl Into<Image>) {
+        let image = image.into();
+        let len = image.len();
+        if len == 0 {
+            return;
         }
+        let mut runs = self.runs.borrow_mut();
+        runs.cut(offset..offset + len as u64);
+        for (at, data) in image.into_runs() {
+            runs.put(offset + at as u64, data);
+        }
+        let last = (offset + len as u64 - 1) / EXTENT as u64;
+        self.written
+            .borrow_mut()
+            .extend(offset / EXTENT as u64..=last);
     }
 
-    /// True if any extent overlapping `[offset, offset+len)` has ever been
-    /// written. Filesystems use this to skip read-modify-write for holes.
+    /// True if any 64 KiB extent overlapping `[offset, offset+len)` has
+    /// ever been written. Filesystems use this to skip read-modify-write
+    /// for holes.
     pub fn has_data(&self, offset: u64, len: usize) -> bool {
-        let extents = self.extents.borrow();
+        let written = self.written.borrow();
         let first = offset / EXTENT as u64;
         let last = (offset + len.max(1) as u64 - 1) / EXTENT as u64;
-        (first..=last).any(|i| extents.contains_key(&i))
+        (first..=last).any(|i| written.contains(&i))
     }
 
     fn check_range(&self, offset: u64, len: usize) -> Result<(), DeviceError> {
@@ -310,22 +330,6 @@ impl SsdDevice {
     }
 }
 
-/// Split `[offset, offset + len)` at extent boundaries into
-/// `(extent index, offset in the extent, offset in the range, length)`.
-fn spans(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
-    let mut pos = 0;
-    std::iter::from_fn(move || {
-        (pos < len).then(|| {
-            let abs = offset + pos as u64;
-            let ext_off = (abs % EXTENT as u64) as usize;
-            let n = (EXTENT - ext_off).min(len - pos);
-            let span = (abs / EXTENT as u64, ext_off, pos, n);
-            pos += n;
-            span
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +352,78 @@ mod tests {
         dev.poke(100, b"abc");
         let got = dev.peek(98, 8);
         assert_eq!(&got[..], &[0, 0, b'a', b'b', b'c', 0, 0, 0]);
+    }
+
+    /// A later poke replaces what it overlaps and leaves the rest: the
+    /// earlier run's head and tail read back around it.
+    #[test]
+    fn overlapping_pokes_keep_the_last_write() {
+        let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        dev.poke(0, &[1u8; 100]);
+        dev.poke(40, &[2u8; 20]);
+        dev.poke(90, &[3u8; 20]);
+        let mut want = [1u8; 110];
+        want[40..60].fill(2);
+        want[90..110].fill(3);
+        assert_eq!(&dev.peek(0, 110)[..], &want[..]);
+        // An image's holes overwrite too: they read as zeros afterwards.
+        let mut image = Image::zeros(30);
+        image.push(10, Bytes::from_static(b"xy"));
+        dev.poke(35, image);
+        want[35..65].fill(0);
+        want[45..47].copy_from_slice(b"xy");
+        assert_eq!(&dev.peek(0, 110)[..], &want[..]);
+    }
+
+    #[test]
+    fn a_peek_across_runs_and_holes_reads_zeros_in_the_holes() {
+        let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        let mut image = Image::zeros(EXTENT * 3);
+        image.push(EXTENT - 2, Bytes::from_static(b"ab"));
+        image.push(EXTENT + 5, Bytes::from_static(b"cd"));
+        dev.poke(7, image);
+        let got = dev.peek(7 + EXTENT as u64 - 4, 13);
+        assert_eq!(
+            &got[..],
+            &[0, 0, b'a', b'b', 0, 0, 0, 0, 0, b'c', b'd', 0, 0]
+        );
+    }
+
+    #[test]
+    fn a_peek_inside_one_run_is_a_slice_of_the_written_buffer() {
+        let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        let value = Bytes::from(vec![5u8; 8 << 10]);
+        let mut image = Image::zeros(1 << 20);
+        image.push(4096, value.clone());
+        dev.poke(1 << 20, image);
+        let got = dev.peek((1 << 20) + 4096 + 100, 1000);
+        assert_eq!(got.as_ptr(), value[100..].as_ptr(), "peek copied the run");
+        assert_eq!(dev.peek((1 << 20) + 4096, 8 << 10).as_ptr(), value.as_ptr());
+    }
+
+    /// `has_data` answers per 64 KiB extent a poke ever touched, holes
+    /// included, as when every poke wrote its whole range.
+    #[test]
+    fn has_data_answers_per_touched_extent() {
+        let sim = Sim::new();
+        let dev = SsdDevice::new(&sim, instant_device());
+        let mut image = Image::zeros(2 * EXTENT);
+        image.push(0, Bytes::from_static(b"h"));
+        dev.poke(EXTENT as u64 + 10, image);
+        assert!(!dev.has_data(0, EXTENT));
+        for i in 1..=3u64 {
+            assert!(dev.has_data(i * EXTENT as u64, 1), "extent {i}");
+        }
+        assert!(!dev.has_data(4 * EXTENT as u64, EXTENT));
+        assert!(dev.has_data(0, EXTENT + 1));
+        dev.poke(8 * EXTENT as u64, Image::zeros(0));
+        assert!(
+            !dev.has_data(8 * EXTENT as u64, 1),
+            "an empty poke writes nothing"
+        );
     }
 
     #[test]
@@ -468,7 +544,6 @@ mod tests {
     fn cross_extent_poke_round_trips() {
         let sim = Sim::new();
         let dev = SsdDevice::new(&sim, instant_device());
-        // Spans three 64 KiB extents; the middle one is built whole.
         let data: Vec<u8> = (0..EXTENT * 2 + 100).map(|i| (i % 13) as u8).collect();
         let off = (EXTENT - 50) as u64;
         dev.poke(off, &data);

@@ -5,8 +5,8 @@
 //!
 //! - [`SsdDevice`]: a block device with calibrated access latency,
 //!   bandwidth, and command-queue parallelism ([`profile::sata_ssd`] /
-//!   [`profile::nvme_p3700`]). It is the only holder of stored bytes,
-//!   sparsely in RAM.
+//!   [`profile::nvme_p3700`]). It is the only holder of stored bytes, as
+//!   [`Runs`] of the buffers written to it, held by reference.
 //! - A write-back page cache with background writeback and kernel-style
 //!   dirty throttling, one behind each buffered scheme: "cached"
 //!   (OS-buffered) I/O pays a syscall per call, "mmap" I/O a soft fault
@@ -26,6 +26,7 @@ pub mod fault;
 pub mod lru;
 mod pagecache;
 pub mod profile;
+pub mod runs;
 pub mod scheme;
 
 pub use device::{DeviceError, DeviceStats, SsdDevice};
@@ -33,4 +34,5 @@ pub use fault::{IoOp, SsdFaultPlan, SsdFaultStats};
 pub use lru::LruMap;
 pub use pagecache::PageCacheStats;
 pub use profile::{instant_device, nvme_p3700, sata_ssd, DeviceProfile, HostModel};
+pub use runs::{Image, Runs};
 pub use scheme::{IoScheme, SlabIo, SlabIoConfig, SlabIoStats};

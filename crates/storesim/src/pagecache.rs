@@ -3,10 +3,10 @@
 //! A write-back cache of 64 KiB pages in front of an [`SsdDevice`]. It
 //! models which pages are resident and which are dirty, and what that
 //! costs: a page is its index plus a dirty epoch, and the bytes live on
-//! the device alone (the slab I/O facade moves them with
-//! [`SsdDevice::poke`] and [`SsdDevice::peek`]). `SlabIo` builds one
-//! instance per buffered [`IoScheme`], each with its own `cache_bytes`
-//! budget, pages and writeback task. The two schemes differ only in what
+//! the device alone (the slab I/O facade stores them with
+//! [`SsdDevice::poke`], and readers [`SsdDevice::peek`]). `SlabIo`
+//! builds one instance per buffered [`IoScheme`], each with its own
+//! `cache_bytes` budget, pages and writeback task. The two schemes differ only in what
 //! the host pays (Figure 4 of the paper):
 //!
 //! - `Cached` (OS-buffered I/O) pays a syscall per call, and a write's
@@ -403,7 +403,7 @@ mod tests {
                 cache_with(&sim, scheme, instant_device(), 8 << 20, HostModel::zero());
             let data: Vec<u8> = (0..200_000).map(|i| (i % 249) as u8).collect();
             io.write(scheme, 70_000, &data).await.unwrap();
-            let got = io.read(scheme, 70_000, data.len()).await.unwrap();
+            let got = io.read_bytes(scheme, 70_000, data.len()).await.unwrap();
             assert_eq!(&got[..], &data[..], "{scheme:?}");
         });
     }
@@ -472,7 +472,7 @@ mod tests {
             let other = sim2.spawn(async move { io2.write(IoScheme::Mmap, 0, &[1u8; 100]).await });
             io.write(IoScheme::Mmap, 200, &[2u8; 100]).await.unwrap();
             other.await.unwrap();
-            let got = io.read(IoScheme::Mmap, 0, 300).await.unwrap();
+            let got = io.read_bytes(IoScheme::Mmap, 0, 300).await.unwrap();
             assert_eq!(&got[..100], &[1u8; 100][..], "the later writer's bytes");
             assert_eq!(&got[200..], &[2u8; 100][..], "the earlier writer's bytes");
             assert_eq!(cache.stats().misses, 2, "both writers faulted");
@@ -494,7 +494,7 @@ mod tests {
             io.write(scheme, 0, &data).await.unwrap();
             assert_eq!(dev.stats().bytes_read, 0, "{scheme:?}");
             assert_eq!(
-                &io.read(scheme, 0, data.len()).await.unwrap()[..],
+                &io.read_bytes(scheme, 0, data.len()).await.unwrap()[..],
                 &data[..]
             );
             cache.sync().await.unwrap();
@@ -517,7 +517,7 @@ mod tests {
             cache.sync().await.unwrap();
             // Everything must still be readable (from device or cache).
             for i in 0..64u64 {
-                let got = io.read(scheme, i * (64 << 10), 8).await.unwrap();
+                let got = io.read_bytes(scheme, i * (64 << 10), 8).await.unwrap();
                 assert_eq!(got[0], i as u8, "{scheme:?} page {i}");
             }
             assert!(io.device().stats().bytes_written >= 3 << 20, "{scheme:?}");
@@ -612,7 +612,7 @@ mod tests {
             );
             io.device().poke(0, &[3u8; 4096]);
             let t0 = sim2.now();
-            let got = io.read(IoScheme::Cached, 0, 4096).await.unwrap();
+            let got = io.read_bytes(IoScheme::Cached, 0, 4096).await.unwrap();
             assert_eq!(got[0], 3);
             // One 64 KiB page load.
             assert_eq!(sim2.now() - t0, io.device().profile().read_cost(64 << 10));

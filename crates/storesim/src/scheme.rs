@@ -4,22 +4,24 @@
 //! the SSD through one of three paths — direct I/O, OS-buffered ("cached")
 //! I/O, or mmap — and the adaptive allocator of Figure 5 picks a scheme
 //! per slab class. [`SlabIo`] exposes all three over one device, keyed by
-//! [`IoScheme`]. A scheme decides only what a call costs; the bytes move
-//! once, between the caller and the device: a write stores its data with
-//! [`SsdDevice::poke`] once its timing succeeds, and a read copies out
-//! with [`SsdDevice::peek`]. So a region reads back its last write through
-//! any scheme; the slab manager reads a region through the scheme that
-//! wrote it, which is what the costs assume.
+//! [`IoScheme`]. A scheme decides only what a call costs. A write hands
+//! its [`Image`] to the device with [`SsdDevice::poke`] once its timing
+//! succeeds, and the device keeps the image's runs by reference; a read
+//! only takes its time, and the caller then [`peek`](SsdDevice::peek)s the
+//! bytes it parses, each a slice of a stored run where one run holds it.
+//! So a region reads back its last write through any scheme; the slab
+//! manager reads a region through the scheme that wrote it, which is what
+//! the costs assume.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use nbkv_simrt::Sim;
 
 use crate::device::{DeviceError, SsdDevice};
 use crate::pagecache::{PageCache, PageCacheStats};
 use crate::profile::HostModel;
+use crate::runs::Image;
 
 /// Which I/O path a slab flush / item read uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,24 +152,26 @@ impl SlabIo {
         }
     }
 
-    /// Write `data` at `offset` through `scheme`; the device holds the
-    /// bytes once the call succeeds.
+    /// Write `image` at `offset` through `scheme`; the device holds its
+    /// runs once the call succeeds.
     pub async fn write(
         &self,
         scheme: IoScheme,
         offset: u64,
-        data: &[u8],
+        image: impl Into<Image>,
     ) -> Result<(), DeviceError> {
         let t0 = self.sim.now();
+        let image = image.into();
+        let len = image.len();
         let out = match self.page_cache(scheme) {
-            None => self.dev.write_sync(offset, data.len()).await,
-            Some(cache) => cache.write(offset, data.len()).await,
+            None => self.dev.write_sync(offset, len).await,
+            Some(cache) => cache.write(offset, len).await,
         };
         if out.is_ok() {
-            self.dev.poke(offset, data);
+            self.dev.poke(offset, image);
         }
         let stalled = self.sim.now().saturating_since(t0).as_nanos() as u64;
-        let len = data.len() as u64;
+        let len = len as u64;
         self.count_op(scheme, stalled, |st| {
             st.writes += 1;
             st.write_bytes += len;
@@ -175,13 +179,10 @@ impl SlabIo {
         out
     }
 
-    /// Read `len` bytes at `offset` through `scheme`.
-    pub async fn read(
-        &self,
-        scheme: IoScheme,
-        offset: u64,
-        len: usize,
-    ) -> Result<Bytes, DeviceError> {
+    /// Read `len` bytes at `offset` through `scheme`: take the read's
+    /// time. Once it succeeds, the bytes are the device's to
+    /// [`peek`](SsdDevice::peek).
+    pub async fn read(&self, scheme: IoScheme, offset: u64, len: usize) -> Result<(), DeviceError> {
         let t0 = self.sim.now();
         let out = match self.page_cache(scheme) {
             None => self.dev.read(offset, len).await,
@@ -192,7 +193,7 @@ impl SlabIo {
             st.reads += 1;
             st.read_bytes += len as u64;
         });
-        out.map(|()| self.dev.peek(offset, len))
+        out
     }
 
     /// Counter snapshot.
@@ -220,6 +221,20 @@ impl SlabIo {
 }
 
 #[cfg(test)]
+impl SlabIo {
+    /// Read through `scheme`, then peek what was read.
+    pub(crate) async fn read_bytes(
+        &self,
+        scheme: IoScheme,
+        offset: u64,
+        len: usize,
+    ) -> Result<bytes::Bytes, DeviceError> {
+        self.read(scheme, offset, len).await?;
+        Ok(self.dev.peek(offset, len))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{IoOp, SsdFaultPlan};
@@ -241,7 +256,7 @@ mod tests {
                 let off = (i as u64) * (1 << 20);
                 let data = vec![i as u8 + 1; 100_000];
                 io.write(scheme, off, &data).await.unwrap();
-                let got = io.read(scheme, off, data.len()).await.unwrap();
+                let got = io.read_bytes(scheme, off, data.len()).await.unwrap();
                 assert_eq!(&got[..], &data[..], "{scheme:?}");
             }
         });
@@ -356,7 +371,7 @@ mod tests {
             io.write(IoScheme::Cached, 1 << 20, &vec![3u8; 7 << 20])
                 .await
                 .unwrap();
-            io.read(IoScheme::Cached, 0, 8).await.unwrap()
+            io.read_bytes(IoScheme::Cached, 0, 8).await.unwrap()
         });
         sim.shutdown();
         assert_eq!(&got[..], &[2u8; 8]);
@@ -378,7 +393,10 @@ mod tests {
             let data: Vec<u8> = (0..1 << 20).map(|i| (i / 4096) as u8).collect();
             io.write(IoScheme::Cached, 0, &data).await.unwrap();
             io.sync_all().await.unwrap();
-            let got = io.read(IoScheme::Cached, 0, data.len()).await.unwrap();
+            let got = io
+                .read_bytes(IoScheme::Cached, 0, data.len())
+                .await
+                .unwrap();
             got[..] == data[..]
         });
         sim.shutdown();
